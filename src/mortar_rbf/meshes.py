@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .elements import (
     ElementKind,
@@ -50,6 +49,7 @@ __all__ = [
     "jacobian_matrix",
     "jacobian_measure",
     "element_circumdiameter",
+    "element_circumdiameters",
     "mesh_size",
     "translate",
     "segment_mesh",
@@ -247,14 +247,24 @@ def jacobian_measure(mesh: Mesh, elem: int, xi) -> np.ndarray:
     return meas[0] if single else meas
 
 
+def _circumdiameters(coords: np.ndarray) -> np.ndarray:
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
+
+
+def element_circumdiameters(mesh: Mesh) -> np.ndarray:
+    """Largest pairwise node distance of every element, shape (n_elems,)."""
+    return _circumdiameters(mesh.nodes[mesh.connectivity])
+
+
 def element_circumdiameter(mesh: Mesh, elem: int) -> float:
     """Largest pairwise distance between the element's nodes."""
-    return float(pdist(element_nodes(mesh, elem)).max())
+    return float(_circumdiameters(element_nodes(mesh, elem)[None])[0])
 
 
 def mesh_size(mesh: Mesh) -> float:
     """Largest element circumdiameter in the mesh."""
-    return max(element_circumdiameter(mesh, e) for e in range(mesh.n_elems))
+    return float(element_circumdiameters(mesh).max())
 
 
 def translate(mesh: Mesh, vector) -> Mesh:

@@ -15,6 +15,14 @@ surviving Gauss points with identical weights.  That shared-point rule is
 what makes the transfer operator reproduce constants, so the pointwise
 schemes enforce it structurally: each surviving point is assigned to
 exactly one master element and contributes to both matrices at once.
+
+The pointwise schemes work in array passes over every (slave Gauss point,
+candidate master element) pair rather than loops over elements: a
+sort-and-sweep contact search lists the pairs, ``rb`` fits and evaluates
+each candidate master once on all the points offered to it, ``eb`` runs
+one Newton iteration over all pairs in which every pair retires as soon
+as its own residual converges, one sort picks each point's master, and
+one COO build scatters both matrices.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .elements import (
     shape_values,
 )
 from .errors import (
+    DegenerateElementError,
     IllConditionedKernelError,
     InvalidGeometryError,
     SingularOperatorError,
@@ -43,14 +52,12 @@ from .errors import (
 from .meshes import (
     InterfaceMesh,
     element_circumdiameter,
+    element_circumdiameters,
     element_nodes,
-    jacobian_measure,
-    map_to_physical,
 )
 from .rbf import (
     KernelFamily,
     PointLayout,
-    RbfInterpolant,
     evaluate_rescaled_masked,
     fit_master_interpolant,
 )
@@ -155,11 +162,10 @@ class InterfacePair:
     def resolved_gap_tolerance(self) -> float:
         if self.gap_tolerance is not None:
             return self.gap_tolerance
-        largest = 0.0
-        for mesh in (self.master, self.slave):
-            for elem in range(mesh.n_elems):
-                largest = max(largest, element_circumdiameter(mesh, elem))
-        return 0.5 * largest
+        return 0.5 * max(
+            float(element_circumdiameters(mesh).max(initial=0.0))
+            for mesh in (self.master, self.slave)
+        )
 
 
 @dataclass
@@ -245,20 +251,42 @@ def _element_boxes(mesh: InterfaceMesh) -> tuple[np.ndarray, np.ndarray]:
 
 
 def contact_search(pair: InterfacePair) -> list[np.ndarray]:
-    """Candidate master elements per slave element.
+    """Candidate master elements per slave element, in ascending order.
 
     Axis-aligned bounding boxes inflated by the pair's gap tolerance; a
     master is a candidate whenever the inflated boxes intersect.  Flat
     conforming interfaces produce no false negatives even at zero
     tolerance because touching boxes count as intersecting.
+
+    The boxes are swept along the axis on which the master boxes spread
+    most.  With the masters sorted by their lower bound on that axis, the
+    ones that can reach a slave box form one contiguous window, found by
+    two binary searches; only pairs inside the windows get the full box
+    test.  The window reaches back twice the widest master extent, so
+    rounding never drops a master whose box reaches the slave's.
     """
     gap = pair.resolved_gap_tolerance
     master_lo, master_hi = _element_boxes(pair.master)
     slave_lo, slave_hi = _element_boxes(pair.slave)
-    low_ok = slave_lo[:, None, :] - gap <= master_hi[None, :, :]
-    high_ok = slave_hi[:, None, :] + gap >= master_lo[None, :, :]
-    hit = (low_ok & high_ok).all(axis=2)
-    return [np.flatnonzero(row) for row in hit]
+    axis = int(np.argmax(np.ptp(master_lo + master_hi, axis=0)))
+    order = np.argsort(master_lo[:, axis], kind="stable")
+    sorted_lo = master_lo[order, axis]
+    reach = 2.0 * float(np.max(master_hi[:, axis] - master_lo[:, axis]))
+    start = np.searchsorted(sorted_lo, slave_lo[:, axis] - gap - reach, "left")
+    stop = np.searchsorted(sorted_lo, slave_hi[:, axis] + gap, "right")
+
+    counts = stop - start
+    s_elem = np.repeat(np.arange(pair.slave.n_elems), counts)
+    offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    m_elem = order[np.repeat(start, counts) + offset]
+    hit = (
+        (slave_lo[s_elem] - gap <= master_hi[m_elem])
+        & (slave_hi[s_elem] + gap >= master_lo[m_elem])
+    ).all(axis=1)
+    s_elem, m_elem = s_elem[hit], m_elem[hit]
+    m_elem = m_elem[np.lexsort((m_elem, s_elem))]
+    per_slave = np.bincount(s_elem, minlength=pair.slave.n_elems)
+    return np.split(m_elem, np.cumsum(per_slave))[:-1]
 
 
 def support_detect(values, tol: float):
@@ -314,47 +342,55 @@ def _solve_newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-def _project_batch(
-    mesh: InterfaceMesh,
-    elem: int,
+def _project_points(
+    kind: ElementKind,
+    coords: np.ndarray,
     targets: np.ndarray,
+    scale: np.ndarray,
     settings: NewtonSettings,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton projection of physical points onto one master element.
+    """Newton projection of each target point onto its own element.
 
-    Finds reference coordinates where the residual, the gap vector dotted
-    with the surface tangents, vanishes; that is the foot point of the
-    orthogonal projection.  The residual scales as length squared, so the
-    tolerance is taken relative to the squared element circumdiameter.
+    ``coords`` (n_points, n_nodes, dim) holds the nodes of the element
+    each target is projected onto and ``scale`` that element's squared
+    circumdiameter.  Finds reference coordinates where the residual, the
+    gap vector dotted with the surface tangents, vanishes; that is the
+    foot point of the orthogonal projection.  The residual scales as
+    length squared, so the tolerance is taken relative to ``scale``.
+
+    Each point retires as soon as its own residual passes the tolerance,
+    so a point's result does not depend on the other points in the batch,
+    and points clamped outside their element (which never converge) do
+    not keep converged ones iterating.
     """
-    kind = mesh.kind
-    coords = element_nodes(mesh, elem)
-    n = targets.shape[0]
-    xi = np.zeros((n, kind.ref_dim))
-    scale = element_circumdiameter(mesh, elem) ** 2
-
-    def tangent_residual(current):
-        grads = shape_gradients(kind, current)
-        pos = shape_values(kind, current) @ coords
-        jac = np.einsum("gnr,nd->gdr", grads, coords)
-        gap = targets - pos
-        return jac, gap, np.einsum("gdr,gd->gr", jac, gap)
-
-    for _ in range(settings.max_iter):
-        jac, gap, resid = tangent_residual(xi)
-        if np.max(np.abs(resid)) <= settings.tol * scale:
+    xi = np.zeros((targets.shape[0], kind.ref_dim))
+    converged = np.zeros(targets.shape[0], dtype=bool)
+    active = np.arange(targets.shape[0])
+    for step in range(settings.max_iter + 1):
+        nodes, current = coords[active], xi[active]
+        jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
+        gap = targets[active] - np.einsum(
+            "pn,pnd->pd", shape_values(kind, current), nodes
+        )
+        resid = np.einsum("pdr,pd->pr", jac, gap)
+        done = np.max(np.abs(resid), axis=1) <= settings.tol * scale[active]
+        converged[active[done]] = True
+        go = ~done
+        active = active[go]
+        if step == settings.max_iter or active.size == 0:
             break
+        nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
         curv = np.einsum(
-            "gnrs,nd->gdrs", shape_second_derivatives(kind, xi), coords
+            "pnrs,pnd->pdrs", shape_second_derivatives(kind, current), nodes
         )
-        hess = -np.einsum("gdr,gds->grs", jac, jac) + np.einsum(
-            "gdrs,gd->grs", curv, gap
+        hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
+            "pdrs,pd->prs", curv, gap
         )
-        xi = np.clip(
-            xi + _solve_newton_step(hess, -resid), -_NEWTON_CLAMP, _NEWTON_CLAMP
+        xi[active] = np.clip(
+            current + _solve_newton_step(hess, -resid[go]),
+            -_NEWTON_CLAMP,
+            _NEWTON_CLAMP,
         )
-    _, _, resid = tangent_residual(xi)
-    converged = np.max(np.abs(resid), axis=1) <= settings.tol * scale
     return xi, converged
 
 
@@ -371,177 +407,177 @@ def project_point_newton(
     """
     if settings is None:
         settings = NewtonSettings()
-    target = np.atleast_2d(np.asarray(point, float))
-    xi, converged = _project_batch(mesh, elem, target, settings)
+    xi, converged = _project_points(
+        mesh.kind,
+        element_nodes(mesh, elem)[None],
+        np.asarray(point, float).reshape(1, -1),
+        np.array([element_circumdiameter(mesh, elem) ** 2]),
+        settings,
+    )
     return xi[0], bool(converged[0])
 
 
-class _KernelEvaluator:
-    """Evaluates kernel-interpolated master bases at slave Gauss points."""
+def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
+    """Kernel-interpolated master bases at each (point, master) pair.
 
-    def __init__(self, pair: InterfacePair, config: MortarConfig):
-        self.mesh = pair.master
-        self.config = config
-        self.box_data = _box_coordinate_data(pair.master.kind)
-        self._cache: dict[int, RbfInterpolant] = {}
-
-    def interpolant(self, elem: int) -> RbfInterpolant:
-        interp = self._cache.get(elem)
-        if interp is None:
-            try:
-                interp = fit_master_interpolant(
-                    self.mesh,
-                    elem,
-                    self.config.layout,
-                    self.config.kernel_family,
-                    epsilon=self.config.epsilon,
-                )
-            except IllConditionedKernelError as exc:
-                raise IllConditionedKernelError(
-                    f"master element {elem}: {exc}", condition=exc.condition
-                ) from exc
-            self._cache[elem] = interp
-        return interp
-
-    def __call__(self, elem: int, phys: np.ndarray):
-        vals, ok = evaluate_rescaled_masked(self.interpolant(elem), phys)
-        probes = vals @ self.box_data
-        inside = ok & support_detect(probes, self.config.support_tol)
-        return vals, inside, _containment_depth(probes)
+    Every master element is fitted once and evaluated once, on all the
+    points offered to it.
+    """
+    mesh = pair.master
+    values = np.zeros((masters.size, mesh.kind.n_nodes))
+    ok = np.zeros(masters.size, dtype=bool)
+    order = np.argsort(masters, kind="stable")
+    elems, starts = np.unique(masters[order], return_index=True)
+    for elem, group in zip(elems.tolist(), np.split(order, starts[1:])):
+        try:
+            interp = fit_master_interpolant(
+                mesh, elem, config.layout, config.kernel_family, epsilon=config.epsilon
+            )
+        except IllConditionedKernelError as exc:
+            raise IllConditionedKernelError(
+                f"master element {elem}: {exc}", condition=exc.condition
+            ) from exc
+        values[group], ok[group] = evaluate_rescaled_masked(interp, points[group])
+    probes = values @ _box_coordinate_data(mesh.kind)
+    inside = ok & support_detect(probes, config.support_tol)
+    return values, inside, _containment_depth(probes)
 
 
-class _ProjectionEvaluator:
-    """Evaluates master bases at the Newton foot points of slave points."""
+def _projection_values(pair: InterfacePair, config: MortarConfig, masters, points):
+    """Master bases at the Newton foot points of each (point, master) pair."""
+    mesh = pair.master
+    scale = element_circumdiameters(mesh) ** 2
+    xi, converged = _project_points(
+        mesh.kind,
+        mesh.nodes[mesh.connectivity[masters]],
+        points,
+        scale[masters],
+        config.newton,
+    )
+    box = (1.0 + xi) / 2.0
+    inside = converged & support_detect(box, config.support_tol)
+    return shape_values(mesh.kind, xi), inside, _containment_depth(box)
 
-    def __init__(self, pair: InterfacePair, config: MortarConfig):
-        self.mesh = pair.master
-        self.settings = config.newton
-        self.tol = config.support_tol
 
-    def __call__(self, elem: int, phys: np.ndarray):
-        xi, converged = _project_batch(self.mesh, elem, phys, self.settings)
-        box = (1.0 + xi) / 2.0
-        inside = converged & support_detect(box, self.tol)
-        return shape_values(self.mesh.kind, xi), inside, _containment_depth(box)
+def _slave_gauss_points(slave: InterfaceMesh, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Every slave Gauss point and the squared integration measure there.
+
+    Returns the physical coordinates, shape (n_elems, n_gauss, dim), and
+    det(J^T J) of the isoparametric map, shape (n_elems, n_gauss).
+    """
+    coords = slave.nodes[slave.connectivity]
+    phys = shape_values(slave.kind, rule.points) @ coords
+    jac = np.einsum(
+        "gnr,end->egdr", shape_gradients(slave.kind, rule.points), coords
+    )
+    metric = np.einsum("egdr,egds->egrs", jac, jac)
+    if slave.kind.ref_dim == 1:
+        return phys, metric[..., 0, 0]
+    return phys, (
+        metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] * metric[..., 1, 0]
+    )
 
 
-class _TripletBuffer:
-    """Accumulates scattered element blocks for one sparse matrix."""
+def _scatter(
+    pair: InterfacePair, s_elem, m_elem, weights, slave_vals, master_vals
+) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
+    """Slave mass and coupling from per-point contributions.
 
-    def __init__(self, shape):
-        self.shape = shape
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+    Point k adds ``weights[k]`` times the outer products of its slave
+    basis values with themselves and with its master basis values to the
+    rows of slave element ``s_elem[k]`` and the columns of ``s_elem[k]``
+    and master element ``m_elem[k]``; one COO build sums them.
+    """
+    s_nodes = pair.slave.connectivity[s_elem]
+    weighted = weights[:, None] * slave_vals
 
-    def add(self, row_nodes, col_nodes, block):
-        self.rows.append(np.repeat(row_nodes, len(col_nodes)))
-        self.cols.append(np.tile(col_nodes, len(row_nodes)))
-        self.vals.append(np.asarray(block).ravel())
+    def build(col_nodes, col_vals, n_cols):
+        rows, cols = np.broadcast_arrays(s_nodes[:, :, None], col_nodes[:, None, :])
+        vals = weighted[:, :, None] * col_vals[:, None, :]
+        return sparse.coo_matrix(
+            (vals.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(pair.slave.n_nodes, n_cols),
+        ).tocsr()
 
-    def build(self) -> sparse.csr_matrix:
-        if not self.vals:
-            return sparse.csr_matrix(self.shape)
-        coo = sparse.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=self.shape,
-        )
-        return coo.tocsr()
+    return (
+        build(s_nodes, slave_vals, pair.slave.n_nodes),
+        build(pair.master.connectivity[m_elem], master_vals, pair.master.n_nodes),
+    )
 
 
 def _assemble_pointwise(
-    pair: InterfacePair, config: MortarConfig, evaluator
+    pair: InterfacePair, config: MortarConfig, evaluate
 ) -> MortarMatrices:
-    """Shared slave-side Gauss loop of the kernel and projection schemes.
+    """Shared assembly of the kernel and projection schemes, in array passes.
 
-    Each Gauss point is offered to every candidate master element; among
-    those accepting it, the point is assigned to the one it sits deepest
-    in.  Points accepted by nobody are dropped from both matrices, which
-    keeps the quadrature sets of the two matrices identical.
+    Every slave Gauss point is paired with every candidate master element
+    of its slave element; ``evaluate`` returns the master basis values,
+    an acceptance flag and a containment depth for all pairs at once.
+    Among the masters accepting a point, the point is assigned to the one
+    it sits deepest in, a tie going to the lowest master index.  Points
+    accepted by nobody are dropped from both matrices, which keeps the
+    quadrature sets of the two matrices identical.
     """
-    slave, master = pair.slave, pair.master
+    slave = pair.slave
     rule = _resolve_rule(config, slave.kind)
-    slave_basis = shape_values(slave.kind, rule.points)
+    n_gauss = rule.n_points
     candidates = contact_search(pair)
-
-    n_slave = slave.nodes.shape[0]
-    n_master = master.nodes.shape[0]
-    mass = _TripletBuffer((n_slave, n_slave))
-    coupling = _TripletBuffer((n_slave, n_master))
-
-    pairs_visited = 0
-    dropped = 0
-    uncovered: list[int] = []
-    n_master_basis = master.kind.n_nodes
-
-    for s_elem in range(slave.n_elems):
-        cands = candidates[s_elem]
-        if cands.size == 0:
-            dropped += rule.n_points
-            uncovered.append(s_elem)
-            continue
-        phys = map_to_physical(slave, s_elem, rule.points)
-        measure = jacobian_measure(slave, s_elem, rule.points)
-
-        best_depth = np.full(rule.n_points, -np.inf)
-        best_master = np.full(rule.n_points, -1)
-        best_vals = np.zeros((rule.n_points, n_master_basis))
-        for m_elem in cands:
-            pairs_visited += 1
-            vals, inside, depth = evaluator(int(m_elem), phys)
-            depth = np.where(inside, depth, -np.inf)
-            better = depth > best_depth
-            if not better.any():
-                continue
-            best_depth[better] = depth[better]
-            best_master[better] = m_elem
-            best_vals[better] = vals[better]
-
-        keep = best_master >= 0
-        dropped += rule.n_points - int(np.count_nonzero(keep))
-        if not keep.any():
-            uncovered.append(s_elem)
-            continue
-        weights = rule.weights * measure
-        s_nodes = slave.connectivity[s_elem]
-        mass_block = np.einsum(
-            "g,gi,gj->ij", weights[keep], slave_basis[keep], slave_basis[keep]
+    n_cands = np.array([c.size for c in candidates], dtype=np.int64)
+    phys, metric = _slave_gauss_points(slave, rule)
+    degenerate = np.flatnonzero((n_cands > 0) & (metric <= 0.0).any(axis=1))
+    if degenerate.size:
+        raise DegenerateElementError(
+            f"element {degenerate[0]} has a degenerate surface metric"
         )
-        mass.add(s_nodes, s_nodes, mass_block)
-        for m_elem in np.unique(best_master[keep]):
-            sel = keep & (best_master == m_elem)
-            block = np.einsum(
-                "g,gi,gk->ik", weights[sel], slave_basis[sel], best_vals[sel]
-            )
-            coupling.add(s_nodes, master.connectivity[m_elem], block)
+
+    # One entry per (slave Gauss point, candidate master) pair; a point is
+    # numbered s_elem * n_gauss + gauss_index.
+    pair_elem = np.repeat(np.arange(slave.n_elems), n_cands)
+    pair_point = (pair_elem[:, None] * n_gauss + np.arange(n_gauss)).ravel()
+    pair_master = np.repeat(
+        np.concatenate(candidates).astype(np.int64, copy=False), n_gauss
+    )
+    values, inside, depth = evaluate(
+        pair, config, pair_master, phys.reshape(-1, phys.shape[-1])[pair_point]
+    )
+
+    hit = np.flatnonzero(inside)
+    hit = hit[np.lexsort((pair_master[hit], -depth[hit], pair_point[hit]))]
+    first = np.ones(hit.size, dtype=bool)
+    first[1:] = pair_point[hit[1:]] != pair_point[hit[:-1]]
+    win = hit[first]
+    point = pair_point[win]
+    s_elem, gauss = np.divmod(point, n_gauss)
+    weights = rule.weights[gauss] * np.sqrt(metric[s_elem, gauss])
+    slave_basis = shape_values(slave.kind, rule.points)
+    mass, coupling = _scatter(
+        pair, s_elem, pair_master[win], weights, slave_basis[gauss], values[win]
+    )
 
     stats = AssemblyStats(
-        pairs_visited=pairs_visited,
-        gauss_points_total=rule.n_points * slave.n_elems,
-        gauss_points_dropped=dropped,
-        uncovered_slave_elements=tuple(uncovered),
+        pairs_visited=int(n_cands.sum()),
+        gauss_points_total=n_gauss * slave.n_elems,
+        gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
+        uncovered_slave_elements=tuple(
+            np.setdiff1d(np.arange(slave.n_elems), s_elem).tolist()
+        ),
     )
-    return MortarMatrices(
-        slave_mass=mass.build(), coupling=coupling.build(), stats=stats
-    )
+    return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 
 
 def assemble_rb(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     """Assemble with the kernel-interpolated master basis.
 
-    One rescaled interpolant is fitted per master element that receives at
-    least one Gauss point; slave points are classified by interpolated
-    coordinate ramps, so no projection ever runs.
+    One rescaled interpolant is fitted per candidate master element;
+    slave points are classified by interpolated coordinate ramps, so no
+    projection ever runs.
     """
-    return _assemble_pointwise(pair, config, _KernelEvaluator(pair, config))
+    return _assemble_pointwise(pair, config, _kernel_values)
 
 
 def assemble_eb(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     """Assemble with Newton projection of slave Gauss points."""
-    return _assemble_pointwise(pair, config, _ProjectionEvaluator(pair, config))
+    return _assemble_pointwise(pair, config, _projection_values)
 
 
 def _principal_direction(nodes: np.ndarray) -> np.ndarray:
@@ -613,57 +649,54 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
         )
 
     base_points, base_weights = rule.points[:, 0], rule.weights
-    n_slave = slave.nodes.shape[0]
-    n_master = master.nodes.shape[0]
-    mass = _TripletBuffer((n_slave, n_slave))
-    coupling = _TripletBuffer((n_slave, n_master))
 
     master_params = [t_master[conn] for conn in master.connectivity]
     master_bounds = [(p.min(), p.max()) for p in master_params]
 
-    pairs_visited = 0
-    points_total = 0
+    s_pairs: list[int] = []
+    m_pairs: list[int] = []
+    weights, slave_vals, master_vals = [], [], []
     uncovered: list[int] = []
     sliver = _SLIVER_REL * span
 
     for s_elem in range(slave.n_elems):
         s_params = t_slave[slave.connectivity[s_elem]]
         s_lo, s_hi = s_params.min(), s_params.max()
-        s_nodes = slave.connectivity[s_elem]
         covered = False
         for m_elem, (m_lo, m_hi) in enumerate(master_bounds):
             lo, hi = max(s_lo, m_lo), min(s_hi, m_hi)
             if hi - lo <= sliver:
                 continue
-            pairs_visited += 1
             covered = True
             t_g = 0.5 * (lo + hi) + 0.5 * (hi - lo) * base_points
-            w_g = 0.5 * (hi - lo) * base_weights
-            points_total += len(t_g)
             xi_s = _line_parameter_inverse(slave.kind, s_params, t_g, span)
             xi_m = _line_parameter_inverse(
                 master.kind, master_params[m_elem], t_g, span
             )
-            phi = shape_values(slave.kind, xi_s)
-            psi = shape_values(master.kind, xi_m)
-            mass.add(s_nodes, s_nodes, np.einsum("g,gi,gj->ij", w_g, phi, phi))
-            coupling.add(
-                s_nodes,
-                master.connectivity[m_elem],
-                np.einsum("g,gi,gk->ik", w_g, phi, psi),
-            )
+            s_pairs.append(s_elem)
+            m_pairs.append(m_elem)
+            weights.append(0.5 * (hi - lo) * base_weights)
+            slave_vals.append(shape_values(slave.kind, xi_s))
+            master_vals.append(shape_values(master.kind, xi_m))
         if not covered:
             uncovered.append(s_elem)
 
+    n_points = rule.n_points
+    mass, coupling = _scatter(
+        pair,
+        np.repeat(np.array(s_pairs, dtype=np.int64), n_points),
+        np.repeat(np.array(m_pairs, dtype=np.int64), n_points),
+        np.array(weights).reshape(-1),
+        np.array(slave_vals).reshape(-1, slave.kind.n_nodes),
+        np.array(master_vals).reshape(-1, master.kind.n_nodes),
+    )
     stats = AssemblyStats(
-        pairs_visited=pairs_visited,
-        gauss_points_total=points_total,
+        pairs_visited=len(s_pairs),
+        gauss_points_total=n_points * len(s_pairs),
         gauss_points_dropped=0,
         uncovered_slave_elements=tuple(uncovered),
     )
-    return MortarMatrices(
-        slave_mass=mass.build(), coupling=coupling.build(), stats=stats
-    )
+    return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 
 
 def assemble(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:

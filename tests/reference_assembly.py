@@ -1,0 +1,208 @@
+"""Loop-based pointwise mortar assembly, kept as a test oracle.
+
+This is the straightforward form of the ``rb``/``eb`` assembly that
+``mortar._assemble_pointwise`` computes in array passes: a dense box test
+for contact search, a Python loop over slave elements and their candidate
+masters, and a Newton projection batched per (slave element, master
+element) pair that iterates until every point of the batch has converged.
+Tests compare the library against it; nothing in the library imports it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy import sparse
+
+from mortar_rbf.elements import (
+    shape_gradients,
+    shape_second_derivatives,
+    shape_values,
+)
+from mortar_rbf.meshes import (
+    element_circumdiameter,
+    element_nodes,
+    jacobian_measure,
+    map_to_physical,
+)
+from mortar_rbf.mortar import (
+    AssemblyStats,
+    MortarMatrices,
+    Scheme,
+    _box_coordinate_data,
+    _containment_depth,
+    _resolve_rule,
+    _solve_newton_step,
+    support_detect,
+)
+from mortar_rbf.rbf import evaluate_rescaled_masked, fit_master_interpolant
+
+_NEWTON_CLAMP = 1.45
+
+
+def reference_contact_search(pair) -> list[np.ndarray]:
+    """Candidates from the dense (slave x master x dim) box test."""
+    gap = pair.resolved_gap_tolerance
+    master = pair.master.nodes[pair.master.connectivity]
+    slave = pair.slave.nodes[pair.slave.connectivity]
+    master_lo, master_hi = master.min(axis=1), master.max(axis=1)
+    slave_lo, slave_hi = slave.min(axis=1), slave.max(axis=1)
+    low_ok = slave_lo[:, None, :] - gap <= master_hi[None, :, :]
+    high_ok = slave_hi[:, None, :] + gap >= master_lo[None, :, :]
+    hit = (low_ok & high_ok).all(axis=2)
+    return [np.flatnonzero(row) for row in hit]
+
+
+def reference_project_batch(mesh, elem, targets, settings):
+    """Newton projection onto one element, stopping when all points converge."""
+    kind = mesh.kind
+    coords = element_nodes(mesh, elem)
+    xi = np.zeros((targets.shape[0], kind.ref_dim))
+    scale = element_circumdiameter(mesh, elem) ** 2
+
+    def tangent_residual(current):
+        grads = shape_gradients(kind, current)
+        pos = shape_values(kind, current) @ coords
+        jac = np.einsum("gnr,nd->gdr", grads, coords)
+        gap = targets - pos
+        return jac, gap, np.einsum("gdr,gd->gr", jac, gap)
+
+    for _ in range(settings.max_iter):
+        jac, gap, resid = tangent_residual(xi)
+        if np.max(np.abs(resid)) <= settings.tol * scale:
+            break
+        curv = np.einsum(
+            "gnrs,nd->gdrs", shape_second_derivatives(kind, xi), coords
+        )
+        hess = -np.einsum("gdr,gds->grs", jac, jac) + np.einsum(
+            "gdrs,gd->grs", curv, gap
+        )
+        xi = np.clip(
+            xi + _solve_newton_step(hess, -resid), -_NEWTON_CLAMP, _NEWTON_CLAMP
+        )
+    _, _, resid = tangent_residual(xi)
+    converged = np.max(np.abs(resid), axis=1) <= settings.tol * scale
+    return xi, converged
+
+
+def _kernel_evaluator(pair, config):
+    mesh = pair.master
+    box_data = _box_coordinate_data(mesh.kind)
+    cache = {}
+
+    def evaluate(elem, phys):
+        if elem not in cache:
+            cache[elem] = fit_master_interpolant(
+                mesh, elem, config.layout, config.kernel_family,
+                epsilon=config.epsilon,
+            )
+        vals, ok = evaluate_rescaled_masked(cache[elem], phys)
+        probes = vals @ box_data
+        inside = ok & support_detect(probes, config.support_tol)
+        return vals, inside, _containment_depth(probes)
+
+    return evaluate
+
+
+def _projection_evaluator(pair, config):
+    mesh = pair.master
+
+    def evaluate(elem, phys):
+        xi, converged = reference_project_batch(mesh, elem, phys, config.newton)
+        box = (1.0 + xi) / 2.0
+        inside = converged & support_detect(box, config.support_tol)
+        return shape_values(mesh.kind, xi), inside, _containment_depth(box)
+
+    return evaluate
+
+
+def _triplets(row_nodes, col_nodes, block):
+    return (
+        np.repeat(row_nodes, len(col_nodes)),
+        np.tile(col_nodes, len(row_nodes)),
+        np.asarray(block).ravel(),
+    )
+
+
+def _build(triplets, shape):
+    if not triplets:
+        return sparse.csr_matrix(shape)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*triplets))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def reference_assemble(pair, config) -> MortarMatrices:
+    """``rb`` or ``eb`` assembly by the per-pair loop.
+
+    Each Gauss point is offered to every candidate master element in
+    ascending index order; the deepest containment wins and a tie keeps
+    the earlier (lower-index) master.
+    """
+    slave, master = pair.slave, pair.master
+    if config.scheme is Scheme.RB:
+        evaluator = _kernel_evaluator(pair, config)
+    else:
+        evaluator = _projection_evaluator(pair, config)
+    rule = _resolve_rule(config, slave.kind)
+    slave_basis = shape_values(slave.kind, rule.points)
+    candidates = reference_contact_search(pair)
+
+    mass, coupling = [], []
+    pairs_visited = 0
+    dropped = 0
+    uncovered = []
+    for s_elem in range(slave.n_elems):
+        cands = candidates[s_elem]
+        if cands.size == 0:
+            dropped += rule.n_points
+            uncovered.append(s_elem)
+            continue
+        phys = map_to_physical(slave, s_elem, rule.points)
+        measure = jacobian_measure(slave, s_elem, rule.points)
+
+        best_depth = np.full(rule.n_points, -np.inf)
+        best_master = np.full(rule.n_points, -1)
+        best_vals = np.zeros((rule.n_points, master.kind.n_nodes))
+        for m_elem in cands:
+            pairs_visited += 1
+            vals, inside, depth = evaluator(int(m_elem), phys)
+            depth = np.where(inside, depth, -np.inf)
+            better = depth > best_depth
+            best_depth[better] = depth[better]
+            best_master[better] = m_elem
+            best_vals[better] = vals[better]
+
+        keep = best_master >= 0
+        dropped += rule.n_points - int(np.count_nonzero(keep))
+        if not keep.any():
+            uncovered.append(s_elem)
+            continue
+        weights = rule.weights * measure
+        s_nodes = slave.connectivity[s_elem]
+        mass.append(
+            _triplets(
+                s_nodes,
+                s_nodes,
+                np.einsum(
+                    "g,gi,gj->ij", weights[keep], slave_basis[keep], slave_basis[keep]
+                ),
+            )
+        )
+        for m_elem in np.unique(best_master[keep]):
+            sel = keep & (best_master == m_elem)
+            block = np.einsum(
+                "g,gi,gk->ik", weights[sel], slave_basis[sel], best_vals[sel]
+            )
+            coupling.append(_triplets(s_nodes, master.connectivity[m_elem], block))
+
+    stats = AssemblyStats(
+        pairs_visited=pairs_visited,
+        gauss_points_total=rule.n_points * slave.n_elems,
+        gauss_points_dropped=dropped,
+        uncovered_slave_elements=tuple(uncovered),
+    )
+    n_slave, n_master = slave.nodes.shape[0], master.nodes.shape[0]
+    return MortarMatrices(
+        slave_mass=_build(mass, (n_slave, n_slave)),
+        coupling=_build(coupling, (n_slave, n_master)),
+        stats=stats,
+    )

@@ -1,0 +1,153 @@
+"""The array-pass pointwise assembly against the loop-based oracle.
+
+Tolerances: the slave mass only changes summation order (1e-13
+relative).  ``eb`` foot points now stop at the Newton tolerance instead of
+iterating on with their batch (1e-10).  ``rb`` entries on quadrilaterals
+move by a few 1e-9 when only the shape of the evaluated batch changes:
+the Gaussian fits there have condition numbers near 1e16 and weights near
+1e7, so the last bits of the kernel products are amplified (1e-7).
+"""
+
+import numpy as np
+import pytest
+
+from mortar_rbf.elements import ElementKind
+from mortar_rbf.meshes import (
+    InterfaceMesh,
+    Side,
+    element_circumdiameter,
+    segment_mesh,
+    segment_pair,
+    sine_bump,
+    square_surface_mesh,
+    surface_pair,
+)
+from mortar_rbf.mortar import (
+    InterfacePair,
+    MortarConfig,
+    NewtonSettings,
+    Scheme,
+    _project_points,
+    assemble,
+    contact_search,
+    project_point_newton,
+)
+
+from reference_assembly import reference_assemble, reference_contact_search
+
+
+def jittered_seg2():
+    rng = np.random.default_rng(7)
+    n_slave = 14
+    xs = np.linspace(-1.0, 1.0, n_slave + 1)
+    xs[1:-1] += rng.uniform(-0.3, 0.3, n_slave - 1) * (2.0 / n_slave)
+    slave = InterfaceMesh(
+        np.column_stack([xs, np.zeros_like(xs)]),
+        np.column_stack([np.arange(n_slave), np.arange(1, n_slave + 1)]),
+        ElementKind.SEG2,
+        Side.SLAVE,
+    )
+    return InterfacePair(segment_mesh(21), slave)
+
+
+def seg3():
+    return InterfacePair(*segment_pair(5, 7, ElementKind.SEG3))
+
+
+def flat_quad4():
+    return InterfacePair(*surface_pair(5, 4))
+
+
+def warped_quad4():
+    warp = sine_bump(0.1)
+    return InterfacePair(*surface_pair(6, 4, warp_master=warp, warp_slave=warp))
+
+
+def quad8():
+    return InterfacePair(*surface_pair(3, 2, ElementKind.QUAD8))
+
+
+def conforming_quad4():
+    return InterfacePair(*surface_pair(4, 4))
+
+
+def nested_quad4():
+    # Run with a 3x3 rule: the middle Gauss points of each slave element lie
+    # exactly on shared master edges, so two masters contain them equally.
+    return InterfacePair(*surface_pair(4, 2))
+
+
+def overlapping_quad4():
+    master = square_surface_mesh(4, span=(-1.0, 1.0))
+    slave = square_surface_mesh(5, side=Side.SLAVE, span=(0.0, 2.0))
+    return InterfacePair(master, slave)
+
+
+PAIRS = {
+    "jittered_seg2": jittered_seg2,
+    "seg3": seg3,
+    "flat_quad4": flat_quad4,
+    "warped_quad4": warped_quad4,
+    "quad8": quad8,
+    "conforming_quad4": conforming_quad4,
+    "nested_quad4": nested_quad4,
+    "overlapping_quad4": overlapping_quad4,
+}
+
+N_GAUSS = {"nested_quad4": 9}
+
+
+def _max_rel(a, b):
+    a, b = a.toarray(), b.toarray()
+    return np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RB, Scheme.EB])
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_array_pass_matches_loop_oracle(name, scheme):
+    pair = PAIRS[name]()
+    candidates = contact_search(pair)
+    expected = reference_contact_search(pair)
+    assert len(candidates) == len(expected)
+    for got, want in zip(candidates, expected):
+        np.testing.assert_array_equal(got, want)
+
+    config = MortarConfig(scheme=scheme, n_gauss=N_GAUSS.get(name))
+    new = assemble(pair, config)
+    ref = reference_assemble(pair, config)
+    assert new.stats == ref.stats
+    assert new.coupling.nnz == ref.coupling.nnz
+    assert new.slave_mass.nnz == ref.slave_mass.nnz
+    assert _max_rel(new.slave_mass, ref.slave_mass) <= 1e-13
+    coupling_gap = np.max(np.abs((new.coupling - ref.coupling).toarray()), initial=0.0)
+    if scheme is Scheme.EB:
+        assert coupling_gap <= 1e-10
+    elif pair.master.kind.ref_dim == 1:
+        assert _max_rel(new.coupling, ref.coupling) <= 1e-13
+    else:
+        assert coupling_gap <= 1e-7
+
+
+def test_overlapping_pair_drops_points_and_reports_uncovered_elements():
+    stats = assemble(overlapping_quad4(), MortarConfig(scheme=Scheme.EB)).stats
+    assert 0 < stats.gauss_points_dropped < stats.gauss_points_total
+    assert stats.uncovered_slave_elements
+
+
+def test_newton_mask_keeps_each_point_independent_of_its_batch():
+    mesh = segment_mesh(3, ElementKind.SEG3, span=(0.0, 1.0))
+    nodes = mesh.nodes.copy()
+    nodes[3, 1] = 0.02  # bend the middle element through its mid node
+    curved = InterfaceMesh(nodes, mesh.connectivity, mesh.kind)
+    elem = 1
+    targets = np.array([[0.45, 0.03], [0.5, -0.01], [0.6, 0.1], [5.0, 2.0]])
+    settings = NewtonSettings()
+    coords = np.repeat(curved.nodes[curved.connectivity[elem]][None], len(targets), 0)
+    scale = np.full(len(targets), element_circumdiameter(curved, elem) ** 2)
+    xi, converged = _project_points(curved.kind, coords, targets, scale, settings)
+    for k, target in enumerate(targets):
+        solo_xi, solo_converged = project_point_newton(curved, elem, target, settings)
+        np.testing.assert_allclose(xi[k], solo_xi, rtol=0.0, atol=1e-12)
+        assert converged[k] == solo_converged
+    assert converged[:3].all()
+    assert not converged[3]

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
+from mortar_rbf import poisson
+from mortar_rbf.errors import SolverFailureError
 from mortar_rbf.meshes import VolumeMesh, rectangle_mesh, split_unit_square
 from mortar_rbf.mortar import MortarConfig, Scheme
 from mortar_rbf.poisson import (
@@ -184,3 +188,32 @@ def test_solve_rejects_unknown_path():
     problem = split_problem(4, 3, source=bubble_source)
     with pytest.raises(ValueError):
         solve(problem, path="direct")
+
+
+# A nearly singular system whose right-hand side is small next to |A| |x|:
+# the LU solution is accurate to roundoff (backward error near 1e-17), but
+# its residual is large relative to |b| alone.
+NEAR_SINGULAR = sparse.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]]))
+SMALL_RHS = np.array([0.3e-9, 1.3e-9])
+
+
+def test_checked_solve_accepts_an_accurate_solve_of_a_small_rhs():
+    solution = poisson._checked_solve(NEAR_SINGULAR, SMALL_RHS)
+    np.testing.assert_allclose(solution, [-1.0 + 3e-10, 1.0], rtol=1e-6)
+
+
+def test_checked_solve_rejects_a_wrong_solution(monkeypatch):
+    class PerturbedFactor:
+        def __init__(self, matrix):
+            self.exact = splu(matrix)
+
+        def solve(self, rhs):
+            solution = self.exact.solve(rhs)
+            solution[0] += 1e-6 * np.max(np.abs(solution))
+            return solution
+
+    monkeypatch.setattr(poisson, "splu", PerturbedFactor)
+    with pytest.raises(SolverFailureError):
+        poisson._checked_solve(NEAR_SINGULAR, SMALL_RHS)
+    with pytest.raises(SolverFailureError):
+        poisson._checked_solve(sparse.csr_matrix(np.eye(3)), np.ones(3))
