@@ -37,7 +37,6 @@ from .meshes import (
 from .mortar import (
     InterfacePair,
     MortarConfig,
-    NewtonSettings,
     Scheme,
     assemble,
     compute_transfer,
@@ -91,7 +90,7 @@ _KERNEL_ALIASES = {
 _WARP_VARIANTS = ("bump", "flat")
 
 
-def _parse_kernel(token: str) -> KernelFamily:
+def _parse_kernel(key: str, token: str) -> KernelFamily:
     try:
         return _KERNEL_ALIASES[token.strip().lower()]
     except KeyError:
@@ -754,13 +753,9 @@ def run_scheme_compare(config: ExperimentConfig) -> ExperimentResult:
     )
     pair = InterfacePair(master, slave)
 
-    def dense_transfer(mats):
-        matrix = compute_transfer(mats).matrix
-        return matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-
-    reference = dense_transfer(
+    reference = compute_transfer(
         assemble(pair, replace(config.mortar, scheme=Scheme.SB1D, n_gauss=2))
-    )
+    ).matrix
 
     rows: list[SweepRow] = []
     metrics: dict[str, float] = {}
@@ -775,7 +770,7 @@ def run_scheme_compare(config: ExperimentConfig) -> ExperimentResult:
         for scheme_token, scheme in schemes:
             mortar = replace(config.mortar, scheme=scheme, n_gauss=n_gauss)
             mats, seconds = _timed_assembly(pair, mortar)
-            err = float(np.abs(dense_transfer(mats) - reference).max())
+            err = float(np.abs(compute_transfer(mats).matrix - reference).max())
             metrics[f"{scheme_token}/n_gauss{n_gauss}"] = err
             metrics[f"time/{scheme_token}/n_gauss{n_gauss}"] = seconds
             rows.append(
@@ -827,32 +822,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # Config files
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Render a config as the line-oriented key = value format."""
-    mortar = config.mortar
-    lines = [
-        f"experiment = {config.experiment.value}",
-        f"refinements = {config.refinements}",
-        f"ratio = {config.ratio}",
-        f"scheme = {mortar.scheme.value}",
-        f"kernel = {mortar.kernel_family.value}",
-        f"layout = {mortar.layout.variant.value}",
-        f"n_m = {mortar.layout.n_per_edge}",
-        f"n_gauss = {'default' if mortar.n_gauss is None else mortar.n_gauss}",
-        f"support_tol = {mortar.support_tol!r}",
-        f"epsilon = {'default' if mortar.epsilon is None else repr(mortar.epsilon)}",
-        f"newton_tol = {mortar.newton.tol!r}",
-        f"newton_max_iter = {mortar.newton.max_iter}",
-        f"function = {config.function}",
-        f"warp_amplitude = {config.warp_amplitude!r}",
-        f"warp_variant = {config.warp_variant}",
-        f"seed = {config.seed}",
-    ]
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
-    return "\n".join(lines) + "\n"
-
-
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -865,6 +834,93 @@ def _parse_float(key: str, value: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {value!r}") from None
+
+
+def _parse_ratio(key: str, value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(
+            f"{key} expects a rational like 2/3, got {value!r}"
+        ) from None
+
+
+def _parse_choice(kind: type[Enum]) -> Callable[[str, str], Enum]:
+    def parse(key: str, value: str) -> Enum:
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"unknown {key} {value!r}") from None
+
+    return parse
+
+
+def _parse_text(key: str, value: str) -> str:
+    return value
+
+
+@dataclass(frozen=True)
+class _ConfigKey:
+    """One key of the config format.
+
+    ``path`` is the chain of attributes from :class:`ExperimentConfig` to
+    the value; ``parse(key, text)`` reads it.  An ``optional`` key writes
+    and reads ``default`` for None; any other key is left out of the
+    serialized text while its value is None.
+    """
+
+    name: str
+    path: tuple[str, ...]
+    parse: Callable[[str, str], object]
+    optional: bool = False
+
+
+#: Every config key in canonical order: parsing, serializing and the
+#: unknown-key check all read this table.
+_CONFIG_KEYS = (
+    _ConfigKey("experiment", ("experiment",), _parse_choice(ExperimentKind)),
+    _ConfigKey("refinements", ("refinements",), _parse_int),
+    _ConfigKey("ratio", ("ratio",), _parse_ratio),
+    _ConfigKey("scheme", ("mortar", "scheme"), _parse_choice(Scheme)),
+    _ConfigKey("kernel", ("mortar", "kernel_family"), _parse_kernel),
+    _ConfigKey("layout", ("mortar", "layout", "variant"), _parse_choice(LayoutKind)),
+    _ConfigKey("n_m", ("mortar", "layout", "n_per_edge"), _parse_int),
+    _ConfigKey("n_gauss", ("mortar", "n_gauss"), _parse_int, optional=True),
+    _ConfigKey("support_tol", ("mortar", "support_tol"), _parse_float),
+    _ConfigKey("epsilon", ("mortar", "epsilon"), _parse_float, optional=True),
+    _ConfigKey("newton_tol", ("mortar", "newton", "tol"), _parse_float),
+    _ConfigKey("newton_max_iter", ("mortar", "newton", "max_iter"), _parse_int),
+    _ConfigKey("function", ("function",), _parse_text),
+    _ConfigKey("warp_amplitude", ("warp_amplitude",), _parse_float),
+    _ConfigKey("warp_variant", ("warp_variant",), _parse_text),
+    _ConfigKey("seed", ("seed",), _parse_int),
+    _ConfigKey("out", ("out",), lambda key, value: Path(value)),
+)
+
+
+def _replaced(obj, path: tuple[str, ...], value):
+    """Copy of ``obj`` with the attribute at ``path`` set to ``value``."""
+    head, rest = path[0], path[1:]
+    if rest:
+        value = _replaced(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
+def serialize_config(config: ExperimentConfig) -> str:
+    """Render a config as the line-oriented key = value format."""
+    lines = []
+    for key in _CONFIG_KEYS:
+        value = config
+        for name in key.path:
+            value = getattr(value, name)
+        if value is None:
+            if not key.optional:
+                continue
+            value = "default"
+        elif isinstance(value, Enum):
+            value = value.value
+        lines.append(f"{key.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -888,129 +944,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"duplicate key {key!r} on line {number}")
         settings[key] = value
 
-    known = {
-        "experiment",
-        "refinements",
-        "ratio",
-        "scheme",
-        "kernel",
-        "layout",
-        "n_m",
-        "n_gauss",
-        "support_tol",
-        "epsilon",
-        "newton_tol",
-        "newton_max_iter",
-        "function",
-        "warp_amplitude",
-        "warp_variant",
-        "seed",
-        "out",
-    }
-    unknown = sorted(set(settings) - known)
+    unknown = sorted(set(settings) - {key.name for key in _CONFIG_KEYS})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    defaults = ExperimentConfig()
-    mortar_defaults = defaults.mortar
-
+    config = ExperimentConfig()
     try:
-        experiment = ExperimentKind(settings.get("experiment", defaults.experiment))
-    except ValueError:
-        raise ConfigError(
-            f"unknown experiment {settings['experiment']!r}"
-        ) from None
-    try:
-        scheme = Scheme(settings.get("scheme", mortar_defaults.scheme))
-    except ValueError:
-        raise ConfigError(f"unknown scheme {settings['scheme']!r}") from None
-    kernel = (
-        _parse_kernel(settings["kernel"])
-        if "kernel" in settings
-        else mortar_defaults.kernel_family
-    )
-    try:
-        layout_variant = LayoutKind(
-            settings.get("layout", mortar_defaults.layout.variant)
-        )
-    except ValueError:
-        raise ConfigError(f"unknown layout {settings['layout']!r}") from None
-
-    if "ratio" in settings:
-        try:
-            ratio = Fraction(settings["ratio"])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"ratio expects a rational like 2/3, got {settings['ratio']!r}"
-            ) from None
-    else:
-        ratio = defaults.ratio
-
-    n_gauss_text = settings.get("n_gauss", "default")
-    n_gauss = None if n_gauss_text == "default" else _parse_int("n_gauss", n_gauss_text)
-    epsilon_text = settings.get("epsilon", "default")
-    epsilon = (
-        None if epsilon_text == "default" else _parse_float("epsilon", epsilon_text)
-    )
-
-    try:
-        layout = PointLayout(
-            layout_variant,
-            _parse_int("n_m", settings["n_m"])
-            if "n_m" in settings
-            else mortar_defaults.layout.n_per_edge,
-        )
-        mortar = MortarConfig(
-            scheme=scheme,
-            n_gauss=n_gauss,
-            kernel_family=kernel,
-            layout=layout,
-            support_tol=(
-                _parse_float("support_tol", settings["support_tol"])
-                if "support_tol" in settings
-                else mortar_defaults.support_tol
-            ),
-            newton=NewtonSettings(
-                tol=(
-                    _parse_float("newton_tol", settings["newton_tol"])
-                    if "newton_tol" in settings
-                    else mortar_defaults.newton.tol
-                ),
-                max_iter=(
-                    _parse_int("newton_max_iter", settings["newton_max_iter"])
-                    if "newton_max_iter" in settings
-                    else mortar_defaults.newton.max_iter
-                ),
-            ),
-            epsilon=epsilon,
-        )
-        return ExperimentConfig(
-            experiment=experiment,
-            refinements=(
-                _parse_int("refinements", settings["refinements"])
-                if "refinements" in settings
-                else defaults.refinements
-            ),
-            ratio=ratio,
-            mortar=mortar,
-            function=settings.get("function", defaults.function),
-            warp_amplitude=(
-                _parse_float("warp_amplitude", settings["warp_amplitude"])
-                if "warp_amplitude" in settings
-                else defaults.warp_amplitude
-            ),
-            warp_variant=settings.get("warp_variant", defaults.warp_variant),
-            seed=(
-                _parse_int("seed", settings["seed"])
-                if "seed" in settings
-                else defaults.seed
-            ),
-            out=Path(settings["out"]) if "out" in settings else None,
-        )
+        for key in _CONFIG_KEYS:
+            if key.name not in settings:
+                continue
+            value = settings[key.name]
+            parsed = (
+                None
+                if key.optional and value == "default"
+                else key.parse(key.name, value)
+            )
+            config = _replaced(config, key.path, parsed)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

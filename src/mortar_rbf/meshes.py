@@ -222,29 +222,37 @@ def jacobian_measure(mesh: Mesh, elem: int, xi) -> np.ndarray:
     curves and surfaces the metric sqrt(det(J^T J)).  A non-positive value
     raises :class:`DegenerateElementError`.
     """
-    J = jacobian_matrix(mesh, elem, xi)
-    single = J.ndim == 2
-    if single:
-        J = J[None]
-    if isinstance(mesh, VolumeMesh):
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        if np.any(det <= 0.0):
-            raise DegenerateElementError(
-                f"element {elem} has non-positive Jacobian determinant"
-            )
-        meas = det
-    else:
-        G = np.einsum("gdr,gds->grs", J, J)
-        if G.shape[1] == 1:
-            det = G[:, 0, 0]
-        else:
-            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-        if np.any(det <= 0.0):
-            raise DegenerateElementError(
-                f"element {elem} has a degenerate surface metric"
-            )
-        meas = np.sqrt(det)
+    grads = shape_gradients(mesh.kind, xi)
+    single = grads.ndim == 2
+    grads = grads.reshape(-1, *grads.shape[-2:])
+    meas = _element_measures(mesh, np.array([elem]), grads)[0]
     return meas[0] if single else meas
+
+
+def _element_measures(mesh: Mesh, elems: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Measures of elements ``elems`` at the points where the shape
+    gradients ``grads`` (n_points, n_nodes, ref_dim) were taken, shape
+    (n_elems, n_points).
+
+    Raises :class:`DegenerateElementError` naming the first of ``elems``
+    with a non-positive value at any of the points.
+    """
+    J = np.einsum("gnr,end->egdr", grads, mesh.nodes[mesh.connectivity[elems]])
+    volume = isinstance(mesh, VolumeMesh)
+    if volume:
+        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+        failure = "has non-positive Jacobian determinant"
+    else:
+        G = np.einsum("egdr,egds->egrs", J, J)
+        if G.shape[-1] == 1:
+            det = G[..., 0, 0]
+        else:
+            det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        failure = "has a degenerate surface metric"
+    bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
+    if bad.size:
+        raise DegenerateElementError(f"element {elems[bad[0]]} {failure}")
+    return det if volume else np.sqrt(det)
 
 
 def _circumdiameters(coords: np.ndarray) -> np.ndarray:
@@ -277,8 +285,8 @@ def translate(mesh: Mesh, vector) -> Mesh:
 
 
 def _validate_measures(mesh: Mesh, probe) -> None:
-    for e in range(mesh.n_elems):
-        jacobian_measure(mesh, e, probe)
+    grads = shape_gradients(mesh.kind, probe)
+    _element_measures(mesh, np.arange(mesh.n_elems), grads)
 
 
 # --- structured generation -------------------------------------------------
@@ -471,18 +479,12 @@ def rectangle_grid_mesh(
         gy = gy + blend * interface_offset(gx)
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    conn = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    e = 0
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n11, n01 = nid(i + 1, j + 1), nid(i, j + 1)
-            conn[e] = (n00, n10, n11)
-            conn[e + 1] = (n00, n11, n01)
-            e += 2
+    # node (i, j) is grid[j, i]; cell (i, j), taken row by row, gives
+    # triangles 2c and 2c + 1 with c = j nx + i
+    grid = np.arange(nodes.shape[0]).reshape(ny + 1, nx + 1)
+    n00, n10 = grid[:-1, :-1].ravel(), grid[:-1, 1:].ravel()
+    n11, n01 = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
+    conn = np.stack([n00, n10, n11, n00, n11, n01], axis=1).reshape(-1, 3)
 
     tags: dict[tuple[int, int], str] = {}
 
@@ -492,11 +494,11 @@ def rectangle_grid_mesh(
     bottom_tag = "interface" if interface_edge == "bottom" else "dirichlet"
     top_tag = "interface" if interface_edge == "top" else "dirichlet"
     for i in range(nx):
-        tag_edge(nid(i, 0), nid(i + 1, 0), bottom_tag)
-        tag_edge(nid(i, ny), nid(i + 1, ny), top_tag)
+        tag_edge(grid[0, i], grid[0, i + 1], bottom_tag)
+        tag_edge(grid[ny, i], grid[ny, i + 1], top_tag)
     for j in range(ny):
-        tag_edge(nid(0, j), nid(0, j + 1), "dirichlet")
-        tag_edge(nid(nx, j), nid(nx, j + 1), "dirichlet")
+        tag_edge(grid[j, 0], grid[j + 1, 0], "dirichlet")
+        tag_edge(grid[j, nx], grid[j + 1, nx], "dirichlet")
 
     mesh = VolumeMesh(nodes, conn, tags)
     centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])

@@ -66,9 +66,6 @@ from .rbf import (
 #: routines accept, so evaluation never fails mid-iteration.
 _NEWTON_CLAMP = 1.45
 
-#: Transfer operators with at most this many entries are stored dense.
-_DENSE_TRANSFER_LIMIT = 1_000_000
-
 #: Intersection intervals shorter than this fraction of the interface span
 #: are discarded as degenerate slivers.
 _SLIVER_REL = 1e-14
@@ -208,9 +205,16 @@ class MortarMatrices:
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """Maps master interface nodal values to slave interface nodal values."""
+    """Maps master interface nodal values to slave interface nodal values.
 
-    matrix: np.ndarray | sparse.csr_matrix
+    ``matrix`` is M^-1 D as a dense array, shape (n_slave_nodes,
+    n_master_nodes).  The inverse of the slave mass couples every slave
+    node, so M^-1 D is dense even though M and D are sparse: stored as CSR
+    it keeps nearly every entry, takes more memory than the array and
+    applies several times slower.
+    """
+
+    matrix: np.ndarray
 
     @property
     def n_slave_nodes(self) -> int:
@@ -221,8 +225,7 @@ class TransferOperator:
         return self.matrix.shape[1]
 
     def row_sums(self) -> np.ndarray:
-        ones = np.ones(self.matrix.shape[1])
-        return np.asarray(self.matrix @ ones).ravel()
+        return self.matrix @ np.ones(self.n_master_nodes)
 
 
 @dataclass(frozen=True)
@@ -711,10 +714,11 @@ def assemble(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
 def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
     """Solve the slave mass against the coupling matrix.
 
-    Never forms an inverse: the mass matrix is factorized once and applied
-    to the coupling columns.  Raises :class:`SingularOperatorError` naming
-    the slave nodes whose rows are empty (uncovered nodes), or wrapping
-    the factorization failure otherwise.
+    Never forms an inverse: the mass matrix is factorized once and solved
+    against all coupling columns at once, which gives the dense transfer
+    matrix.  Raises :class:`SingularOperatorError` naming the slave nodes
+    whose rows are empty (uncovered nodes), or wrapping the factorization
+    failure otherwise.
     """
     mass = matrices.slave_mass.tocsr()
     row_weight = np.asarray(np.abs(mass).sum(axis=1)).ravel()
@@ -731,19 +735,7 @@ def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
         raise SingularOperatorError(
             f"slave mass factorization failed: {exc}"
         ) from exc
-
-    n_entries = mass.shape[0] * matrices.coupling.shape[1]
-    if n_entries <= _DENSE_TRANSFER_LIMIT:
-        transfer = factor.solve(matrices.coupling.toarray())
-    else:
-        chunks = []
-        dense_cols = matrices.coupling.tocsc()
-        step = 256
-        for start in range(0, dense_cols.shape[1], step):
-            block = dense_cols[:, start : start + step].toarray()
-            chunks.append(sparse.csr_matrix(factor.solve(block)))
-        transfer = sparse.hstack(chunks, format="csr")
-    return TransferOperator(matrix=transfer)
+    return TransferOperator(matrix=factor.solve(matrices.coupling.toarray()))
 
 
 def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
@@ -754,7 +746,7 @@ def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
             f"expected {transfer.n_master_nodes} master nodal values, "
             f"got {values.shape[0]}"
         )
-    return np.asarray(transfer.matrix @ values)
+    return transfer.matrix @ values
 
 
 def consistency_report(matrices: MortarMatrices) -> ConsistencyReport:

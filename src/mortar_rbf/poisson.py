@@ -354,12 +354,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     free master nodes and the free slave interior nodes.  Multipliers are
     recovered from the slave interface equilibrium afterwards.
     """
-    transfer = compute_transfer(system.mortar)
-    transfer_matrix = np.asarray(
-        transfer.matrix.toarray()
-        if sparse.issparse(transfer.matrix)
-        else transfer.matrix
-    )
+    transfer = compute_transfer(system.mortar).matrix
 
     n_master = system.problem.master.n_nodes
     n_slave = system.problem.slave.n_nodes
@@ -368,47 +363,27 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     slave_map = system.slave_binding.volume_nodes
 
     free_master = np.setdiff1d(np.arange(n_master), system.pinned_master)
-    dependent_slave = slave_map
     free_slave = np.setdiff1d(
-        np.arange(n_slave), np.concatenate([system.pinned_slave, dependent_slave])
+        np.arange(n_slave), np.concatenate([system.pinned_slave, slave_map])
     )
-    n_free = free_master.size + free_slave.size
-    position = {}
-    for idx, node in enumerate(free_master):
-        position[("m", int(node))] = idx
-    for idx, node in enumerate(free_slave):
-        position[("s", int(node))] = free_master.size + idx
+    free = np.concatenate([free_master, n_master + free_slave])
+    n_free = free.size
+    column = np.full(n_total, -1)
+    column[free] = np.arange(n_free)
 
-    # affine reconstruction u_full = P x + c over [master; slave] stacking
-    rows, cols, vals = [], [], []
+    # affine reconstruction u_full = P x + c over [master; slave] stacking:
+    # free dofs copy their unknown, slave interface values are the transfer
+    # of the master trace, whose pinned entries go to c
     shift = np.zeros(n_total)
-    for node in free_master:
-        rows.append(int(node))
-        cols.append(position[("m", int(node))])
-        vals.append(1.0)
     shift[system.pinned_master] = system.pinned_master_values
-    for node in free_slave:
-        rows.append(n_master + int(node))
-        cols.append(position[("s", int(node))])
-        vals.append(1.0)
     shift[n_master + system.pinned_slave] = system.pinned_slave_values
-
-    pinned_value_of = dict(
-        zip(system.pinned_master.tolist(), system.pinned_master_values)
-    )
-    for local, node in enumerate(slave_map):
-        row = n_master + int(node)
-        for k, master_node in enumerate(master_map):
-            weight = transfer_matrix[local, k]
-            if weight == 0.0:
-                continue
-            key = ("m", int(master_node))
-            if key in position:
-                rows.append(row)
-                cols.append(position[key])
-                vals.append(weight)
-            else:
-                shift[row] += weight * pinned_value_of[int(master_node)]
+    shift[n_master + slave_map] = transfer @ shift[master_map]
+    local, k = np.nonzero(transfer)
+    target = column[master_map[k]]
+    linked = target >= 0
+    rows = np.concatenate([free, n_master + slave_map[local[linked]]])
+    cols = np.concatenate([np.arange(n_free), target[linked]])
+    vals = np.concatenate([np.ones(n_free), transfer[local, k][linked]])
 
     prolongation = sparse.coo_matrix(
         (vals, (rows, cols)), shape=(n_total, n_free)

@@ -62,6 +62,27 @@ def test_config_round_trips_through_the_text_format():
     assert serialize_config(parse_config(text)) == text
 
 
+def test_config_default_text_is_canonical():
+    assert serialize_config(ExperimentConfig()) == (
+        "experiment = interp_1d\n"
+        "refinements = 5\n"
+        "ratio = 2/3\n"
+        "scheme = rb\n"
+        "kernel = gaussian\n"
+        "layout = uniform\n"
+        "n_m = 6\n"
+        "n_gauss = default\n"
+        "support_tol = 1e-06\n"
+        "epsilon = default\n"
+        "newton_tol = 1e-10\n"
+        "newton_max_iter = 20\n"
+        "function = default\n"
+        "warp_amplitude = 0.15\n"
+        "warp_variant = bump\n"
+        "seed = 0\n"
+    )
+
+
 def test_config_parsing_ignores_comments_and_blank_lines():
     config = parse_config(
         "# a comment\n\nexperiment = interp_1d\nrefinements = 2\n\n# trailing\n"

@@ -109,7 +109,9 @@ def test_split_unit_square_curved_interface():
 
 
 def test_overlarge_offset_tangles_and_raises():
-    with pytest.raises(DegenerateElementError):
+    with pytest.raises(
+        DegenerateElementError, match="element 0 has non-positive Jacobian"
+    ):
         split_unit_square(2, 2, interface_offset=lambda x: 0.0 * x + 0.9)
 
 

@@ -86,6 +86,23 @@ def test_constant_transfer_is_exact():
         np.testing.assert_allclose(ones, 1.0, atol=1e-12)
 
 
+def test_large_transfer_is_one_dense_array():
+    # 901 x 1201 entries: more than a million, as on fine 1D pairs
+    transfer = compute_transfer(
+        assemble(unit_pair(1200, 900), MortarConfig(scheme=Scheme.RB))
+    )
+    assert type(transfer.matrix) is np.ndarray
+    assert transfer.matrix.shape == (901, 1201)
+    np.testing.assert_allclose(transfer.row_sums(), 1.0, atol=1e-12)
+
+    rng = np.random.default_rng(0)
+    batch = rng.standard_normal((transfer.n_master_nodes, 5))
+    columns = [interface_transfer(transfer, column) for column in batch.T]
+    np.testing.assert_allclose(
+        interface_transfer(transfer, batch), np.column_stack(columns), atol=1e-13
+    )
+
+
 def test_projection_scheme_ignores_normal_offset():
     reference = assemble(unit_pair(3, 4), MortarConfig(scheme=Scheme.EB))
     master = segment_mesh(3, span=(0.0, 1.0))

@@ -115,9 +115,18 @@ def test_linear_data_is_exact_on_pinned_boundaries():
     assert fields.constraint_residual < 1e-12
 
 
-def test_saddle_and_condensed_paths_agree():
-    problem = split_problem(6, 4, source=bubble_source)
-    system = build_system(problem, MortarConfig())
+@pytest.mark.parametrize(
+    "problem",
+    [
+        pytest.param(lambda: split_problem(6, 4, source=bubble_source), id="bubble"),
+        # non-zero Dirichlet data: the pinned master interface endpoints
+        # enter the condensed reconstruction through its affine shift
+        pytest.param(lambda: linear_problem(6, 4), id="linear"),
+    ],
+)
+@pytest.mark.parametrize("scheme", ["rb", "eb", "sb"])
+def test_saddle_and_condensed_paths_agree(scheme, problem):
+    system = build_system(problem(), MortarConfig(scheme=scheme))
     saddle = solve_saddle(system)
     condensed = solve_condensed(system)
     assert saddle.path == "saddle" and condensed.path == "condensed"

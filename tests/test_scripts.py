@@ -1,0 +1,39 @@
+"""The command line scripts run end to end from a source checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from mortar_rbf.experiments import ExperimentKind
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_reproduce_convergence_prints_both_studies():
+    done = run_script("reproduce_convergence.py", "--levels", "2")
+    assert done.returncode == 0, done.stderr
+    assert "1D interpolation transfer study" in done.stdout
+    assert "coupled Poisson study" in done.stdout
+
+
+def test_run_all_experiments_writes_every_output(tmp_path):
+    done = run_script("run_all_experiments.py", "--quick", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    for kind in ExperimentKind:
+        assert (tmp_path / kind.value / "sweep.csv").is_file()
+        assert (tmp_path / kind.value / "report.txt").is_file()
