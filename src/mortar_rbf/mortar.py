@@ -7,8 +7,8 @@ multiplier mass matrix and the master-slave coupling matrix:
   so slave Gauss points never need to be projected onto the master;
 * ``eb``: slave Gauss points are Newton-projected onto candidate master
   elements and points landing outside every master are sorted out;
-* ``sb``: exact interval intersection, available for 1D interfaces only,
-  used as the reference oracle.
+* ``sb``: exact interval intersection for 1D interfaces only, found by a
+  sort-and-sweep and inverted in one batch per side; the reference oracle.
 
 Whatever the scheme, both matrices integrate over the identical set of
 surviving Gauss points with identical weights.  That shared-point rule is
@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .elements import (
     ElementKind,
@@ -69,6 +69,9 @@ _NEWTON_CLAMP = 1.45
 #: Intersection intervals shorter than this fraction of the interface span
 #: are discarded as degenerate slivers.
 _SLIVER_REL = 1e-14
+
+#: Coupling columns densified per slave-mass solve (no full-size dense copy).
+_SOLVE_COLUMNS = 64
 
 
 class Scheme(str, Enum):
@@ -211,10 +214,12 @@ class TransferOperator:
     n_master_nodes).  The inverse of the slave mass couples every slave
     node, so M^-1 D is dense even though M and D are sparse: stored as CSR
     it keeps nearly every entry, takes more memory than the array and
-    applies several times slower.
+    applies several times slower.  ``factor`` is the slave mass LU factor
+    it was solved with, kept for further solves (multiplier recovery).
     """
 
     matrix: np.ndarray
+    factor: SuperLU = field(compare=False, repr=False)
 
     @property
     def n_slave_nodes(self) -> int:
@@ -248,29 +253,19 @@ def _resolve_rule(config: MortarConfig, kind: ElementKind):
     return gauss_rule(kind, n)
 
 
-def _element_boxes(mesh: InterfaceMesh) -> tuple[np.ndarray, np.ndarray]:
-    corners = mesh.nodes[mesh.connectivity]
-    return corners.min(axis=1), corners.max(axis=1)
+def _sweep_overlaps(master, slave, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Slave and master indices of the element boxes that touch or intersect.
 
-
-def contact_search(pair: InterfacePair) -> list[np.ndarray]:
-    """Candidate master elements per slave element, in ascending order.
-
-    Axis-aligned bounding boxes inflated by the pair's gap tolerance; a
-    master is a candidate whenever the inflated boxes intersect.  Flat
-    conforming interfaces produce no false negatives even at zero
-    tolerance because touching boxes count as intersecting.
-
-    The boxes are swept along the axis on which the master boxes spread
-    most.  With the masters sorted by their lower bound on that axis, the
-    ones that can reach a slave box form one contiguous window, found by
-    two binary searches; only pairs inside the windows get the full box
-    test.  The window reaches back twice the widest master extent, so
-    rounding never drops a master whose box reaches the slave's.
+    ``master``/``slave`` hold element nodes, shape (n_elems, n_nodes, dim);
+    boxes are inflated by ``gap``.  With the masters sorted by their lower
+    bound on the axis along which they spread most, two binary searches
+    give each slave box a window of masters, and only pairs inside it get
+    the full box test.  The window reaches back twice the widest master
+    extent, so rounding never drops a master that reaches the slave.
+    Pairs come slave-major with the master index ascending.
     """
-    gap = pair.resolved_gap_tolerance
-    master_lo, master_hi = _element_boxes(pair.master)
-    slave_lo, slave_hi = _element_boxes(pair.slave)
+    master_lo, master_hi = master.min(axis=1), master.max(axis=1)
+    slave_lo, slave_hi = slave.min(axis=1), slave.max(axis=1)
     axis = int(np.argmax(np.ptp(master_lo + master_hi, axis=0)))
     order = np.argsort(master_lo[:, axis], kind="stable")
     sorted_lo = master_lo[order, axis]
@@ -279,7 +274,7 @@ def contact_search(pair: InterfacePair) -> list[np.ndarray]:
     stop = np.searchsorted(sorted_lo, slave_hi[:, axis] + gap, "right")
 
     counts = stop - start
-    s_elem = np.repeat(np.arange(pair.slave.n_elems), counts)
+    s_elem = np.repeat(np.arange(slave_lo.shape[0]), counts)
     offset = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
     m_elem = order[np.repeat(start, counts) + offset]
     hit = (
@@ -287,7 +282,21 @@ def contact_search(pair: InterfacePair) -> list[np.ndarray]:
         & (slave_hi[s_elem] + gap >= master_lo[m_elem])
     ).all(axis=1)
     s_elem, m_elem = s_elem[hit], m_elem[hit]
-    m_elem = m_elem[np.lexsort((m_elem, s_elem))]
+    order = np.lexsort((m_elem, s_elem))
+    return s_elem[order], m_elem[order]
+
+
+def contact_search(pair: InterfacePair) -> list[np.ndarray]:
+    """Candidate master elements per slave element, in ascending order.
+
+    Axis-aligned bounding boxes inflated by the pair's gap tolerance; a
+    master is a candidate whenever the inflated boxes intersect, found by
+    one sort-and-sweep.  Flat conforming interfaces produce no false
+    negatives even at zero tolerance because touching boxes count as
+    intersecting.
+    """
+    corners = [mesh.nodes[mesh.connectivity] for mesh in (pair.master, pair.slave)]
+    s_elem, m_elem = _sweep_overlaps(*corners, pair.resolved_gap_tolerance)
     per_slave = np.bincount(s_elem, minlength=pair.slave.n_elems)
     return np.split(m_elem, np.cumsum(per_slave))[:-1]
 
@@ -599,24 +608,37 @@ def _collinearity_residual(nodes: np.ndarray, direction: np.ndarray) -> float:
     return float(np.max(np.abs(centered - np.outer(along, direction)), initial=0.0))
 
 
-def _line_parameter_inverse(
-    kind: ElementKind, node_params: np.ndarray, targets: np.ndarray, span: float
-) -> np.ndarray:
-    """Reference coordinates whose 1D map hits the given line parameters."""
-    ref = node_reference_coords(kind)[:, 0]
-    lo, hi = np.argmin(ref), np.argmax(ref)
-    denom = node_params[hi] - node_params[lo]
-    xi = (2.0 * (targets - node_params[lo]) / denom - 1.0)[:, None]
+def _line_parameter_inverse(side, kind, elem_params, elems, targets, span):
+    """Reference coordinates where each point's element reaches its target.
+
+    Point k lies on element ``elems[k]`` of the ``side`` mesh, whose nodes
+    sit at line parameters ``elem_params[elems[k]]``.  Raises
+    :class:`InvalidGeometryError` naming the lowest element that is folded
+    (its slope changes sign between its nodes) or does not converge.
+    """
+    node_params = elem_params[elems]
+    slopes = node_params @ shape_gradients(kind, node_reference_coords(kind))[:, :, 0].T
+    failed = ~((slopes > 0.0).all(axis=1) | (slopes < 0.0).all(axis=1))
+    active = np.flatnonzero(~failed)
+    # segment nodes run from xi = -1 to xi = 1, any mid node in between
+    p_lo, p_hi = node_params[active, 0], node_params[active, -1]
+    xi = np.zeros((targets.size, 1))
+    xi[active, 0] = 2.0 * (targets[active] - p_lo) / (p_hi - p_lo) - 1.0
     for _ in range(30):
-        vals = shape_values(kind, xi) @ node_params - targets
-        if np.max(np.abs(vals)) <= 1e-14 * span:
+        x, params = xi[active], node_params[active]
+        resid = np.einsum("pn,pn->p", shape_values(kind, x), params) - targets[active]
+        go = np.abs(resid) > 1e-14 * span
+        active, x, params, resid = active[go], x[go], params[go], resid[go]
+        if active.size == 0:
             break
-        slope = shape_gradients(kind, xi)[:, :, 0] @ node_params
-        xi = np.clip(xi - (vals / slope)[:, None], -_NEWTON_CLAMP, _NEWTON_CLAMP)
-    else:
+        slope = np.einsum("pn,pn->p", shape_gradients(kind, x)[:, :, 0], params)
+        step = x - (resid / slope)[:, None]
+        xi[active] = np.clip(step, -_NEWTON_CLAMP, _NEWTON_CLAMP)
+    failed[active] = True
+    if failed.any():
         raise InvalidGeometryError(
-            "could not invert the 1D element parameterization; the element "
-            "is badly distorted along its line"
+            f"could not invert the line parameterization of {side} element "
+            f"{int(np.min(elems[failed]))}; it is folded or badly distorted"
         )
     return xi
 
@@ -628,7 +650,9 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     normal offset; it is projected onto the master line).  Every
     slave-master intersection interval receives its own Gauss rule, which
     integrates the polynomial integrands exactly, so the result serves as
-    the reference the other schemes are compared against.
+    the reference the other schemes are compared against.  A sort-and-sweep
+    over the element intervals finds the intersections (slivers dropped);
+    one batched inversion per side places all their Gauss points.
     """
     master, slave = pair.master, pair.slave
     if master.kind.ref_dim != 1:
@@ -651,53 +675,29 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
             f"largest off-line deviation is {straightness:.3e}"
         )
 
-    base_points, base_weights = rule.points[:, 0], rule.weights
+    m_params, s_params = t_master[master.connectivity], t_slave[slave.connectivity]
+    s_elem, m_elem = _sweep_overlaps(m_params[..., None], s_params[..., None], 0.0)
+    lo = np.maximum(s_params[s_elem].min(axis=1), m_params[m_elem].min(axis=1))
+    hi = np.minimum(s_params[s_elem].max(axis=1), m_params[m_elem].max(axis=1))
+    keep = hi - lo > _SLIVER_REL * span
+    s_elem, m_elem, lo, hi = s_elem[keep], m_elem[keep], lo[keep], hi[keep]
 
-    master_params = [t_master[conn] for conn in master.connectivity]
-    master_bounds = [(p.min(), p.max()) for p in master_params]
-
-    s_pairs: list[int] = []
-    m_pairs: list[int] = []
-    weights, slave_vals, master_vals = [], [], []
-    uncovered: list[int] = []
-    sliver = _SLIVER_REL * span
-
-    for s_elem in range(slave.n_elems):
-        s_params = t_slave[slave.connectivity[s_elem]]
-        s_lo, s_hi = s_params.min(), s_params.max()
-        covered = False
-        for m_elem, (m_lo, m_hi) in enumerate(master_bounds):
-            lo, hi = max(s_lo, m_lo), min(s_hi, m_hi)
-            if hi - lo <= sliver:
-                continue
-            covered = True
-            t_g = 0.5 * (lo + hi) + 0.5 * (hi - lo) * base_points
-            xi_s = _line_parameter_inverse(slave.kind, s_params, t_g, span)
-            xi_m = _line_parameter_inverse(
-                master.kind, master_params[m_elem], t_g, span
-            )
-            s_pairs.append(s_elem)
-            m_pairs.append(m_elem)
-            weights.append(0.5 * (hi - lo) * base_weights)
-            slave_vals.append(shape_values(slave.kind, xi_s))
-            master_vals.append(shape_values(master.kind, xi_m))
-        if not covered:
-            uncovered.append(s_elem)
-
+    # Point k * n_points + g is Gauss point g of intersection k.
     n_points = rule.n_points
-    mass, coupling = _scatter(
-        pair,
-        np.repeat(np.array(s_pairs, dtype=np.int64), n_points),
-        np.repeat(np.array(m_pairs, dtype=np.int64), n_points),
-        np.array(weights).reshape(-1),
-        np.array(slave_vals).reshape(-1, slave.kind.n_nodes),
-        np.array(master_vals).reshape(-1, master.kind.n_nodes),
-    )
+    half = 0.5 * (hi - lo)
+    t_g = ((0.5 * (lo + hi))[:, None] + half[:, None] * rule.points[:, 0]).ravel()
+    s_point, m_point = np.repeat(s_elem, n_points), np.repeat(m_elem, n_points)
+    xi_s = _line_parameter_inverse("slave", slave.kind, s_params, s_point, t_g, span)
+    xi_m = _line_parameter_inverse("master", master.kind, m_params, m_point, t_g, span)
+    weights = (half[:, None] * rule.weights).ravel()
+    slave_vals = shape_values(slave.kind, xi_s)
+    master_vals = shape_values(master.kind, xi_m)
+    mass, coupling = _scatter(pair, s_point, m_point, weights, slave_vals, master_vals)
+    uncovered = np.setdiff1d(np.arange(slave.n_elems), s_elem)
     stats = AssemblyStats(
-        pairs_visited=len(s_pairs),
-        gauss_points_total=n_points * len(s_pairs),
-        gauss_points_dropped=0,
-        uncovered_slave_elements=tuple(uncovered),
+        pairs_visited=int(s_elem.size),
+        gauss_points_total=n_points * int(s_elem.size),
+        uncovered_slave_elements=tuple(uncovered.tolist()),
     )
     return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 
@@ -715,10 +715,11 @@ def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
     """Solve the slave mass against the coupling matrix.
 
     Never forms an inverse: the mass matrix is factorized once and solved
-    against all coupling columns at once, which gives the dense transfer
-    matrix.  Raises :class:`SingularOperatorError` naming the slave nodes
-    whose rows are empty (uncovered nodes), or wrapping the factorization
-    failure otherwise.
+    against the coupling columns, block by block, which gives the dense
+    transfer matrix; the factor stays on the operator.  Raises
+    :class:`SingularOperatorError` naming the slave nodes whose rows are
+    empty (uncovered nodes), or wrapping the factorization failure
+    otherwise.
     """
     mass = matrices.slave_mass.tocsr()
     row_weight = np.asarray(np.abs(mass).sum(axis=1)).ravel()
@@ -735,7 +736,12 @@ def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
         raise SingularOperatorError(
             f"slave mass factorization failed: {exc}"
         ) from exc
-    return TransferOperator(matrix=factor.solve(matrices.coupling.toarray()))
+    coupling = matrices.coupling.tocsc()
+    matrix = np.empty(coupling.shape, order="F")
+    for start in range(0, coupling.shape[1], _SOLVE_COLUMNS):
+        block = slice(start, start + _SOLVE_COLUMNS)
+        matrix[:, block] = factor.solve(coupling[:, block].toarray())
+    return TransferOperator(matrix=matrix, factor=factor)
 
 
 def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:

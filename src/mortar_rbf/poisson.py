@@ -354,7 +354,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     free master nodes and the free slave interior nodes.  Multipliers are
     recovered from the slave interface equilibrium afterwards.
     """
-    transfer = compute_transfer(system.mortar).matrix
+    transfer = compute_transfer(system.mortar)
 
     n_master = system.problem.master.n_nodes
     n_slave = system.problem.slave.n_nodes
@@ -377,13 +377,13 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     shift = np.zeros(n_total)
     shift[system.pinned_master] = system.pinned_master_values
     shift[n_master + system.pinned_slave] = system.pinned_slave_values
-    shift[n_master + slave_map] = transfer @ shift[master_map]
-    local, k = np.nonzero(transfer)
+    shift[n_master + slave_map] = transfer.matrix @ shift[master_map]
+    local, k = np.nonzero(transfer.matrix)
     target = column[master_map[k]]
     linked = target >= 0
     rows = np.concatenate([free, n_master + slave_map[local[linked]]])
     cols = np.concatenate([np.arange(n_free), target[linked]])
-    vals = np.concatenate([np.ones(n_free), transfer[local, k][linked]])
+    vals = np.concatenate([np.ones(n_free), transfer.matrix[local, k][linked]])
 
     prolongation = sparse.coo_matrix(
         (vals, (rows, cols)), shape=(n_total, n_free)
@@ -403,13 +403,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     # slave interface equilibrium: the transposed slave mass applied to
     # the multipliers balances the residual of the slave block row
     residual = (system.load_slave - system.stiffness_slave @ u_slave)[slave_map]
-    try:
-        mass_factor = splu(system.mortar.slave_mass.tocsc())
-    except RuntimeError as exc:
-        raise SolverFailureError(
-            f"multiplier recovery failed to factorize the slave mass: {exc}"
-        ) from exc
-    multipliers = mass_factor.solve(residual, trans="T")
+    multipliers = transfer.factor.solve(residual, trans="T")
 
     return SolutionFields(
         master_values=u_master,

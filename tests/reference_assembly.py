@@ -1,11 +1,15 @@
-"""Loop-based pointwise mortar assembly, kept as a test oracle.
+"""Loop-based mortar assembly, kept as a test oracle.
 
 This is the straightforward form of the ``rb``/``eb`` assembly that
 ``mortar._assemble_pointwise`` computes in array passes: a dense box test
 for contact search, a Python loop over slave elements and their candidate
 masters, and a Newton projection batched per (slave element, master
 element) pair that iterates until every point of the batch has converged.
-Tests compare the library against it; nothing in the library imports it.
+:func:`reference_assemble_sb` is the same for the exact ``sb`` assembly
+that ``mortar.assemble_sb_1d`` computes in array passes: every slave
+element is intersected with every master element, and each intersection
+is inverted on its own.  Tests compare the library against both; nothing
+in the library imports them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from mortar_rbf.elements import (
+    node_reference_coords,
     shape_gradients,
     shape_second_derivatives,
     shape_values,
@@ -28,12 +33,16 @@ from mortar_rbf.mortar import (
     AssemblyStats,
     MortarMatrices,
     Scheme,
+    _SLIVER_REL,
     _box_coordinate_data,
+    _collinearity_residual,
     _containment_depth,
+    _principal_direction,
     _resolve_rule,
     _solve_newton_step,
     support_detect,
 )
+from mortar_rbf.errors import InvalidGeometryError
 from mortar_rbf.rbf import evaluate_rescaled_masked, fit_master_interpolant
 
 _NEWTON_CLAMP = 1.45
@@ -198,6 +207,101 @@ def reference_assemble(pair, config) -> MortarMatrices:
         pairs_visited=pairs_visited,
         gauss_points_total=rule.n_points * slave.n_elems,
         gauss_points_dropped=dropped,
+        uncovered_slave_elements=tuple(uncovered),
+    )
+    n_slave, n_master = slave.nodes.shape[0], master.nodes.shape[0]
+    return MortarMatrices(
+        slave_mass=_build(mass, (n_slave, n_slave)),
+        coupling=_build(coupling, (n_slave, n_master)),
+        stats=stats,
+    )
+
+
+def _reference_line_inverse(kind, node_params, targets, span):
+    """Reference coordinates of one intersection's points on one element."""
+    ref = node_reference_coords(kind)[:, 0]
+    lo, hi = np.argmin(ref), np.argmax(ref)
+    denom = node_params[hi] - node_params[lo]
+    xi = (2.0 * (targets - node_params[lo]) / denom - 1.0)[:, None]
+    for _ in range(30):
+        vals = shape_values(kind, xi) @ node_params - targets
+        if np.max(np.abs(vals)) <= 1e-14 * span:
+            break
+        slope = shape_gradients(kind, xi)[:, :, 0] @ node_params
+        xi = np.clip(xi - (vals / slope)[:, None], -_NEWTON_CLAMP, _NEWTON_CLAMP)
+    else:
+        raise InvalidGeometryError("could not invert the 1D element parameterization")
+    return xi
+
+
+def reference_assemble_sb(pair, config) -> MortarMatrices:
+    """``sb`` assembly by the slave x master scan.
+
+    Both meshes are projected onto the master line; every slave element is
+    intersected with every master element in ascending order, and each
+    intersection longer than a sliver gets its own Gauss rule.
+    """
+    master, slave = pair.master, pair.slave
+    rule = _resolve_rule(config, slave.kind)
+    direction = _principal_direction(master.nodes)
+    t_master = (master.nodes - master.nodes.mean(axis=0)) @ direction
+    t_slave = (slave.nodes - master.nodes.mean(axis=0)) @ direction
+    span = max(np.ptp(t_master), np.ptp(t_slave))
+    straightness = max(
+        _collinearity_residual(master.nodes, direction),
+        _collinearity_residual(slave.nodes, direction),
+    )
+    assert straightness <= 1e-9 * span
+
+    base_points, base_weights = rule.points[:, 0], rule.weights
+    master_params = [t_master[conn] for conn in master.connectivity]
+    master_bounds = [(p.min(), p.max()) for p in master_params]
+    sliver = _SLIVER_REL * span
+
+    mass, coupling = [], []
+    pairs_visited = 0
+    uncovered = []
+    for s_elem in range(slave.n_elems):
+        s_nodes = slave.connectivity[s_elem]
+        s_params = t_slave[s_nodes]
+        s_lo, s_hi = s_params.min(), s_params.max()
+        covered = False
+        for m_elem, (m_lo, m_hi) in enumerate(master_bounds):
+            lo, hi = max(s_lo, m_lo), min(s_hi, m_hi)
+            if hi - lo <= sliver:
+                continue
+            covered = True
+            pairs_visited += 1
+            t_g = 0.5 * (lo + hi) + 0.5 * (hi - lo) * base_points
+            weights = 0.5 * (hi - lo) * base_weights
+            s_vals = shape_values(
+                slave.kind, _reference_line_inverse(slave.kind, s_params, t_g, span)
+            )
+            m_vals = shape_values(
+                master.kind,
+                _reference_line_inverse(
+                    master.kind, master_params[m_elem], t_g, span
+                ),
+            )
+            mass.append(
+                _triplets(
+                    s_nodes, s_nodes, np.einsum("g,gi,gj->ij", weights, s_vals, s_vals)
+                )
+            )
+            coupling.append(
+                _triplets(
+                    s_nodes,
+                    master.connectivity[m_elem],
+                    np.einsum("g,gi,gk->ik", weights, s_vals, m_vals),
+                )
+            )
+        if not covered:
+            uncovered.append(s_elem)
+
+    stats = AssemblyStats(
+        pairs_visited=pairs_visited,
+        gauss_points_total=rule.n_points * pairs_visited,
+        gauss_points_dropped=0,
         uncovered_slave_elements=tuple(uncovered),
     )
     n_slave, n_master = slave.nodes.shape[0], master.nodes.shape[0]

@@ -1,15 +1,19 @@
-"""The array-pass pointwise assembly against the loop-based oracle.
+"""The array-pass assembly against the loop-based oracles.
 
 Tolerances: the slave mass only changes summation order (1e-13
 relative).  ``eb`` foot points now stop at the Newton tolerance instead of
 iterating on with their batch (1e-10).  ``rb`` entries on quadrilaterals
 move by a few 1e-9 when only the shape of the evaluated batch changes:
 the Gaussian fits there have condition numbers near 1e16 and weights near
-1e7, so the last bits of the kernel products are amplified (1e-7).
+1e7, so the last bits of the kernel products are amplified (1e-7).  The
+exact ``sb`` assembly places the same Gauss points with the same weights
+as its per-pair scan and only sums in another order (1e-13 relative for
+both matrices).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from mortar_rbf.elements import ElementKind
 from mortar_rbf.meshes import (
@@ -33,7 +37,11 @@ from mortar_rbf.mortar import (
     project_point_newton,
 )
 
-from reference_assembly import reference_assemble, reference_contact_search
+from reference_assembly import (
+    reference_assemble,
+    reference_assemble_sb,
+    reference_contact_search,
+)
 
 
 def jittered_seg2():
@@ -151,3 +159,156 @@ def test_newton_mask_keeps_each_point_independent_of_its_batch():
         assert converged[k] == solo_converged
     assert converged[:3].all()
     assert not converged[3]
+
+
+def line_mesh(xs, kind, side, angle=0.0, offset=0.0):
+    """Mesh whose nodes sit at parameters ``xs`` along a line at ``angle``.
+
+    Nodes are listed in element order (ends and, for seg3, mid nodes), and
+    the whole line is shifted by ``offset`` along its normal.
+    """
+    direction = np.array([np.cos(angle), np.sin(angle)])
+    normal = np.array([-direction[1], direction[0]])
+    step = kind.degree
+    n_elems = (len(xs) - 1) // step
+    return InterfaceMesh(
+        np.outer(xs, direction) + offset * normal,
+        step * np.arange(n_elems)[:, None] + np.arange(step + 1),
+        kind,
+        side,
+    )
+
+
+def line_params(n_elems, kind, span, rng, jitter=0.0, mid_shift=0.0):
+    """Node parameters of ``n_elems`` elements over ``span``.
+
+    Interior end nodes move by up to ``jitter`` element lengths and seg3
+    mid nodes by up to ``mid_shift`` half-lengths off the element center.
+    """
+    ends = np.linspace(*span, n_elems + 1)
+    h = (span[1] - span[0]) / n_elems
+    ends[1:-1] += rng.uniform(-jitter, jitter, n_elems - 1) * h
+    if kind is ElementKind.SEG2:
+        return ends
+    half = 0.5 * np.diff(ends)
+    xs = np.empty(2 * n_elems + 1)
+    xs[0::2] = ends
+    xs[1::2] = ends[:-1] + half * (1.0 + rng.uniform(-mid_shift, mid_shift, n_elems))
+    return xs
+
+
+def sb_seg3_off_center():
+    rng = np.random.default_rng(11)
+    kind = ElementKind.SEG3
+    master = line_mesh(line_params(5, kind, (-1, 1), rng, 0.0, 0.4), kind, Side.MASTER)
+    slave = line_mesh(line_params(7, kind, (-1, 1), rng, 0.2, 0.4), kind, Side.SLAVE)
+    return InterfacePair(master, slave)
+
+
+def sb_normal_offset():
+    rng = np.random.default_rng(12)
+    kind = ElementKind.SEG2
+    master = line_mesh(line_params(9, kind, (-1, 1), rng), kind, Side.MASTER)
+    slave = line_mesh(
+        line_params(6, kind, (-1, 1), rng, 0.3), kind, Side.SLAVE, offset=0.05
+    )
+    return InterfacePair(master, slave)
+
+
+def sb_slanted():
+    rng = np.random.default_rng(13)
+    master = line_mesh(
+        line_params(6, ElementKind.SEG3, (0, 2), rng, 0.2, 0.3),
+        ElementKind.SEG3,
+        Side.MASTER,
+        angle=0.6,
+    )
+    slave = line_mesh(
+        line_params(8, ElementKind.SEG2, (0, 2), rng, 0.3),
+        ElementKind.SEG2,
+        Side.SLAVE,
+        angle=0.6,
+    )
+    return InterfacePair(master, slave)
+
+
+def sb_shuffled_reversed_master():
+    rng = np.random.default_rng(14)
+    kind = ElementKind.SEG3
+    master = line_mesh(line_params(9, kind, (-1, 1), rng, 0.2, 0.3), kind, Side.MASTER)
+    shuffled = InterfaceMesh(
+        master.nodes,
+        master.connectivity[rng.permutation(master.n_elems), ::-1],
+        kind,
+        Side.MASTER,
+    )
+    slave = line_mesh(line_params(6, kind, (-1, 1), rng, 0.3, 0.3), kind, Side.SLAVE)
+    return InterfacePair(shuffled, slave)
+
+
+def sb_partial_overlap():
+    rng = np.random.default_rng(15)
+    kind = ElementKind.SEG2
+    master = line_mesh(line_params(8, kind, (-1, 1), rng, 0.2), kind, Side.MASTER)
+    slave = line_mesh(line_params(5, kind, (0.3, 2), rng, 0.3), kind, Side.SLAVE)
+    return InterfacePair(master, slave)
+
+
+SB_PAIRS = {
+    "jittered_seg2": (jittered_seg2, None),
+    "seg3_off_center": (sb_seg3_off_center, None),
+    "normal_offset": (sb_normal_offset, None),
+    "slanted": (sb_slanted, None),
+    "shuffled_reversed_master": (sb_shuffled_reversed_master, None),
+    "partial_overlap": (sb_partial_overlap, None),
+    "jittered_seg2_n_gauss5": (jittered_seg2, 5),
+}
+
+
+def assert_sb_matches_oracle(pair, n_gauss=None):
+    config = MortarConfig(scheme=Scheme.SB1D, n_gauss=n_gauss)
+    new = assemble(pair, config)
+    ref = reference_assemble_sb(pair, config)
+    assert new.stats == ref.stats
+    assert new.slave_mass.nnz == ref.slave_mass.nnz
+    assert new.coupling.nnz == ref.coupling.nnz
+    assert _max_rel(new.slave_mass, ref.slave_mass) <= 1e-13
+    assert _max_rel(new.coupling, ref.coupling) <= 1e-13
+    return new
+
+
+@pytest.mark.parametrize("name", list(SB_PAIRS))
+def test_sb_matches_per_pair_scan(name):
+    build, n_gauss = SB_PAIRS[name]
+    matrices = assert_sb_matches_oracle(build(), n_gauss)
+    assert matrices.stats.pairs_visited > 0
+    if name == "partial_overlap":
+        assert matrices.stats.uncovered_slave_elements
+
+
+@seed(20240607)
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from([ElementKind.SEG2, ElementKind.SEG3]),
+    n_master=st.integers(1, 12),
+    n_slave=st.integers(1, 12),
+    jitter=st.floats(0.0, 0.35),
+    mid_shift=st.floats(0.0, 0.4),
+    offset=st.floats(-0.2, 0.2),
+    shift=st.floats(-2.5, 2.5),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_sb_matches_per_pair_scan_on_random_pairs(
+    kind, n_master, n_slave, jitter, mid_shift, offset, shift, draw_seed
+):
+    rng = np.random.default_rng(draw_seed)
+    master = line_mesh(
+        line_params(n_master, kind, (-1, 1), rng, jitter, mid_shift), kind, Side.MASTER
+    )
+    slave = line_mesh(
+        line_params(n_slave, kind, (-1 + shift, 1 + shift), rng, jitter, mid_shift),
+        kind,
+        Side.SLAVE,
+        offset=offset,
+    )
+    assert_sb_matches_oracle(InterfacePair(master, slave))

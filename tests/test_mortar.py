@@ -219,6 +219,47 @@ def test_exact_scheme_requires_straight_meshes():
         assemble(InterfacePair(master, kinked), MortarConfig(scheme=Scheme.SB1D))
 
 
+@pytest.mark.parametrize("side", ["master", "slave"])
+def test_exact_scheme_names_a_folded_element(side):
+    # The mid node of element 1 lies past its right end node, so the
+    # element's map runs back on itself.
+    folded = InterfaceMesh(
+        np.column_stack([[0.0, 0.1, 0.2, 0.4, 0.3, 0.5, 0.6], np.zeros(7)]),
+        np.array([[0, 1, 2], [2, 3, 4], [4, 5, 6]]),
+        ElementKind.SEG3,
+    )
+    other = segment_mesh(4, span=(0.0, 0.6))
+    if side == "master":
+        pair = InterfacePair(folded, other.with_side(Side.SLAVE))
+    else:
+        pair = InterfacePair(other, folded.with_side(Side.SLAVE))
+    with pytest.raises(InvalidGeometryError, match=f"{side} element 1;"):
+        assemble(pair, MortarConfig(scheme=Scheme.SB1D))
+
+
+def test_exact_scheme_on_disjoint_meshes_is_empty_and_uncovered():
+    master = segment_mesh(4, span=(0.0, 1.0))
+    slave = segment_mesh(3, span=(2.0, 3.0), side=Side.SLAVE)
+    matrices = assemble(InterfacePair(master, slave), MortarConfig(scheme=Scheme.SB1D))
+    assert matrices.slave_mass.shape == (4, 4)
+    assert matrices.coupling.shape == (4, 5)
+    assert matrices.slave_mass.nnz == matrices.coupling.nnz == 0
+    assert matrices.stats.pairs_visited == 0
+    assert matrices.stats.uncovered_slave_elements == (0, 1, 2)
+
+
+def test_transfer_keeps_the_slave_mass_factor():
+    matrices = assemble(unit_pair(5, 3), MortarConfig(scheme=Scheme.SB1D))
+    transfer = compute_transfer(matrices)
+    mass = matrices.slave_mass.toarray()
+    probe = np.arange(1.0, transfer.n_slave_nodes + 1.0)
+    np.testing.assert_allclose(transfer.factor.solve(mass @ probe), probe, rtol=1e-12)
+    np.testing.assert_allclose(
+        transfer.factor.solve(mass.T @ probe, trans="T"), probe, rtol=1e-12
+    )
+    assert "factor" not in repr(transfer)
+
+
 def test_pair_and_config_validation():
     seg = segment_mesh(2)
     with pytest.raises(ValueError):
