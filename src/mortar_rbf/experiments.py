@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .elements import ElementKind, gauss_rule, min_gauss_points, shape_values
 from .errors import ConfigError
@@ -527,7 +526,7 @@ def _fill_distance(mesh: InterfaceMesh, elem: int, layout: PointLayout) -> float
     kind = mesh.kind
     colloc = map_to_physical(mesh, elem, interpolation_points(kind, layout))
     probes = map_to_physical(mesh, elem, halton_reference_points(kind, 400))
-    return float(cdist(np.atleast_2d(probes), np.atleast_2d(colloc)).min(axis=1).max())
+    return float(np.linalg.norm(probes[:, None] - colloc, axis=-1).min(axis=1).max())
 
 
 def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:

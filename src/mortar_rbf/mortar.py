@@ -19,7 +19,7 @@ exactly one master element and contributes to both matrices at once.
 The pointwise schemes work in array passes over every (slave Gauss point,
 candidate master element) pair rather than loops over elements: a
 sort-and-sweep contact search lists the pairs, ``rb`` fits and evaluates
-each candidate master once on all the points offered to it, ``eb`` runs
+all candidate masters in chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs
 one Newton iteration over all pairs in which every pair retires as soon
 as its own residual converges, one sort picks each point's master, and
 one COO build scatters both matrices.
@@ -45,7 +45,6 @@ from .elements import (
 )
 from .errors import (
     DegenerateElementError,
-    IllConditionedKernelError,
     InvalidGeometryError,
     SingularOperatorError,
 )
@@ -55,10 +54,12 @@ from .meshes import (
     element_circumdiameters,
     element_nodes,
 )
-from .rbf import (
+from .rbf import (  # the one-element faces are re-exported
     KernelFamily,
     PointLayout,
+    evaluate_interpolants,
     evaluate_rescaled_masked,
+    fit_interpolants,
     fit_master_interpolant,
 )
 
@@ -128,7 +129,7 @@ class MortarConfig:
             raise ValueError("epsilon override must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterfacePair:
     """A master and a slave interface mesh glued by mortar conditions.
 
@@ -184,7 +185,7 @@ class AssemblyStats:
         return self.gauss_points_dropped / self.gauss_points_total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MortarMatrices:
     """Slave mass and coupling matrices plus assembly bookkeeping.
 
@@ -206,7 +207,7 @@ class MortarMatrices:
         return self.coupling.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransferOperator:
     """Maps master interface nodal values to slave interface nodal values.
 
@@ -219,7 +220,7 @@ class TransferOperator:
     """
 
     matrix: np.ndarray
-    factor: SuperLU = field(compare=False, repr=False)
+    factor: SuperLU = field(repr=False)
 
     @property
     def n_slave_nodes(self) -> int:
@@ -430,26 +431,15 @@ def project_point_newton(
 
 
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
-    """Kernel-interpolated master bases at each (point, master) pair.
-
-    Every master element is fitted once and evaluated once, on all the
-    points offered to it.
-    """
+    """Kernel-interpolated master bases; each candidate master is fitted once."""
     mesh = pair.master
-    values = np.zeros((masters.size, mesh.kind.n_nodes))
-    ok = np.zeros(masters.size, dtype=bool)
-    order = np.argsort(masters, kind="stable")
-    elems, starts = np.unique(masters[order], return_index=True)
-    for elem, group in zip(elems.tolist(), np.split(order, starts[1:])):
-        try:
-            interp = fit_master_interpolant(
-                mesh, elem, config.layout, config.kernel_family, epsilon=config.epsilon
-            )
-        except IllConditionedKernelError as exc:
-            raise IllConditionedKernelError(
-                f"master element {elem}: {exc}", condition=exc.condition
-            ) from exc
-        values[group], ok[group] = evaluate_rescaled_masked(interp, points[group])
+    elems, owner = np.unique(masters, return_inverse=True)
+    fitted, epsilon, weights, _ = fit_interpolants(
+        mesh, elems, config.layout, config.kernel_family, epsilon=config.epsilon
+    )
+    values, ok = evaluate_interpolants(
+        config.kernel_family, fitted, epsilon, weights, owner, points
+    )
     probes = values @ _box_coordinate_data(mesh.kind)
     inside = ok & support_detect(probes, config.support_tol)
     return values, inside, _containment_depth(probes)

@@ -6,6 +6,10 @@ nodal basis functions (plus the constant 1) are sampled there.  Solving the
 collocation system once per element yields weight vectors that evaluate the
 interpolated basis anywhere in physical space.
 
+Fits and evaluations run in chunked array passes over many elements: one
+batched LAPACK call solves a chunk's collocation systems, and one
+block-sparse product evaluates a chunk of (query, element) pairs.
+
 Evaluation always returns the *rescaled* interpolant
 
     N_hat_j(x) = Pi[N_j](x) / Pi[1](x),
@@ -22,13 +26,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
-from scipy.spatial.distance import cdist
-from scipy.stats import qmc
+from scipy import sparse
 
 from .elements import ElementKind, shape_values
 from .errors import IllConditionedKernelError, RescaleBreakdownError
-from .meshes import Mesh, element_circumdiameter, map_to_physical
+from .meshes import Mesh, element_circumdiameters, map_to_physical
 
 __all__ = [
     "KernelFamily",
@@ -40,6 +42,8 @@ __all__ = [
     "kernel_eval",
     "interpolation_points",
     "fit_master_interpolant",
+    "fit_interpolants",
+    "evaluate_interpolants",
     "evaluate_rescaled",
     "evaluate_rescaled_masked",
     "rmse",
@@ -55,7 +59,7 @@ __all__ = [
 #: not trigger it, preserving normal-translation invariance.
 BREAKDOWN_TOL = 1e-12
 
-#: Collocation matrices with a 1-norm condition estimate beyond this are
+#: Collocation matrices with a 1-norm condition number beyond this are
 #: rejected as numerically singular (about 4.5e17 in double precision).
 #: The bar is deliberately high: a Gaussian fit on a planar quadrilateral
 #: with six points per edge already runs its gram matrix near 1e16, yet
@@ -67,6 +71,10 @@ COND_LIMIT = 100.0 / np.finfo(float).eps
 #: Largest admissible points-per-edge count; denser sets are notoriously
 #: unstable for smooth kernels.
 MAX_POINTS_PER_EDGE = 10
+
+#: Entries per stacked collocation matrix or kernel row array, so working
+#: memory stays fixed however large the mesh is.
+_CHUNK_ENTRIES = 2**15
 
 
 class KernelFamily(str, Enum):
@@ -98,11 +106,14 @@ class RbfKernel:
 
 def kernel_eval(kernel: RbfKernel, r) -> np.ndarray:
     """Evaluate the kernel profile at distances ``r`` (any shape, r >= 0)."""
-    r = np.asarray(r, float)
-    eps = kernel.epsilon
-    if kernel.family is KernelFamily.GAUSSIAN:
+    return _kernel_profile(kernel.family, np.asarray(r, float), kernel.epsilon)
+
+
+def _kernel_profile(family: KernelFamily, r: np.ndarray, eps) -> np.ndarray:
+    """Kernel values (never negative) at ``r``; ``eps`` broadcasts."""
+    if family is KernelFamily.GAUSSIAN:
         return np.exp(-((r / eps) ** 2))
-    if kernel.family is KernelFamily.INV_MULTIQUADRIC:
+    if family is KernelFamily.INV_MULTIQUADRIC:
         return 1.0 / np.sqrt(r * r + eps * eps)
     # Wendland C2, compact support of radius eps.
     q = r / eps
@@ -160,27 +171,25 @@ def interpolation_points(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     return np.array(pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbfInterpolant:
     """Fitted rescaled interpolant of one master element's nodal basis.
 
-    ``weights`` has one column per basis function; ``rescale_weights`` is
-    the weight vector of the constant-one interpolant used as denominator.
-    ``condition`` is the 1-norm condition estimate of the collocation
-    matrix from its LU factorization.
+    ``weights`` has one column per basis function; their row sums weight
+    the rescaling denominator, the interpolant of the constant one.
+    ``condition`` is the exact 1-norm condition number ||G||_1 ||G^-1||_1
+    of the collocation matrix G (infinite when G is exactly singular).
     """
 
     kind: ElementKind
     kernel: RbfKernel
     points: np.ndarray
     weights: np.ndarray
-    rescale_weights: np.ndarray
     condition: float
 
     def __post_init__(self):
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-        self.rescale_weights.setflags(write=False)
 
     @property
     def n_basis(self) -> int:
@@ -196,12 +205,51 @@ class InterpolationDiagnostics:
     unstable: bool
 
 
-def _condition_estimate(matrix: np.ndarray, lu: np.ndarray) -> float:
-    anorm = np.linalg.norm(matrix, 1)
-    rcond, info = lapack.dgecon(lu, anorm, norm="1")
-    if info != 0 or rcond == 0.0:
-        return np.inf
-    return float(1.0 / rcond)
+def fit_interpolants(
+    mesh: Mesh,
+    elems,
+    layout: PointLayout,
+    family: KernelFamily,
+    epsilon: float | None = None,
+    cond_limit: float | None = COND_LIMIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit the rescaled kernel interpolants of elements ``elems``, in chunks.
+
+    Returns the physical collocation points (E, M, dim), shape parameters
+    (E,), basis weights (E, M, n_basis) and exact 1-norm condition numbers
+    (E,), the last from one batched inverse per chunk.  ``epsilon``
+    overrides the default shape parameter, each element's circumdiameter.
+    Raises :class:`IllConditionedKernelError` naming the first element
+    whose condition exceeds ``cond_limit``; with ``cond_limit=None`` an
+    exactly singular fit gets NaN weights, so its queries are flagged.
+    """
+    kind = ElementKind(mesh.kind)
+    elems = np.asarray(elems, dtype=np.int64).reshape(-1)
+    basis = shape_values(kind, interpolation_points(kind, layout))
+    points = basis @ mesh.nodes[mesh.connectivity[elems]]
+    if epsilon is None:
+        eps = element_circumdiameters(mesh)[elems]
+    else:
+        eps = np.full(elems.size, float(epsilon))
+    weights = np.full((elems.size,) + basis.shape, np.nan)
+    condition = np.empty(elems.size)
+    step = max(1, _CHUNK_ENTRIES // basis.shape[0] ** 2)
+    for start in range(0, elems.size, step):
+        chunk = slice(start, start + step)
+        p = points[chunk]
+        d2 = sum((p[:, :, None, c] - p[:, None, :, c]) ** 2 for c in range(p.shape[2]))
+        gram = _kernel_profile(family, np.sqrt(d2), eps[chunk, None, None])
+        cond = condition[chunk] = np.linalg.cond(gram, 1)
+        if cond_limit is not None and (cond > cond_limit).any():
+            k = int(np.argmax(cond > cond_limit))
+            raise IllConditionedKernelError(
+                f"master element {elems[start + k]}: kernel collocation matrix is "
+                f"numerically singular (condition {cond[k]:.3e})",
+                condition=float(cond[k]),
+            )
+        regular = np.isfinite(cond)
+        weights[chunk][regular] = np.linalg.solve(gram[regular], basis)
+    return points, eps, weights, condition
 
 
 def fit_master_interpolant(
@@ -212,91 +260,78 @@ def fit_master_interpolant(
     epsilon: float | None = None,
     cond_limit: float | None = COND_LIMIT,
 ) -> RbfInterpolant:
-    """Fit the rescaled kernel interpolant of one element's nodal basis.
-
-    The shape parameter defaults to the element circumdiameter, the policy
-    that keeps conditioning acceptable across refinement; pass ``epsilon``
-    to override it for parameter studies.  Distances are measured in
-    physical space, so the interpolant can be queried at points off the
-    element (including off its plane).
-
-    The rescaling weights are taken as the row sums of the basis weight
-    matrix rather than a separate solve against all-ones data.  The two
-    agree exactly in real arithmetic (the shape functions sum to one at
-    every collocation point), but the row-sum form makes the rescaled
-    basis values sum to one at every query point up to roundoff no matter
-    how badly conditioned the collocation matrix is.
-
-    Raises :class:`IllConditionedKernelError` when the collocation matrix
-    condition estimate exceeds ``cond_limit`` (pass None to disable).
-    """
-    kind = ElementKind(mesh.kind)
-    ref_pts = interpolation_points(kind, layout)
-    phys = np.atleast_2d(map_to_physical(mesh, elem, ref_pts))
-    if epsilon is None:
-        epsilon = element_circumdiameter(mesh, elem)
-    kernel = RbfKernel(family, epsilon)
-
-    gram = kernel_eval(kernel, cdist(phys, phys))
-    basis = shape_values(kind, ref_pts)
-
-    lu, piv = lu_factor(gram)
-    condition = _condition_estimate(gram, lu)
-    if cond_limit is not None and condition > cond_limit:
-        raise IllConditionedKernelError(
-            f"kernel collocation matrix is numerically singular "
-            f"(condition estimate {condition:.3e})",
-            condition=condition,
-        )
-    weights = lu_solve((lu, piv), basis)
+    """Fit one element's interpolant, the one-element :func:`fit_interpolants`."""
+    points, eps, weights, condition = fit_interpolants(
+        mesh, [elem], layout, family, epsilon=epsilon, cond_limit=cond_limit
+    )
     return RbfInterpolant(
-        kind=kind,
-        kernel=kernel,
-        points=phys,
-        weights=weights,
-        rescale_weights=weights.sum(axis=1),
-        condition=condition,
+        kind=ElementKind(mesh.kind),
+        kernel=RbfKernel(family, float(eps[0])),
+        points=points[0],
+        weights=weights[0],
+        condition=float(condition[0]),
     )
 
 
-def _query_matrix(interp: RbfInterpolant, points) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(points, float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != interp.points.shape[1]:
-        raise ValueError(
-            f"query points have dimension {pts.shape[1]}, "
-            f"interpolant lives in dimension {interp.points.shape[1]}"
+def evaluate_interpolants(
+    family: KernelFamily, points, epsilon, weights, owner, queries
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rescaled basis values of each query under its own interpolant.
+
+    Query k uses interpolant ``owner[k]`` of a :func:`fit_interpolants`
+    batch.  Per chunk, one block-sparse matrix of kernel rows times the
+    stacked weights gives every numerator (no query copies its weights);
+    their sum is the denominator, so valid rows sum to one however
+    ill-conditioned the fit.
+
+    Rows whose denominator is below :data:`BREAKDOWN_TOL` times the
+    absolute sum of its kernel-weighted terms (cancellation), or whose
+    kernel values all vanish (beyond the Wendland cutoff, or Gaussian
+    underflow), are zeroed and flagged False: out of support.
+    """
+    _, n_points, n_basis = weights.shape
+    # kernel values are non-negative, so rows times |weights| sum term sizes
+    stacked = np.concatenate([weights, np.abs(weights)], axis=2).reshape(-1, 2 * n_basis)
+    values = np.zeros((queries.shape[0], n_basis))
+    ok = np.zeros(queries.shape[0], dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // n_points)
+    for start in range(0, queries.shape[0], step):
+        rows = slice(start, start + step)
+        own, q = owner[rows], queries[rows]
+        d2 = sum((q[:, c, None] - points[own, :, c]) ** 2 for c in range(q.shape[1]))
+        phi = _kernel_profile(family, np.sqrt(d2), epsilon[own, None])
+        cols = own[:, None] * n_points + np.arange(n_points)
+        kernel_rows = sparse.csr_matrix(
+            (phi.ravel(), cols.ravel(), np.arange(0, phi.size + 1, n_points)),
+            shape=(own.size, stacked.shape[0]),
         )
-    return kernel_eval(interp.kernel, cdist(pts, interp.points)), single
+        product = kernel_rows @ stacked
+        numer, term_size = product[:, :n_basis], product[:, n_basis:].sum(axis=1)
+        denom = numer.sum(axis=1)
+        good = (np.abs(denom) >= BREAKDOWN_TOL * term_size) & (term_size > 0.0)
+        values[rows][good] = numer[good] / denom[good, None]
+        ok[rows] = good
+    return values, ok
 
 
 def evaluate_rescaled_masked(
     interp: RbfInterpolant, points
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled basis values with a validity mask.
-
-    The rescaling denominator is computed as the sum of the per-basis
-    numerators, so valid rows sum to one identically (up to the final
-    division) however ill-conditioned the fit was.
-
-    Rows whose rescaling denominator is wiped out by cancellation, i.e.
-    smaller than :data:`BREAKDOWN_TOL` times the absolute sum of its
-    kernel-weighted terms, are zeroed and flagged False.  The same fate
-    hits rows where every kernel value vanishes outright (queries beyond
-    the Wendland cutoff, or Gaussian queries so remote the kernel
-    underflows).  Callers must treat flagged queries as out of support.
-    """
-    phi, _ = _query_matrix(interp, points)
-    numer = phi @ interp.weights
-    denom = numer.sum(axis=1)
-    term_size = (np.abs(phi) @ np.abs(interp.weights)).sum(axis=1)
-    ok = np.abs(denom) >= BREAKDOWN_TOL * term_size
-    ok &= term_size > 0.0
-    values = np.zeros_like(numer)
-    if ok.any():
-        values[ok] = numer[ok] / denom[ok, None]
-    return values, ok
+    """Rescaled basis values and validity mask, see :func:`evaluate_interpolants`."""
+    pts = np.atleast_2d(np.asarray(points, float))
+    if pts.shape[1] != interp.points.shape[1]:
+        raise ValueError(
+            f"query points have dimension {pts.shape[1]}, "
+            f"interpolant lives in dimension {interp.points.shape[1]}"
+        )
+    return evaluate_interpolants(
+        interp.kernel.family,
+        interp.points[None],
+        np.array([interp.kernel.epsilon]),
+        interp.weights[None],
+        np.zeros(pts.shape[0], dtype=np.int64),
+        pts,
+    )
 
 
 def evaluate_rescaled(interp: RbfInterpolant, points) -> np.ndarray:
@@ -335,6 +370,8 @@ def rmse(interp: RbfInterpolant, probe_points, exact_fn) -> float:
 
 def halton_reference_points(kind: ElementKind, n: int) -> np.ndarray:
     """Deterministic Halton probe points inside the reference element."""
+    from scipy.stats import qmc  # scipy.stats takes half a second to import
+
     kind = ElementKind(kind)
     sampler = qmc.Halton(d=kind.ref_dim, scramble=False)
     u = sampler.random(n)

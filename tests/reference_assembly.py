@@ -8,14 +8,20 @@ element) pair that iterates until every point of the batch has converged.
 :func:`reference_assemble_sb` is the same for the exact ``sb`` assembly
 that ``mortar.assemble_sb_1d`` computes in array passes: every slave
 element is intersected with every master element, and each intersection
-is inverted on its own.  Tests compare the library against both; nothing
-in the library imports them.
+is inverted on its own.  :func:`reference_fit` and
+:func:`reference_evaluate` are the per-element kernel fit and evaluation
+that ``rbf.fit_interpolants`` and ``rbf.evaluate_interpolants`` batch:
+``cdist``, an LU factorization with LAPACK's condition estimate and one
+matrix product per element.  Tests compare the library against all of
+them; nothing in the library imports them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack, lu_factor, lu_solve
+from scipy.spatial.distance import cdist
 
 from mortar_rbf.elements import (
     node_reference_coords,
@@ -42,8 +48,14 @@ from mortar_rbf.mortar import (
     _solve_newton_step,
     support_detect,
 )
-from mortar_rbf.errors import InvalidGeometryError
-from mortar_rbf.rbf import evaluate_rescaled_masked, fit_master_interpolant
+from mortar_rbf.errors import IllConditionedKernelError, InvalidGeometryError
+from mortar_rbf.rbf import (
+    BREAKDOWN_TOL,
+    COND_LIMIT,
+    RbfKernel,
+    interpolation_points,
+    kernel_eval,
+)
 
 _NEWTON_CLAMP = 1.45
 
@@ -93,6 +105,44 @@ def reference_project_batch(mesh, elem, targets, settings):
     return xi, converged
 
 
+def reference_fit(mesh, elem, layout, family, epsilon=None, cond_limit=COND_LIMIT):
+    """One element's kernel fit: (kernel, points, weights, condition estimate).
+
+    The condition is LAPACK's 1-norm estimate from the LU factors
+    (``dgecon``), infinite when a pivot is exactly zero.
+    """
+    ref_pts = interpolation_points(mesh.kind, layout)
+    phys = np.atleast_2d(map_to_physical(mesh, elem, ref_pts))
+    if epsilon is None:
+        epsilon = element_circumdiameter(mesh, elem)
+    kernel = RbfKernel(family, epsilon)
+    gram = kernel_eval(kernel, cdist(phys, phys))
+    lu, piv = lu_factor(gram)
+    rcond, info = lapack.dgecon(lu, np.linalg.norm(gram, 1), norm="1")
+    condition = np.inf if info != 0 or rcond == 0.0 else float(1.0 / rcond)
+    if cond_limit is not None and condition > cond_limit:
+        raise IllConditionedKernelError(
+            f"master element {elem}: kernel collocation matrix is numerically singular "
+            f"(condition estimate {condition:.3e})",
+            condition=condition,
+        )
+    weights = lu_solve((lu, piv), shape_values(mesh.kind, ref_pts))
+    return kernel, phys, weights, condition
+
+
+def reference_evaluate(fit, points):
+    """Rescaled basis values and validity mask of one fit at ``points``."""
+    kernel, phys, weights, _ = fit
+    phi = kernel_eval(kernel, cdist(np.atleast_2d(points), phys))
+    numer = phi @ weights
+    denom = numer.sum(axis=1)
+    term_size = (np.abs(phi) @ np.abs(weights)).sum(axis=1)
+    ok = (np.abs(denom) >= BREAKDOWN_TOL * term_size) & (term_size > 0.0)
+    values = np.zeros_like(numer)
+    values[ok] = numer[ok] / denom[ok, None]
+    return values, ok
+
+
 def _kernel_evaluator(pair, config):
     mesh = pair.master
     box_data = _box_coordinate_data(mesh.kind)
@@ -100,11 +150,10 @@ def _kernel_evaluator(pair, config):
 
     def evaluate(elem, phys):
         if elem not in cache:
-            cache[elem] = fit_master_interpolant(
-                mesh, elem, config.layout, config.kernel_family,
-                epsilon=config.epsilon,
+            cache[elem] = reference_fit(
+                mesh, elem, config.layout, config.kernel_family, config.epsilon
             )
-        vals, ok = evaluate_rescaled_masked(cache[elem], phys)
+        vals, ok = reference_evaluate(cache[elem], phys)
         probes = vals @ box_data
         inside = ok & support_detect(probes, config.support_tol)
         return vals, inside, _containment_depth(probes)

@@ -6,7 +6,12 @@ iterating on with their batch (1e-10).  ``rb`` entries on quadrilaterals
 move by a few 1e-9 when only the shape of the evaluated batch changes:
 the Gaussian fits there have condition numbers near 1e16 and weights near
 1e7, so the last bits of the kernel products are amplified (1e-7).  The
-exact ``sb`` assembly places the same Gauss points with the same weights
+batched ``rb`` fits sum each kernel row against its weights in another
+order than the oracle's per-element product, which moves entries by up
+to 1e-9 relative on segment fits with ten points per edge (conditions
+1e9 to 5e14) and by 1.5e-13 at a condition of 7e7; pairs with a fit
+whose condition exceeds 1e7 get the 1e-7 bound, the others 1e-13
+relative.  The exact ``sb`` assembly places the same Gauss points with the same weights
 as its per-pair scan and only sums in another order (1e-13 relative for
 both matrices).
 """
@@ -26,6 +31,7 @@ from mortar_rbf.meshes import (
     square_surface_mesh,
     surface_pair,
 )
+from mortar_rbf.errors import IllConditionedKernelError
 from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
@@ -36,11 +42,19 @@ from mortar_rbf.mortar import (
     contact_search,
     project_point_newton,
 )
+from mortar_rbf.rbf import (
+    COND_LIMIT,
+    KernelFamily,
+    LayoutKind,
+    PointLayout,
+    fit_interpolants,
+)
 
 from reference_assembly import (
     reference_assemble,
     reference_assemble_sb,
     reference_contact_search,
+    reference_fit,
 )
 
 
@@ -134,6 +148,71 @@ def test_array_pass_matches_loop_oracle(name, scheme):
         assert _max_rel(new.coupling, ref.coupling) <= 1e-13
     else:
         assert coupling_gap <= 1e-7
+
+
+RB_PAIRS = {
+    "seg2": jittered_seg2,
+    "seg3": seg3,
+    "quad4": warped_quad4,
+    "quad8": quad8,
+}
+
+RB_CONFIGS = {
+    f"{family.value}-{variant.value}{n}": MortarConfig(
+        kernel_family=family, layout=PointLayout(variant, n)
+    )
+    for family in KernelFamily
+    for variant in LayoutKind
+    for n in (3, 6, 10)
+} | {
+    f"{family.value}-epsilon0.3": MortarConfig(kernel_family=family, epsilon=0.3)
+    for family in KernelFamily
+}
+
+
+@pytest.mark.parametrize("config_name", list(RB_CONFIGS))
+@pytest.mark.parametrize("name", list(RB_PAIRS))
+def test_rb_matches_per_element_fits(name, config_name):
+    pair, config = RB_PAIRS[name](), RB_CONFIGS[config_name]
+    try:
+        ref = reference_assemble(pair, config)
+    except IllConditionedKernelError as exc:
+        # quadrilaterals with ten points per edge: both refuse the same fit
+        with pytest.raises(IllConditionedKernelError) as info:
+            assemble(pair, config)
+        assert info.value.condition > COND_LIMIT
+        assert str(info.value).split(":")[0] == str(exc).split(":")[0]
+        return
+    new = assemble(pair, config)
+    assert new.stats == ref.stats
+    assert new.coupling.nnz == ref.coupling.nnz
+    assert new.slave_mass.nnz == ref.slave_mass.nnz
+    assert _max_rel(new.slave_mass, ref.slave_mass) <= 1e-13
+    worst = max(
+        reference_fit(
+            pair.master, elem, config.layout, config.kernel_family, config.epsilon
+        )[3]
+        for elem in range(pair.master.n_elems)
+    )
+    if worst < 1e7:
+        assert _max_rel(new.coupling, ref.coupling) <= 1e-13
+    else:
+        assert np.max(np.abs((new.coupling - ref.coupling).toarray())) <= 1e-7
+
+
+@pytest.mark.parametrize("variant", list(LayoutKind))
+@pytest.mark.parametrize("n_per_edge", [3, 6])
+@pytest.mark.parametrize("family", list(KernelFamily))
+@pytest.mark.parametrize("build", [jittered_seg2, seg3])
+def test_batched_condition_matches_lapack_estimate_on_segments(
+    build, family, n_per_edge, variant
+):
+    # LAPACK's estimate is exact on these well-conditioned fits; on
+    # quadrilaterals it can fall short of the exact value by several percent
+    mesh, layout = build().master, PointLayout(variant, n_per_edge)
+    condition = fit_interpolants(mesh, np.arange(mesh.n_elems), layout, family)[3]
+    estimate = [reference_fit(mesh, e, layout, family)[3] for e in range(mesh.n_elems)]
+    np.testing.assert_allclose(condition, estimate, rtol=1e-10, atol=0.0)
 
 
 def test_overlapping_pair_drops_points_and_reports_uncovered_elements():

@@ -20,7 +20,7 @@ from mortar_rbf.mortar import (
     save_matrix_text,
     support_detect,
 )
-from mortar_rbf.rbf import KernelFamily
+from mortar_rbf.rbf import KernelFamily, PointLayout, fit_master_interpolant
 
 ALL_SCHEMES = list(Scheme)
 
@@ -258,6 +258,23 @@ def test_transfer_keeps_the_slave_mass_factor():
         transfer.factor.solve(mass.T @ probe, trans="T"), probe, rtol=1e-12
     )
     assert "factor" not in repr(transfer)
+
+
+def test_array_holding_results_compare_by_identity():
+    pair = unit_pair(4, 3)
+    matrices = assemble(pair, MortarConfig())
+
+    def fit():
+        return fit_master_interpolant(pair.master, 0, PointLayout(), KernelFamily.GAUSSIAN)
+
+    for first, second in [
+        (pair, InterfacePair(pair.master, pair.slave)),
+        (matrices, assemble(pair, MortarConfig())),
+        (compute_transfer(matrices), compute_transfer(matrices)),
+        (fit(), fit()),
+    ]:
+        assert (first == second) is False
+        assert (first == first) is True
 
 
 def test_pair_and_config_validation():

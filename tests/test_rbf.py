@@ -4,7 +4,18 @@ from hypothesis import given, settings, strategies as st
 
 from mortar_rbf.elements import ElementKind, shape_values
 from mortar_rbf.errors import IllConditionedKernelError, RescaleBreakdownError
-from mortar_rbf.meshes import map_to_physical, segment_mesh, segment_pair, surface_pair, translate
+from mortar_rbf import rbf
+from mortar_rbf.meshes import (
+    InterfaceMesh,
+    Side,
+    map_to_physical,
+    segment_mesh,
+    segment_pair,
+    sine_bump,
+    surface_pair,
+    translate,
+)
+from mortar_rbf.mortar import InterfacePair, MortarConfig, assemble
 from mortar_rbf.rbf import (
     KernelFamily,
     LayoutKind,
@@ -13,6 +24,7 @@ from mortar_rbf.rbf import (
     basis_diagnostics,
     evaluate_rescaled,
     evaluate_rescaled_masked,
+    fit_interpolants,
     fit_master_interpolant,
     halton_reference_points,
     interpolation_points,
@@ -158,6 +170,63 @@ def test_diagnostics_flag_instability_without_raising():
     )
     assert diag.unstable
     assert diag.condition_estimate > 1e10
+
+
+def far_apart_segments():
+    # Elements 2 and 4 are one unit long, the others 1e13.  With epsilon
+    # 1e12 every Gaussian value on the short ones rounds to exactly 1, so
+    # their collocation matrices are exactly singular; the long ones are
+    # regular.
+    xs = np.array([0.0, 1e13, 2e13, 2e13 + 1, 3e13 + 1, 3e13 + 2])
+    return InterfaceMesh(
+        np.column_stack([xs, np.zeros_like(xs)]),
+        np.column_stack([np.arange(5), np.arange(1, 6)]),
+        ElementKind.SEG2,
+    )
+
+
+def test_exactly_singular_fit_is_refused_naming_the_lowest_master():
+    master = far_apart_segments()
+    slave = segment_mesh(3, span=(0.0, 3e13 + 2), side=Side.SLAVE)
+    with pytest.raises(IllConditionedKernelError) as info:
+        assemble(InterfacePair(master, slave), MortarConfig(epsilon=1e12))
+    assert info.value.condition == np.inf
+    assert str(info.value).startswith("master element 2:")
+
+
+def test_exactly_singular_fit_leaves_the_rest_of_its_batch_alone():
+    mesh, layout = far_apart_segments(), PointLayout()
+    _, _, weights, condition = fit_interpolants(
+        mesh, np.arange(5), layout, KernelFamily.GAUSSIAN, epsilon=1e12, cond_limit=None
+    )
+    np.testing.assert_array_equal(np.isinf(condition), [0, 0, 1, 0, 1])
+    assert np.isnan(weights[[2, 4]]).all()
+    for elem in (0, 1, 3):
+        alone = fit_master_interpolant(
+            mesh, elem, layout, KernelFamily.GAUSSIAN, epsilon=1e12
+        )
+        np.testing.assert_array_equal(weights[elem], alone.weights)
+        assert condition[elem] == alone.condition < 1e3
+    diag = basis_diagnostics(mesh, 2, layout, KernelFamily.GAUSSIAN, epsilon=1e12)
+    assert diag.unstable and diag.condition_estimate == np.inf
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        segment_pair(21, 14),
+        surface_pair(4, 3, warp_master=sine_bump(0.1), warp_slave=sine_bump(0.1)),
+    ],
+    ids=["seg2", "warped_quad4"],
+)
+def test_chunk_size_does_not_change_the_matrices(pair, monkeypatch):
+    pair = InterfacePair(*pair)
+    whole = assemble(pair, MortarConfig())
+    # one fit per chunk, and one to six (point, master) pairs per chunk
+    monkeypatch.setattr(rbf, "_CHUNK_ENTRIES", 40)
+    chunked = assemble(pair, MortarConfig())
+    assert (whole.coupling != chunked.coupling).nnz == 0
+    assert (whole.slave_mass != chunked.slave_mass).nnz == 0
 
 
 def test_gaussian_rmse_improves_with_more_points():

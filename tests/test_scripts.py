@@ -10,18 +10,33 @@ from mortar_rbf.experiments import ExperimentKind
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_spatial():
+    # together they take about 0.9 s to import, paid by every fresh process
+    done = run_python(
+        "-c",
+        "import sys, mortar_rbf; "
+        "print([m for m in ('scipy.stats', 'scipy.spatial') if m in sys.modules])",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_reproduce_convergence_prints_both_studies():
