@@ -179,7 +179,7 @@ class SweepRow:
     kernel: str
     n_colloc: int
     n_gauss: int
-    l2_error: float
+    l2_error: float | None
     h1_error: float | None = None
     rmse: float | None = None
     cond_estimate: float | None = None
@@ -198,9 +198,8 @@ class SweepRow:
             self.kernel,
             str(self.n_colloc),
             str(self.n_gauss),
-            repr(float(self.l2_error)),
         ]
-        for value in (self.h1_error, self.rmse, self.cond_estimate):
+        for value in (self.l2_error, self.h1_error, self.rmse, self.cond_estimate):
             cells.append("" if value is None else repr(float(value)))
         cells.append(repr(float(self.assembly_seconds)))
         cells.append(repr(float(self.dropped_fraction)))
@@ -529,6 +528,16 @@ def _fill_distance(mesh: InterfaceMesh, elem: int, layout: PointLayout) -> float
     return float(np.linalg.norm(probes[:, None] - colloc, axis=-1).min(axis=1).max())
 
 
+def _rmse_range(by_count: dict[int, float]) -> str:
+    """First..last RMSE of the stable fits, then the unstable point counts."""
+    stable = [v for v in by_count.values() if not np.isnan(v)]
+    text = f"{stable[0]:.3e}..{stable[-1]:.3e}" if stable else "none stable"
+    unstable = [str(n) for n, v in by_count.items() if np.isnan(v)]
+    if unstable:
+        text += f" (unstable at n={','.join(unstable)})"
+    return text
+
+
 def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
     """Basis-interpolation quality per kernel, layout and point count.
 
@@ -536,11 +545,15 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
     rescaled basis reproduction together with the kernel matrix condition
     estimate.  Two shape-parameter policies run side by side: the element
     circumdiameter (default) and twice the collocation fill distance.
+    Fits that :func:`~.rbf.basis_diagnostics` flags unstable (beyond
+    :data:`~.rbf.COND_LIMIT`, where assembly refuses them) carry weights
+    made of roundoff: their rows are marked unstable, with empty error
+    cells and a NaN metric, instead of reporting an RMSE.
     """
     rows: list[SweepRow] = []
     metrics: dict[str, float] = {}
     lines = ["kernel and layout study", ""]
-    extra_columns = ("element", "layout", "epsilon_policy")
+    extra_columns = ("element", "layout", "epsilon_policy", "stability")
 
     meshes = (
         ("seg3", segment_pair(2, 3, ElementKind.SEG3)[0]),
@@ -561,11 +574,13 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
                             mesh, 0, layout, family, epsilon=epsilon
                         )
                         seconds = time.perf_counter() - start
+                        error = None if diag.unstable else diag.rmse
+                        stability = "unstable" if diag.unstable else "stable"
                         key = (
                             f"{element_label}/{family.value}/{variant.value}"
                             f"/{n_colloc}/{policy}"
                         )
-                        metrics[key] = diag.rmse
+                        metrics[key] = np.nan if error is None else error
                         metrics[f"cond/{key}"] = diag.condition_estimate
                         rows.append(
                             SweepRow(
@@ -576,29 +591,29 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
                                 kernel=family.value,
                                 n_colloc=n_colloc,
                                 n_gauss=0,
-                                l2_error=diag.rmse,
-                                rmse=diag.rmse,
+                                l2_error=error,
+                                rmse=error,
                                 cond_estimate=diag.condition_estimate,
                                 assembly_seconds=seconds,
                                 extra=(
                                     ("element", element_label),
                                     ("layout", variant.value),
                                     ("epsilon_policy", policy),
+                                    ("stability", stability),
                                 ),
                             )
                         )
         for family in KernelFamily:
-            uni = [
-                metrics[f"{element_label}/{family.value}/uniform/{n}/h_elem"]
-                for n in range(6, 11)
-            ]
-            mod = [
-                metrics[f"{element_label}/{family.value}/sine/{n}/h_elem"]
-                for n in range(6, 11)
+            prefix = f"{element_label}/{family.value}"
+            ranges = [
+                _rmse_range(
+                    {n: metrics[f"{prefix}/{variant}/{n}/h_elem"] for n in range(6, 11)}
+                )
+                for variant in ("uniform", "sine")
             ]
             lines.append(
-                f"{element_label} {family.value}: uniform rmse "
-                f"{uni[0]:.3e}..{uni[-1]:.3e}, clustered {mod[0]:.3e}..{mod[-1]:.3e}"
+                f"{element_label} {family.value}: uniform rmse {ranges[0]}, "
+                f"clustered {ranges[1]}"
             )
         lines.append("")
     return ExperimentResult(

@@ -36,6 +36,7 @@ import numpy as np
 from .elements import (
     ElementKind,
     gauss_rule,
+    node_reference_coords,
     shape_gradients,
     shape_values,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "InterfaceMesh",
     "VolumeMesh",
     "map_to_physical",
-    "jacobian_matrix",
     "jacobian_measure",
     "element_circumdiameter",
     "element_circumdiameters",
@@ -127,6 +127,8 @@ class InterfaceMesh:
                 f"{self.kind.value} interface nodes must live in R^{expected_dim}"
             )
         _validate_connectivity(self.nodes, self.connectivity, self.kind)
+        if self.kind is ElementKind.SEG3:
+            _validate_unfolded(self)
 
     @property
     def n_nodes(self) -> int:
@@ -138,6 +140,25 @@ class InterfaceMesh:
 
     def with_side(self, side: Side) -> "InterfaceMesh":
         return InterfaceMesh(self.nodes, self.connectivity, self.kind, side)
+
+
+def _validate_unfolded(mesh: InterfaceMesh) -> None:
+    """Raise unless every element runs forward along its chord at each node.
+
+    A mid node outside its end nodes turns the element's map back on
+    itself: its tangent at some node then points against the chord from
+    the first to the last end node.
+    """
+    coords = mesh.nodes[mesh.connectivity]
+    grads = shape_gradients(mesh.kind, node_reference_coords(mesh.kind))[:, :, 0]
+    tangents = np.einsum("qn,end->eqd", grads, coords)
+    forward = np.einsum("eqd,ed->eq", tangents, coords[:, -1] - coords[:, 0]) > 0.0
+    bad = np.flatnonzero(~forward.all(axis=1))
+    if bad.size:
+        raise InvalidGeometryError(
+            f"{mesh.side.value} element {bad[0]} is folded: its map turns back "
+            "against its chord"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,11 +204,7 @@ class VolumeMesh:
 
     def tagged_nodes(self, tag: str) -> np.ndarray:
         """Sorted unique node ids lying on edges carrying ``tag``."""
-        ids = set()
-        for a, b in self.tagged_edges(tag):
-            ids.add(a)
-            ids.add(b)
-        return np.array(sorted(ids), dtype=np.int64)
+        return np.unique(np.array(self.tagged_edges(tag), dtype=np.int64))
 
 
 Mesh = InterfaceMesh | VolumeMesh
@@ -206,13 +223,6 @@ def map_to_physical(mesh: Mesh, elem: int, xi) -> np.ndarray:
     coords = element_nodes(mesh, elem)
     vals = shape_values(mesh.kind, xi)
     return vals @ coords
-
-
-def jacobian_matrix(mesh: Mesh, elem: int, xi) -> np.ndarray:
-    """Jacobian dx/dxi, shape (..., dim, ref_dim)."""
-    coords = element_nodes(mesh, elem)
-    grads = shape_gradients(mesh.kind, xi)
-    return np.einsum("...nr,nd->...dr", grads, coords)
 
 
 def jacobian_measure(mesh: Mesh, elem: int, xi) -> np.ndarray:
@@ -364,61 +374,27 @@ def square_surface_mesh(
     if n_per_side < 1:
         raise ValueError("n_per_side must be positive")
     n = n_per_side
-    a, b = span
-    xs = np.linspace(a, b, n + 1)
-
-    def zval(x, y):
-        return warp(x, y) if warp is not None else np.zeros(np.shape(x))
-
+    xs = np.linspace(*span, n + 1)
     cx, cy = np.meshgrid(xs, xs, indexing="xy")
-    corner_xy = np.column_stack([cx.ravel(), cy.ravel()])
-
-    def cidx(i, j):
-        return j * (n + 1) + i
-
-    if kind is ElementKind.QUAD4:
-        xy = corner_xy
-        conn = np.empty((n * n, 4), dtype=np.int64)
-        e = 0
-        for j in range(n):
-            for i in range(n):
-                conn[e] = (cidx(i, j), cidx(i + 1, j), cidx(i + 1, j + 1), cidx(i, j + 1))
-                e += 1
-    else:
+    xy = np.column_stack([cx.ravel(), cy.ravel()])
+    # element j * n + i covers cell i in x and cell j in y; corner nodes
+    # count x fastest, as do the mid-side nodes of the x-parallel edges and
+    # then of the y-parallel edges that quad8 appends
+    j, i = np.divmod(np.arange(n * n), n)
+    corner = j * (n + 1) + i
+    conn = [corner, corner + 1, corner + n + 2, corner + n + 1]
+    if kind is ElementKind.QUAD8:
         mids = 0.5 * (xs[:-1] + xs[1:])
         hx, hy = np.meshgrid(mids, xs, indexing="xy")
-        h_xy = np.column_stack([hx.ravel(), hy.ravel()])
         vx, vy = np.meshgrid(xs, mids, indexing="xy")
-        v_xy = np.column_stack([vx.ravel(), vy.ravel()])
-        base_h = corner_xy.shape[0]
-        base_v = base_h + h_xy.shape[0]
-        xy = np.vstack([corner_xy, h_xy, v_xy])
+        h = xy.shape[0] + j * n + i
+        v = xy.shape[0] + hx.size + j * (n + 1) + i
+        conn += [h, v + 1, h + n, v]
+        xy = np.vstack([xy, np.column_stack([hx.ravel(), hy.ravel()])])
+        xy = np.vstack([xy, np.column_stack([vx.ravel(), vy.ravel()])])
 
-        def hidx(i, j):
-            return base_h + j * n + i
-
-        def vidx(i, j):
-            return base_v + j * (n + 1) + i
-
-        conn = np.empty((n * n, 8), dtype=np.int64)
-        e = 0
-        for j in range(n):
-            for i in range(n):
-                conn[e] = (
-                    cidx(i, j),
-                    cidx(i + 1, j),
-                    cidx(i + 1, j + 1),
-                    cidx(i, j + 1),
-                    hidx(i, j),
-                    vidx(i + 1, j),
-                    hidx(i, j + 1),
-                    vidx(i, j),
-                )
-                e += 1
-
-    z = zval(xy[:, 0], xy[:, 1])
-    nodes = np.column_stack([xy, z])
-    mesh = InterfaceMesh(nodes, conn, kind, side)
+    z = warp(xy[:, 0], xy[:, 1]) if warp is not None else np.zeros(xy.shape[0])
+    mesh = InterfaceMesh(np.column_stack([xy, z]), np.column_stack(conn), kind, side)
     probe = gauss_rule(kind, (kind.degree + 1) ** 2).points
     _validate_measures(mesh, probe)
     return mesh

@@ -374,7 +374,10 @@ def _project_points(
     Each point retires as soon as its own residual passes the tolerance,
     so a point's result does not depend on the other points in the batch,
     and points clamped outside their element (which never converge) do
-    not keep converged ones iterating.
+    not keep converged ones iterating.  A point whose clamped iterate
+    stops changing exactly sits at a fixed point of the iteration, so it
+    retires at once as not converged instead of repeating the same step
+    until the budget runs out.
     """
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
@@ -399,11 +402,13 @@ def _project_points(
         hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
             "pdrs,pd->prs", curv, gap
         )
-        xi[active] = np.clip(
+        new_xi = np.clip(
             current + _solve_newton_step(hess, -resid[go]),
             -_NEWTON_CLAMP,
             _NEWTON_CLAMP,
         )
+        xi[active] = new_xi
+        active = active[(new_xi != current).any(axis=1)]
     return xi, converged
 
 
@@ -602,18 +607,15 @@ def _line_parameter_inverse(side, kind, elem_params, elems, targets, span):
     """Reference coordinates where each point's element reaches its target.
 
     Point k lies on element ``elems[k]`` of the ``side`` mesh, whose nodes
-    sit at line parameters ``elem_params[elems[k]]``.  Raises
-    :class:`InvalidGeometryError` naming the lowest element that is folded
-    (its slope changes sign between its nodes) or does not converge.
+    sit at line parameters ``elem_params[elems[k]]``; mesh validation
+    rules out folded elements.  Raises :class:`InvalidGeometryError`
+    naming the lowest element where the inversion does not converge.
     """
     node_params = elem_params[elems]
-    slopes = node_params @ shape_gradients(kind, node_reference_coords(kind))[:, :, 0].T
-    failed = ~((slopes > 0.0).all(axis=1) | (slopes < 0.0).all(axis=1))
-    active = np.flatnonzero(~failed)
     # segment nodes run from xi = -1 to xi = 1, any mid node in between
-    p_lo, p_hi = node_params[active, 0], node_params[active, -1]
-    xi = np.zeros((targets.size, 1))
-    xi[active, 0] = 2.0 * (targets[active] - p_lo) / (p_hi - p_lo) - 1.0
+    p_lo, p_hi = node_params[:, 0], node_params[:, -1]
+    xi = (2.0 * (targets - p_lo) / (p_hi - p_lo) - 1.0)[:, None]
+    active = np.arange(targets.size)
     for _ in range(30):
         x, params = xi[active], node_params[active]
         resid = np.einsum("pn,pn->p", shape_values(kind, x), params) - targets[active]
@@ -624,11 +626,10 @@ def _line_parameter_inverse(side, kind, elem_params, elems, targets, span):
         slope = np.einsum("pn,pn->p", shape_gradients(kind, x)[:, :, 0], params)
         step = x - (resid / slope)[:, None]
         xi[active] = np.clip(step, -_NEWTON_CLAMP, _NEWTON_CLAMP)
-    failed[active] = True
-    if failed.any():
+    if active.size:
         raise InvalidGeometryError(
             f"could not invert the line parameterization of {side} element "
-            f"{int(np.min(elems[failed]))}; it is folded or badly distorted"
+            f"{int(np.min(elems[active]))}; it is badly distorted"
         )
     return xi
 

@@ -1,12 +1,16 @@
 """Mortar-coupled Poisson solver on two non-conforming subdomains.
 
-Each subdomain carries a standard P1 triangulation; continuity across the
-shared interface is imposed weakly through the coupling matrices of
-:mod:`.mortar`.  The resulting saddle system can be solved directly, or
-after static condensation, which eliminates the multipliers together with
-the slave interface values and leaves a symmetric positive definite
-system in the remaining unknowns.  Both paths recover the full solution
-fields including the multipliers, and must agree to solver accuracy.
+Each subdomain carries a standard P1 triangulation, assembled in
+whole-mesh array passes: quadrature points and load contributions are
+matrix products with the reference basis, stiffness blocks are products
+of the constant basis gradients, and the load is scattered with one
+``bincount``.  Continuity across the shared interface is imposed weakly
+through the coupling matrices of :mod:`.mortar`.  The resulting saddle
+system can be solved directly, or after static condensation, which
+eliminates the multipliers together with the slave interface values and
+leaves a symmetric positive definite system in the remaining unknowns.
+Both paths recover the full solution fields including the multipliers,
+and must agree to solver accuracy.
 """
 
 from __future__ import annotations
@@ -136,34 +140,39 @@ class ErrorReport:
 
 
 def _triangle_geometry(mesh: VolumeMesh):
-    """Vertex coordinates, double areas and constant basis gradients."""
-    verts = mesh.nodes[mesh.connectivity]
-    e1 = verts[:, 1] - verts[:, 0]
-    e2 = verts[:, 2] - verts[:, 0]
-    double_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    """Vertex coordinates, double areas and constant basis gradients.
+
+    Arrays are vertex-major: the vertex x and y coordinates and the x and
+    y components of the three barycentric gradients are each (3, n_elems),
+    the double areas (n_elems,).  Every per-vertex row is then contiguous,
+    so products over all elements stream through memory.
+    """
+    conn = mesh.connectivity.T
+    x, y = mesh.nodes[:, 0][conn], mesh.nodes[:, 1][conn]
+    double_area = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     if np.any(double_area <= 0.0):
         bad = int(np.argmax(double_area <= 0.0))
         raise DegenerateElementError(
             f"triangle {bad} has non-positive area {double_area[bad] / 2.0:.3e}"
         )
     # gradient of barycentric function i: perpendicular of the opposite
-    # edge over twice the area, with vertices ordered counterclockwise
-    opp = np.stack(
-        [verts[:, 2] - verts[:, 1], verts[:, 0] - verts[:, 2], verts[:, 1] - verts[:, 0]],
-        axis=1,
-    )
-    grads = np.stack([-opp[:, :, 1], opp[:, :, 0]], axis=2)
-    grads /= double_area[:, None, None]
-    return verts, double_area, grads
+    # edge (vertex i+1 to vertex i+2) over twice the area, with vertices
+    # ordered counterclockwise
+    ahead, behind = [2, 0, 1], [1, 2, 0]
+    gx = (y[behind] - y[ahead]) / double_area
+    gy = (x[ahead] - x[behind]) / double_area
+    return x, y, double_area, gx, gy
 
 
 def assemble_stiffness(mesh: VolumeMesh) -> sparse.csr_matrix:
     """Standard P1 stiffness matrix of the Laplace operator."""
-    _, double_area, grads = _triangle_geometry(mesh)
-    blocks = np.einsum("e,eid,ejd->eij", 0.5 * double_area, grads, grads)
-    conn = mesh.connectivity
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
+    _, _, double_area, gx, gy = _triangle_geometry(mesh)
+    # blocks[i, j, e] couples vertices i and j of element e
+    blocks = gx[:, None] * gx[None, :] + gy[:, None] * gy[None, :]
+    blocks *= 0.5 * double_area
+    conn = mesh.connectivity.T
+    rows = np.broadcast_to(conn[:, None], blocks.shape).ravel()
+    cols = np.broadcast_to(conn[None, :], blocks.shape).ravel()
     matrix = sparse.coo_matrix(
         (blocks.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
     )
@@ -174,14 +183,12 @@ def assemble_load(mesh: VolumeMesh, source: Callable) -> np.ndarray:
     """P1 load vector by exact-enough triangle quadrature."""
     rule = triangle_rule_for_degree(_LOAD_DEGREE)
     basis = shape_values(mesh.kind, rule.points)
-    verts = mesh.nodes[mesh.connectivity]
-    phys = np.einsum("gn,end->egd", basis, verts)
-    values = np.asarray(source(phys[..., 0], phys[..., 1]), float)
-    _, double_area, _ = _triangle_geometry(mesh)
-    contrib = np.einsum("g,eg,gn,e->en", rule.weights, values, basis, double_area)
-    load = np.zeros(mesh.n_nodes)
-    np.add.at(load, mesh.connectivity.ravel(), contrib.ravel())
-    return load
+    x, y, double_area, _, _ = _triangle_geometry(mesh)
+    values = np.asarray(source(basis @ x, basis @ y), float)
+    contrib = (basis.T @ (rule.weights[:, None] * values)) * double_area
+    return np.bincount(
+        mesh.connectivity.T.ravel(), weights=contrib.ravel(), minlength=mesh.n_nodes
+    )
 
 
 # --- system construction ---------------------------------------------------
@@ -199,11 +206,11 @@ def interface_bindings(
     )
 
 
-def _dirichlet_values(problem: PoissonProblem, mesh: VolumeMesh, nodes):
-    if problem.dirichlet is None:
+def _dirichlet_values(dirichlet: Callable | None, mesh: VolumeMesh, nodes):
+    if dirichlet is None:
         return np.zeros(len(nodes))
     coords = mesh.nodes[nodes]
-    return np.asarray(problem.dirichlet(coords[:, 0], coords[:, 1]), float)
+    return np.asarray(dirichlet(coords[:, 0], coords[:, 1]), float)
 
 
 def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem:
@@ -222,6 +229,7 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
     pinned_master = problem.master.tagged_nodes("dirichlet")
     slave_tagged = problem.slave.tagged_nodes("dirichlet")
     pinned_slave = np.setdiff1d(slave_tagged, slave_binding.volume_nodes)
+    bc = problem.dirichlet
 
     return CoupledSystem(
         problem=problem,
@@ -233,9 +241,9 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
         slave_binding=slave_binding,
         mortar=mortar,
         pinned_master=pinned_master,
-        pinned_master_values=_dirichlet_values(problem, problem.master, pinned_master),
+        pinned_master_values=_dirichlet_values(bc, problem.master, pinned_master),
         pinned_slave=pinned_slave,
-        pinned_slave_values=_dirichlet_values(problem, problem.slave, pinned_slave),
+        pinned_slave_values=_dirichlet_values(bc, problem.slave, pinned_slave),
     )
 
 
@@ -441,11 +449,7 @@ def solve_single_domain(
     stiffness = assemble_stiffness(mesh)
     load = assemble_load(mesh, source)
     pinned = mesh.tagged_nodes("dirichlet")
-    if dirichlet is None:
-        values = np.zeros(pinned.size)
-    else:
-        coords = mesh.nodes[pinned]
-        values = np.asarray(dirichlet(coords[:, 0], coords[:, 1]), float)
+    values = _dirichlet_values(dirichlet, mesh, pinned)
     matrix, rhs = _apply_dirichlet(stiffness, load, pinned, values)
     return _checked_solve(matrix, rhs)
 
@@ -461,21 +465,17 @@ def _domain_errors(
 ) -> tuple[float, float]:
     rule = triangle_rule_for_degree(_NORM_DEGREE)
     basis = shape_values(mesh.kind, rule.points)
-    verts = mesh.nodes[mesh.connectivity]
-    phys = np.einsum("gn,end->egd", basis, verts)
-    nodal = values[mesh.connectivity]
+    x, y, double_area, gx, gy = _triangle_geometry(mesh)
+    px, py = basis @ x, basis @ y
+    nodal = values[mesh.connectivity.T]
 
-    approx = nodal @ basis.T
-    truth = np.asarray(exact(phys[..., 0], phys[..., 1]), float)
-    _, double_area, grads = _triangle_geometry(mesh)
-    l2_sq = np.einsum("g,eg,e->", rule.weights, (approx - truth) ** 2, double_area)
+    diff = basis @ nodal - np.asarray(exact(px, py), float)
+    l2_sq = rule.weights @ diff**2 @ double_area
 
-    grad_approx = np.einsum("en,end->ed", nodal, grads)
-    grad_truth = np.asarray(exact_gradient(phys[..., 0], phys[..., 1]), float)
-    grad_diff = grad_approx[:, None, :] - grad_truth
-    h1_sq = np.einsum(
-        "g,egd,e->", rule.weights, grad_diff**2, double_area
-    )
+    grad_truth = np.asarray(exact_gradient(px, py), float)
+    diff_x = (nodal * gx).sum(axis=0) - grad_truth[..., 0]
+    diff_y = (nodal * gy).sum(axis=0) - grad_truth[..., 1]
+    h1_sq = rule.weights @ (diff_x**2 + diff_y**2) @ double_area
     return float(l2_sq), float(h1_sq)
 
 

@@ -392,13 +392,15 @@ def basis_diagnostics(
     family: KernelFamily,
     epsilon: float | None = None,
     n_probes: int = 40,
-    unstable_threshold: float = 1e10,
+    unstable_threshold: float = COND_LIMIT,
 ) -> InterpolationDiagnostics:
     """Fit an element interpolant and measure how well it reproduces the basis.
 
     The RMSE compares rescaled interpolated basis values against the exact
     shape functions at ``n_probes`` Halton points of the reference element.
-    The fit is never rejected here; instability is only flagged.
+    The fit is never rejected here; a condition number beyond
+    ``unstable_threshold`` (by default the limit at which assembly refuses
+    the fit) is only flagged.
     """
     interp = fit_master_interpolant(
         mesh, elem, layout, family, epsilon=epsilon, cond_limit=None

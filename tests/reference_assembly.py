@@ -12,8 +12,14 @@ is inverted on its own.  :func:`reference_fit` and
 :func:`reference_evaluate` are the per-element kernel fit and evaluation
 that ``rbf.fit_interpolants`` and ``rbf.evaluate_interpolants`` batch:
 ``cdist``, an LU factorization with LAPACK's condition estimate and one
-matrix product per element.  Tests compare the library against all of
-them; nothing in the library imports them.
+matrix product per element.  :func:`reference_project_points` is the
+batched Newton projection before points at a fixed point retired early.
+:func:`reference_stiffness`,
+:func:`reference_load` and :func:`reference_domain_errors` are the P1
+volume assembly and error integrals of :mod:`mortar_rbf.poisson` written
+with multi-operand ``einsum`` contractions, stacked per-vertex arrays and
+an ``np.add.at`` scatter.  Tests compare the library against all of them;
+nothing in the library imports them.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from scipy import sparse
 from scipy.linalg import lapack, lu_factor, lu_solve
 from scipy.spatial.distance import cdist
 
+from mortar_rbf import poisson
 from mortar_rbf.elements import (
     node_reference_coords,
     shape_gradients,
     shape_second_derivatives,
     shape_values,
+    triangle_rule_for_degree,
 )
 from mortar_rbf.meshes import (
     element_circumdiameter,
@@ -48,7 +56,11 @@ from mortar_rbf.mortar import (
     _solve_newton_step,
     support_detect,
 )
-from mortar_rbf.errors import IllConditionedKernelError, InvalidGeometryError
+from mortar_rbf.errors import (
+    DegenerateElementError,
+    IllConditionedKernelError,
+    InvalidGeometryError,
+)
 from mortar_rbf.rbf import (
     BREAKDOWN_TOL,
     COND_LIMIT,
@@ -102,6 +114,43 @@ def reference_project_batch(mesh, elem, targets, settings):
         )
     _, _, resid = tangent_residual(xi)
     converged = np.max(np.abs(resid), axis=1) <= settings.tol * scale
+    return xi, converged
+
+
+def reference_project_points(kind, coords, targets, scale, settings):
+    """``mortar._project_points`` without fixed-point retirement.
+
+    Every point iterates until its own residual converges or the budget
+    runs out, even once its clamped iterate no longer moves.
+    """
+    xi = np.zeros((targets.shape[0], kind.ref_dim))
+    converged = np.zeros(targets.shape[0], dtype=bool)
+    active = np.arange(targets.shape[0])
+    for step in range(settings.max_iter + 1):
+        nodes, current = coords[active], xi[active]
+        jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
+        gap = targets[active] - np.einsum(
+            "pn,pnd->pd", shape_values(kind, current), nodes
+        )
+        resid = np.einsum("pdr,pd->pr", jac, gap)
+        done = np.max(np.abs(resid), axis=1) <= settings.tol * scale[active]
+        converged[active[done]] = True
+        go = ~done
+        active = active[go]
+        if step == settings.max_iter or active.size == 0:
+            break
+        nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
+        curv = np.einsum(
+            "pnrs,pnd->pdrs", shape_second_derivatives(kind, current), nodes
+        )
+        hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
+            "pdrs,pd->prs", curv, gap
+        )
+        xi[active] = np.clip(
+            current + _solve_newton_step(hess, -resid[go]),
+            -_NEWTON_CLAMP,
+            _NEWTON_CLAMP,
+        )
     return xi, converged
 
 
@@ -359,3 +408,72 @@ def reference_assemble_sb(pair, config) -> MortarMatrices:
         coupling=_build(coupling, (n_slave, n_master)),
         stats=stats,
     )
+
+
+def reference_triangle_geometry(mesh):
+    """Vertex coordinates, double areas and constant basis gradients."""
+    verts = mesh.nodes[mesh.connectivity]
+    e1 = verts[:, 1] - verts[:, 0]
+    e2 = verts[:, 2] - verts[:, 0]
+    double_area = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    if np.any(double_area <= 0.0):
+        bad = int(np.argmax(double_area <= 0.0))
+        raise DegenerateElementError(
+            f"triangle {bad} has non-positive area {double_area[bad] / 2.0:.3e}"
+        )
+    # gradient of barycentric function i: perpendicular of the opposite
+    # edge over twice the area, with vertices ordered counterclockwise
+    opp = np.stack(
+        [verts[:, 2] - verts[:, 1], verts[:, 0] - verts[:, 2], verts[:, 1] - verts[:, 0]],
+        axis=1,
+    )
+    grads = np.stack([-opp[:, :, 1], opp[:, :, 0]], axis=2)
+    grads /= double_area[:, None, None]
+    return verts, double_area, grads
+
+
+def reference_stiffness(mesh) -> sparse.csr_matrix:
+    """Standard P1 stiffness matrix of the Laplace operator."""
+    _, double_area, grads = reference_triangle_geometry(mesh)
+    blocks = np.einsum("e,eid,ejd->eij", 0.5 * double_area, grads, grads)
+    conn = mesh.connectivity
+    rows = np.repeat(conn, 3, axis=1).ravel()
+    cols = np.tile(conn, (1, 3)).ravel()
+    matrix = sparse.coo_matrix(
+        (blocks.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
+    )
+    return matrix.tocsr()
+
+
+def reference_load(mesh, source) -> np.ndarray:
+    """P1 load vector by exact-enough triangle quadrature."""
+    rule = triangle_rule_for_degree(poisson._LOAD_DEGREE)
+    basis = shape_values(mesh.kind, rule.points)
+    verts = mesh.nodes[mesh.connectivity]
+    phys = np.einsum("gn,end->egd", basis, verts)
+    values = np.asarray(source(phys[..., 0], phys[..., 1]), float)
+    _, double_area, _ = reference_triangle_geometry(mesh)
+    contrib = np.einsum("g,eg,gn,e->en", rule.weights, values, basis, double_area)
+    load = np.zeros(mesh.n_nodes)
+    np.add.at(load, mesh.connectivity.ravel(), contrib.ravel())
+    return load
+
+
+def reference_domain_errors(mesh, values, exact, exact_gradient):
+    """Squared broken L2 and H1-seminorm errors on one subdomain."""
+    rule = triangle_rule_for_degree(poisson._NORM_DEGREE)
+    basis = shape_values(mesh.kind, rule.points)
+    verts = mesh.nodes[mesh.connectivity]
+    phys = np.einsum("gn,end->egd", basis, verts)
+    nodal = values[mesh.connectivity]
+
+    approx = nodal @ basis.T
+    truth = np.asarray(exact(phys[..., 0], phys[..., 1]), float)
+    _, double_area, grads = reference_triangle_geometry(mesh)
+    l2_sq = np.einsum("g,eg,e->", rule.weights, (approx - truth) ** 2, double_area)
+
+    grad_approx = np.einsum("en,end->ed", nodal, grads)
+    grad_truth = np.asarray(exact_gradient(phys[..., 0], phys[..., 1]), float)
+    grad_diff = grad_approx[:, None, :] - grad_truth
+    h1_sq = np.einsum("g,egd,e->", rule.weights, grad_diff**2, double_area)
+    return float(l2_sq), float(h1_sq)

@@ -13,25 +13,33 @@ to 1e-9 relative on segment fits with ten points per edge (conditions
 whose condition exceeds 1e7 get the 1e-7 bound, the others 1e-13
 relative.  The exact ``sb`` assembly places the same Gauss points with the same weights
 as its per-pair scan and only sums in another order (1e-13 relative for
-both matrices).
+both matrices).  Retiring ``eb`` points at a fixed point changes nothing
+(exact equality).  The P1 stiffness, load and error integrals multiply in
+another order than the ``einsum`` oracle (1e-13 relative); condensed
+solutions built on them agree to 1e-12 relative.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from mortar_rbf import poisson
 from mortar_rbf.elements import ElementKind
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
     element_circumdiameter,
+    element_circumdiameters,
+    VolumeMesh,
     segment_mesh,
     segment_pair,
     sine_bump,
+    split_unit_square,
     square_surface_mesh,
     surface_pair,
 )
-from mortar_rbf.errors import IllConditionedKernelError
+from mortar_rbf import mortar
+from mortar_rbf.errors import DegenerateElementError, IllConditionedKernelError
 from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
@@ -54,7 +62,11 @@ from reference_assembly import (
     reference_assemble,
     reference_assemble_sb,
     reference_contact_search,
+    reference_domain_errors,
     reference_fit,
+    reference_load,
+    reference_project_points,
+    reference_stiffness,
 )
 
 
@@ -240,6 +252,42 @@ def test_newton_mask_keeps_each_point_independent_of_its_batch():
     assert not converged[3]
 
 
+@pytest.mark.parametrize("n_master, n_slave", [(6, 4), (12, 8)])
+def test_fixed_point_retirement_leaves_eb_unchanged(monkeypatch, n_master, n_slave):
+    # Most (point, master) pairs of a warped surface never converge, and
+    # many of them stop moving after two steps; retiring those early must
+    # give the full loop's foot points, flags, matrices and stats exactly.
+    warp = sine_bump(0.1)
+    pair = InterfacePair(
+        *surface_pair(n_master, n_slave, warp_master=warp, warp_slave=warp)
+    )
+    master = pair.master
+    centroids = master.nodes[master.connectivity].mean(axis=1)
+    n_pairs = centroids.shape[0] * master.n_elems
+    s_idx, m_idx = np.divmod(np.arange(n_pairs), master.n_elems)
+    coords = master.nodes[master.connectivity[m_idx]]
+    targets = centroids[s_idx] + np.array([0.0, 0.0, 0.02])
+    scale = element_circumdiameters(master)[m_idx] ** 2
+    settings = NewtonSettings()
+    xi, converged = _project_points(master.kind, coords, targets, scale, settings)
+    ref_xi, ref_converged = reference_project_points(
+        master.kind, coords, targets, scale, settings
+    )
+    assert 0 < converged.sum() < converged.size
+    np.testing.assert_array_equal(xi, ref_xi)
+    np.testing.assert_array_equal(converged, ref_converged)
+
+    config = MortarConfig(scheme=Scheme.EB)
+    new = assemble(pair, config)
+    monkeypatch.setattr(mortar, "_project_points", reference_project_points)
+    ref = assemble(pair, config)
+    assert new.stats == ref.stats
+    for got, want in ((new.slave_mass, ref.slave_mass), (new.coupling, ref.coupling)):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
+
+
 def line_mesh(xs, kind, side, angle=0.0, offset=0.0):
     """Mesh whose nodes sit at parameters ``xs`` along a line at ``angle``.
 
@@ -391,3 +439,95 @@ def test_sb_matches_per_pair_scan_on_random_pairs(
         offset=offset,
     )
     assert_sb_matches_oracle(InterfacePair(master, slave))
+
+
+# --- P1 volume assembly ------------------------------------------------------
+
+
+def _curve(x):
+    return 0.05 * np.sin(np.pi * x)
+
+
+def jittered_split_square():
+    # interior nodes move by up to 0.3 of a cell width; nodes on tagged
+    # edges stay, so both interfaces still trace the same line
+    rng = np.random.default_rng(11)
+    meshes = []
+    for mesh, n_x in zip(split_unit_square(24, 17), (24, 17)):
+        nodes = mesh.nodes.copy()
+        interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_tags))
+        nodes[interior] += rng.uniform(-0.3, 0.3, (interior.size, 2)) / n_x
+        meshes.append(VolumeMesh(nodes, mesh.connectivity, mesh.boundary_tags))
+    return tuple(meshes)
+
+
+SPLIT_SQUARES = {
+    "flat": lambda: split_unit_square(24, 17),
+    "curved": lambda: split_unit_square(24, 17, interface_offset=_curve),
+    "jittered": jittered_split_square,
+}
+
+
+def _volume_source(x, y):
+    return 32.0 * (x * (1.0 - x) + y * (1.0 - y)) + np.sin(3.0 * x) * y
+
+
+def _volume_exact(x, y):
+    return np.sin(2.0 * x) * np.cos(y)
+
+
+def _volume_gradient(x, y):
+    gx = 2.0 * np.cos(2.0 * x) * np.cos(y)
+    return np.stack([gx, -np.sin(2.0 * x) * np.sin(y)], axis=-1)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("name", list(SPLIT_SQUARES))
+def test_p1_assembly_matches_einsum_oracle(name):
+    for mesh in SPLIT_SQUARES[name]():
+        stiffness, want = poisson.assemble_stiffness(mesh), reference_stiffness(mesh)
+        np.testing.assert_array_equal(stiffness.indptr, want.indptr)
+        np.testing.assert_array_equal(stiffness.indices, want.indices)
+        assert _rel(stiffness.data, want.data) <= 1e-13
+        load = poisson.assemble_load(mesh, _volume_source)
+        assert _rel(load, reference_load(mesh, _volume_source)) <= 1e-13
+
+        values = _volume_exact(*mesh.nodes.T) + 1e-3 * np.cos(7.0 * mesh.nodes[:, 0])
+        got = poisson._domain_errors(mesh, values, _volume_exact, _volume_gradient)
+        ref = reference_domain_errors(mesh, values, _volume_exact, _volume_gradient)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+def test_degenerate_triangle_message_matches_oracle():
+    # the second triangle runs clockwise
+    mesh = VolumeMesh(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+        np.array([[0, 1, 2], [1, 2, 3]]),
+    )
+    expected = "triangle 1 has non-positive area -5.000e-01"
+    for build, oracle, args in (
+        (poisson.assemble_stiffness, reference_stiffness, (mesh,)),
+        (poisson.assemble_load, reference_load, (mesh, _volume_source)),
+    ):
+        with pytest.raises(DegenerateElementError) as want:
+            oracle(*args)
+        with pytest.raises(DegenerateElementError) as got:
+            build(*args)
+        assert str(got.value) == str(want.value) == expected
+
+
+def test_condensed_fields_match_einsum_assembly(monkeypatch):
+    master, slave = split_unit_square(256, 171, interface_offset=_curve)
+    problem = poisson.PoissonProblem(master, slave, _volume_source)
+    system = poisson.build_system(problem, MortarConfig())
+    fields = poisson.solve_condensed(system)
+    monkeypatch.setattr(poisson, "assemble_stiffness", reference_stiffness)
+    monkeypatch.setattr(poisson, "assemble_load", reference_load)
+    oracle = poisson.solve_condensed(poisson.build_system(problem, MortarConfig()))
+    for field in ("master_values", "slave_values", "multipliers"):
+        got, want = getattr(fields, field), getattr(oracle, field)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+

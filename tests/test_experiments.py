@@ -22,7 +22,7 @@ from mortar_rbf.experiments import (
     write_outputs,
 )
 from mortar_rbf.mortar import MortarConfig, Scheme
-from mortar_rbf.rbf import KernelFamily, LayoutKind, PointLayout
+from mortar_rbf.rbf import COND_LIMIT, KernelFamily, LayoutKind, PointLayout
 
 SECONDS_COLUMN = SWEEP_COLUMNS.index("assembly_seconds")
 
@@ -236,7 +236,7 @@ def test_scheme_compare_is_deterministic_but_seed_sensitive():
 def test_kernel_study_directionals():
     result = run_kernel_study(ExperimentConfig(ExperimentKind.KERNEL_STUDY))
     assert len(result.rows) == 192
-    assert result.extra_columns == ("element", "layout", "epsilon_policy")
+    assert result.extra_columns == ("element", "layout", "epsilon_policy", "stability")
     for element in ("seg3", "quad4"):
         for n in range(6, 11):
             clustered = result.metrics[f"{element}/wendland/sine/{n}/h_elem"]
@@ -311,9 +311,35 @@ def test_write_outputs_appends_extra_columns(tmp_path):
     result = run_kernel_study(ExperimentConfig(ExperimentKind.KERNEL_STUDY))
     write_outputs(result, tmp_path)
     header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
-    assert header == ",".join(SWEEP_COLUMNS + ("element", "layout", "epsilon_policy"))
+    assert header == ",".join(
+        SWEEP_COLUMNS + ("element", "layout", "epsilon_policy", "stability")
+    )
     first = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
-    assert len(first) == len(SWEEP_COLUMNS) + 3
+    assert len(first) == len(SWEEP_COLUMNS) + 4
+
+
+def test_kernel_study_marks_fits_beyond_the_condition_limit(tmp_path):
+    # quad4 Gaussian fits from 7 points per edge have conditions of 1e18 to
+    # 1e20; their rmse is roundoff and must not be reported as a number
+    result = run_kernel_study(ExperimentConfig(ExperimentKind.KERNEL_STUDY))
+    unstable = [row for row in result.rows if ("stability", "unstable") in row.extra]
+    assert unstable
+    assert all(row.cond_estimate > COND_LIMIT for row in unstable)
+    assert all(row.rmse is None and row.l2_error is None for row in unstable)
+    stable = [row for row in result.rows if row not in unstable]
+    assert all(row.cond_estimate <= COND_LIMIT for row in stable)
+    assert all(np.isfinite(row.rmse) for row in stable)
+    assert np.isnan(result.metrics["quad4/gaussian/uniform/10/h_elem"])
+
+    write_outputs(result, tmp_path)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    marked = [line.split(",") for line in lines if line.endswith(",unstable")]
+    assert len(marked) == len(unstable)
+    rmse_cell = SWEEP_COLUMNS.index("rmse")
+    assert all(cells[rmse_cell] == "" for cells in marked)
+    report = (tmp_path / "report.txt").read_text().splitlines()
+    gaussian = next(line for line in report if line.startswith("quad4 gaussian:"))
+    assert gaussian.count("(unstable at n=7,8,9,10)") == 2
 
 
 def test_sweeps_are_reproducible_modulo_timing():

@@ -219,22 +219,48 @@ def test_exact_scheme_requires_straight_meshes():
         assemble(InterfacePair(master, kinked), MortarConfig(scheme=Scheme.SB1D))
 
 
-@pytest.mark.parametrize("side", ["master", "slave"])
-def test_exact_scheme_names_a_folded_element(side):
-    # The mid node of element 1 lies past its right end node, so the
-    # element's map runs back on itself.
-    folded = InterfaceMesh(
+FOLDED_SEG3 = {
+    # the mid node of element 1 lies past its right end node
+    "mid_past_end": (
         np.column_stack([[0.0, 0.1, 0.2, 0.4, 0.3, 0.5, 0.6], np.zeros(7)]),
         np.array([[0, 1, 2], [2, 3, 4], [4, 5, 6]]),
-        ElementKind.SEG3,
-    )
-    other = segment_mesh(4, span=(0.0, 0.6))
-    if side == "master":
-        pair = InterfacePair(folded, other.with_side(Side.SLAVE))
-    else:
-        pair = InterfacePair(other, folded.with_side(Side.SLAVE))
-    with pytest.raises(InvalidGeometryError, match=f"{side} element 1;"):
-        assemble(pair, MortarConfig(scheme=Scheme.SB1D))
+        1,
+    ),
+    # end nodes at 0 and 0.55, mid node at 1
+    "single": (
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.55, 0.0]]),
+        np.array([[0, 1, 2]]),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("side", [Side.MASTER, Side.SLAVE])
+@pytest.mark.parametrize("name", list(FOLDED_SEG3))
+def test_every_scheme_refuses_a_folded_element(name, side):
+    # A folded element's map runs back on itself.  Mesh validation names
+    # it, so no scheme assembles it and all of them report the same error.
+    nodes, connectivity, elem = FOLDED_SEG3[name]
+    other_side = Side.SLAVE if side is Side.MASTER else Side.MASTER
+    other = segment_mesh(4, span=(0.0, 0.6), side=other_side)
+    expected = f"{side.value} element {elem} is folded"
+    messages = set()
+    for scheme in Scheme:
+        with pytest.raises(InvalidGeometryError, match=expected) as info:
+            folded = InterfaceMesh(nodes, connectivity, ElementKind.SEG3, side)
+            meshes = (folded, other) if side is Side.MASTER else (other, folded)
+            assemble(InterfacePair(*meshes), MortarConfig(scheme=scheme))
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
+def test_curved_seg3_elements_are_not_folded():
+    # a quarter of a circle per element bends each tangent 45 degrees away
+    # from its chord at the end nodes
+    angles = np.linspace(0.0, np.pi, 5)
+    nodes = np.column_stack([np.cos(angles), np.sin(angles)])
+    mesh = InterfaceMesh(nodes, np.array([[0, 1, 2], [2, 3, 4]]), ElementKind.SEG3)
+    assert mesh.n_elems == 2
 
 
 def test_exact_scheme_on_disjoint_meshes_is_empty_and_uncovered():

@@ -146,6 +146,26 @@ def test_evaluate_rescaled_raises_on_breakdown():
         evaluate_rescaled(interp, [[80.0, 0.0]])
 
 
+def test_cancelling_denominator_is_masked():
+    # Opposite weights on two collocation points: the denominator cancels
+    # midway between them (exactly, and to 1e-14 just beside), although
+    # both kernel-weighted terms are of order one.
+    points = np.array([[[0.0, 0.0], [1.0, 0.0]]])
+    weights = np.array([[[1.0, 0.0], [0.0, -1.0]]])
+    queries = np.array([[0.5, 0.0], [0.5 + 1e-14, 0.0], [0.1, 0.0]])
+    values, ok = rbf.evaluate_interpolants(
+        KernelFamily.GAUSSIAN,
+        points,
+        np.array([1.0]),
+        weights,
+        np.zeros(len(queries), dtype=np.int64),
+        queries,
+    )
+    assert ok.tolist() == [False, False, True]
+    np.testing.assert_array_equal(values[:2], 0.0)
+    np.testing.assert_allclose(values[2].sum(), 1.0, rtol=1e-14)
+
+
 def test_overly_flat_kernel_is_refused():
     mesh = segment_mesh(1, span=(0.0, 1.0))
     with pytest.raises(IllConditionedKernelError) as info:
