@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .errors import ConfigError
 from .meshes import (
     InterfaceMesh,
     Side,
-    jacobian_measure,
+    element_geometry,
     map_to_physical,
     mesh_size,
     segment_pair,
@@ -34,6 +35,7 @@ from .meshes import (
     surface_pair,
 )
 from .mortar import (
+    AssemblyStats,
     InterfacePair,
     MortarConfig,
     Scheme,
@@ -41,7 +43,7 @@ from .mortar import (
     compute_transfer,
     interface_transfer,
 )
-from .poisson import PoissonProblem, broken_norms, build_system, solve
+from .poisson import PoissonProblem, broken_norms, build_system, solve, solve_condensed
 from .rbf import (
     KernelFamily,
     LayoutKind,
@@ -234,15 +236,41 @@ def observed_order(h_values, errors) -> float:
     return float(np.polyfit(np.log(h[-n:]), np.log(e[-n:]), 1)[0])
 
 
-def _timed_assembly(pair: InterfacePair, config: MortarConfig):
-    """Assemble three times, return (matrices, median wall seconds)."""
-    times = []
-    mats = None
-    for _ in range(3):
-        start = time.perf_counter()
-        mats = assemble(pair, config)
-        times.append(time.perf_counter() - start)
-    return mats, float(np.median(times))
+def _timed(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and its wall seconds."""
+    start = time.perf_counter()
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
+def _sweep_row(
+    level: int,
+    master,
+    slave,
+    mortar: MortarConfig,
+    kind: ElementKind,
+    stats: AssemblyStats,
+    seconds: float,
+    **errors,
+) -> SweepRow:
+    """One sweep row of a run with ``mortar`` on slave interface elements
+    of ``kind``; kernel and collocation columns are filled for ``rb`` only.
+    """
+    rb = mortar.scheme is Scheme.RB
+    return SweepRow(
+        level=level,
+        h_master=mesh_size(master),
+        h_slave=mesh_size(slave),
+        scheme=mortar.scheme.value,
+        kernel=mortar.kernel_family.value if rb else "",
+        n_colloc=mortar.layout.n_per_edge if rb else 0,
+        n_gauss=(
+            mortar.n_gauss if mortar.n_gauss is not None else min_gauss_points(kind)
+        ),
+        assembly_seconds=seconds,
+        dropped_fraction=stats.dropped_fraction,
+        **errors,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +279,7 @@ def _timed_assembly(pair: InterfacePair, config: MortarConfig):
 
 def _function_1d(name: str) -> Callable:
     if name in ("default", "sin4_plus_square"):
-        return lambda x: np.sin(4.0 * x) + x * x
+        return lambda p: np.sin(4.0 * p[..., 0]) + p[..., 0] * p[..., 0]
     raise ConfigError(f"unknown 1D test function {name!r}")
 
 
@@ -290,31 +318,62 @@ def _transfer_l2_error(slave: InterfaceMesh, values: np.ndarray, fn: Callable) -
     rule = gauss_rule(
         slave.kind, n_1d if slave.kind.ref_dim == 1 else n_1d * n_1d
     )
-    basis = shape_values(slave.kind, rule.points)
-    total = 0.0
-    for elem in range(slave.n_elems):
-        phys = map_to_physical(slave, elem, rule.points)
-        measure = jacobian_measure(slave, elem, rule.points)
-        approx = basis @ values[slave.connectivity[elem]]
-        if slave.kind.ref_dim == 1:
-            exact = fn(phys[:, 0])
-        else:
-            exact = fn(phys)
-        total += np.sum(rule.weights * measure * (approx - exact) ** 2)
-    return float(np.sqrt(total))
+    phys, metric = element_geometry(slave, rule.points)
+    approx = values[slave.connectivity] @ shape_values(slave.kind, rule.points).T
+    squared = rule.weights * np.sqrt(metric) * (approx - fn(phys)) ** 2
+    return float(np.sqrt(squared.sum()))
 
 
-def _scheme_gauss_count(kind: ElementKind, config: MortarConfig) -> int:
-    if config.n_gauss is not None:
-        return config.n_gauss
-    return min_gauss_points(kind)
+def _transfer_row(
+    level: int,
+    master: InterfaceMesh,
+    slave: InterfaceMesh,
+    mortar: MortarConfig,
+    fn: Callable,
+) -> SweepRow:
+    """Assemble the pair once, timing that call, transfer ``fn`` from the
+    master nodes and report the slave L2 error."""
+    mats, seconds = _timed(assemble, InterfacePair(master, slave), mortar)
+    values = interface_transfer(compute_transfer(mats), fn(master.nodes))
+    return _sweep_row(
+        level,
+        master,
+        slave,
+        mortar,
+        slave.kind,
+        mats.stats,
+        seconds,
+        l2_error=_transfer_l2_error(slave, values, fn),
+    )
 
 
-def _transfer_field(pair, mortar_config, master_values):
-    mats, seconds = _timed_assembly(pair, mortar_config)
-    operator = compute_transfer(mats)
-    values = interface_transfer(operator, master_values)
-    return values, seconds, mats.stats
+def _level_sweep(
+    config: ExperimentConfig,
+    n_levels: int,
+    make_pair: Callable,
+    fn: Callable,
+    mortar: MortarConfig,
+    label: str,
+    rows: list[SweepRow],
+    orders: dict[str, float],
+) -> tuple[list[float], str]:
+    """Transfer errors of one scheme over ``n_levels`` refinement levels.
+
+    Appends one row per level to ``rows`` and, from two levels on, the
+    observed order under ``label`` to ``orders``.  Returns the errors and
+    the report line.
+    """
+    sweep = [
+        _transfer_row(level, *make_pair(*config.element_counts(level)), mortar, fn)
+        for level in range(n_levels)
+    ]
+    rows.extend(sweep)
+    errors = [row.l2_error for row in sweep]
+    if n_levels >= 2:
+        orders[label] = observed_order([row.h_slave for row in sweep], errors)
+    formatted = ", ".join(f"{e:.4e}" for e in errors)
+    order_text = f"{orders[label]:.3f}" if label in orders else "n/a"
+    return errors, f"{label}: errors [{formatted}], order {order_text}"
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +388,6 @@ def run_interp_1d(config: ExperimentConfig) -> ExperimentResult:
     reports observed orders of the slave-side L2 error.
     """
     fn = _function_1d(config.function)
-    span = (-1.0, 1.0)
     rb_kernels = [config.mortar.kernel_family]
     if KernelFamily.WENDLAND_C2 not in rb_kernels:
         rb_kernels.append(KernelFamily.WENDLAND_C2)
@@ -339,54 +397,28 @@ def run_interp_1d(config: ExperimentConfig) -> ExperimentResult:
     metrics: dict[str, float] = {}
     lines = ["1D interpolation transfer study", ""]
     for kind in (ElementKind.SEG2, ElementKind.SEG3):
-        runs: list[tuple[str, MortarConfig]] = [
-            ("sb", replace(config.mortar, scheme=Scheme.SB1D)),
-            ("eb", replace(config.mortar, scheme=Scheme.EB)),
+        runs = [
+            replace(config.mortar, scheme=Scheme.SB1D),
+            replace(config.mortar, scheme=Scheme.EB),
+        ] + [
+            replace(config.mortar, scheme=Scheme.RB, kernel_family=kernel)
+            for kernel in rb_kernels
         ]
-        for kernel in rb_kernels:
-            runs.append(
-                ("rb", replace(config.mortar, scheme=Scheme.RB, kernel_family=kernel))
-            )
-        for scheme_token, mortar in runs:
-            errors = []
-            h_slave = []
-            for level in range(config.refinements):
-                n_master, n_slave = config.element_counts(level)
-                master, slave = segment_pair(n_master, n_slave, kind, span=span)
-                pair = InterfacePair(master, slave)
-                values, seconds, stats = _transfer_field(
-                    pair, mortar, fn(master.nodes[:, 0])
-                )
-                err = _transfer_l2_error(slave, values, fn)
-                errors.append(err)
-                h_slave.append(mesh_size(slave))
-                kernel_token = (
-                    mortar.kernel_family.value if scheme_token == "rb" else ""
-                )
-                rows.append(
-                    SweepRow(
-                        level=level,
-                        h_master=mesh_size(master),
-                        h_slave=h_slave[-1],
-                        scheme=scheme_token,
-                        kernel=kernel_token,
-                        n_colloc=(
-                            mortar.layout.n_per_edge if scheme_token == "rb" else 0
-                        ),
-                        n_gauss=_scheme_gauss_count(kind, mortar),
-                        l2_error=err,
-                        assembly_seconds=seconds,
-                        dropped_fraction=stats.dropped_fraction,
-                    )
-                )
-            label = f"{kind.value}/{scheme_token}"
-            if scheme_token == "rb":
+        for mortar in runs:
+            label = f"{kind.value}/{mortar.scheme.value}"
+            if mortar.scheme is Scheme.RB:
                 label += f"/{mortar.kernel_family.value}"
-            if config.refinements >= 2:
-                orders[label] = observed_order(h_slave, errors)
-            formatted = ", ".join(f"{e:.4e}" for e in errors)
-            order_text = f"{orders[label]:.3f}" if label in orders else "n/a"
-            lines.append(f"{label}: errors [{formatted}], order {order_text}")
+            errors, line = _level_sweep(
+                config,
+                config.refinements,
+                partial(segment_pair, kind=kind, span=(-1.0, 1.0)),
+                fn,
+                mortar,
+                label,
+                rows,
+                orders,
+            )
+            lines.append(line)
             metrics[f"finest/{label}"] = errors[-1]
         lines.append("")
     ga_key = f"finest/seg3/rb/{config.mortar.kernel_family.value}"
@@ -417,59 +449,31 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
 
     flat_levels = min(config.refinements, 4)
     for kind in (ElementKind.QUAD4, ElementKind.QUAD8):
-        runs = [("eb", replace(config.mortar, scheme=Scheme.EB))]
-        for n_colloc in (4, 6):
-            runs.append(
-                (
-                    "rb",
-                    replace(
-                        config.mortar,
-                        scheme=Scheme.RB,
-                        layout=replace(config.mortar.layout, n_per_edge=n_colloc),
-                    ),
-                )
+        runs = [replace(config.mortar, scheme=Scheme.EB)] + [
+            replace(
+                config.mortar,
+                scheme=Scheme.RB,
+                layout=replace(config.mortar.layout, n_per_edge=n_colloc),
             )
-        for scheme_token, mortar in runs:
-            errors = []
-            h_slave = []
-            for level in range(flat_levels):
-                n_master, n_slave = config.element_counts(level)
-                master, slave = surface_pair(n_master, n_slave, kind)
-                pair = InterfacePair(master, slave)
-                values, seconds, stats = _transfer_field(
-                    pair, mortar, flat_fn(master.nodes)
-                )
-                err = _transfer_l2_error(slave, values, flat_fn)
-                errors.append(err)
-                h_slave.append(mesh_size(slave))
-                rows.append(
-                    SweepRow(
-                        level=level,
-                        h_master=mesh_size(master),
-                        h_slave=h_slave[-1],
-                        scheme=scheme_token,
-                        kernel=(
-                            mortar.kernel_family.value if scheme_token == "rb" else ""
-                        ),
-                        n_colloc=(
-                            mortar.layout.n_per_edge if scheme_token == "rb" else 0
-                        ),
-                        n_gauss=_scheme_gauss_count(kind, mortar),
-                        l2_error=err,
-                        assembly_seconds=seconds,
-                        dropped_fraction=stats.dropped_fraction,
-                    )
-                )
-            label = f"{kind.value}/{scheme_token}"
-            if scheme_token == "rb":
+            for n_colloc in (4, 6)
+        ]
+        for mortar in runs:
+            label = f"{kind.value}/{mortar.scheme.value}"
+            if mortar.scheme is Scheme.RB:
                 label += f"/{mortar.layout.n_per_edge}"
-            if flat_levels >= 2:
-                orders[label] = observed_order(h_slave, errors)
+            errors, line = _level_sweep(
+                config,
+                flat_levels,
+                partial(surface_pair, kind=kind),
+                flat_fn,
+                mortar,
+                label,
+                rows,
+                orders,
+            )
             for idx, err in enumerate(errors):
                 metrics[f"flat/{label}/level{idx}"] = err
-            formatted = ", ".join(f"{e:.4e}" for e in errors)
-            order_text = f"{orders[label]:.3f}" if label in orders else "n/a"
-            lines.append(f"  {label}: errors [{formatted}], order {order_text}")
+            lines.append(f"  {line}")
 
     lines += ["", "warped pair (identical bump on both sides):"]
     amplitude = config.warp_amplitude if config.warp_variant == "bump" else 0.0
@@ -484,34 +488,11 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
         master, slave = surface_pair(
             n_master, n_slave, ElementKind.QUAD4, warp_master=warp, warp_slave=warp
         )
-        pair = InterfacePair(master, slave)
-        for scheme_token, mortar in (
-            ("rb", replace(config.mortar, scheme=Scheme.RB)),
-            ("eb", replace(config.mortar, scheme=Scheme.EB)),
-        ):
-            values, seconds, stats = _transfer_field(
-                pair, mortar, warped_fn(master.nodes)
-            )
-            err = _transfer_l2_error(slave, values, warped_fn)
-            metrics[f"warped/{role}/{scheme_token}"] = err
-            rows.append(
-                SweepRow(
-                    level=top_level,
-                    h_master=mesh_size(master),
-                    h_slave=mesh_size(slave),
-                    scheme=scheme_token,
-                    kernel=(
-                        mortar.kernel_family.value if scheme_token == "rb" else ""
-                    ),
-                    n_colloc=(
-                        mortar.layout.n_per_edge if scheme_token == "rb" else 0
-                    ),
-                    n_gauss=_scheme_gauss_count(ElementKind.QUAD4, mortar),
-                    l2_error=err,
-                    assembly_seconds=seconds,
-                    dropped_fraction=stats.dropped_fraction,
-                )
-            )
+        for scheme in (Scheme.RB, Scheme.EB):
+            mortar = replace(config.mortar, scheme=scheme)
+            row = _transfer_row(top_level, master, slave, mortar, warped_fn)
+            rows.append(row)
+            metrics[f"warped/{role}/{scheme.value}"] = row.l2_error
         rb_err = metrics[f"warped/{role}/rb"]
         eb_err = metrics[f"warped/{role}/eb"]
         lines.append(
@@ -520,11 +501,13 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(rows, "\n".join(lines) + "\n", orders, metrics)
 
 
-def _fill_distance(mesh: InterfaceMesh, elem: int, layout: PointLayout) -> float:
-    """Largest distance from a dense element sample to the collocation set."""
-    kind = mesh.kind
-    colloc = map_to_physical(mesh, elem, interpolation_points(kind, layout))
-    probes = map_to_physical(mesh, elem, halton_reference_points(kind, 400))
+def _fill_distance(
+    mesh: InterfaceMesh, elem: int, layout: PointLayout, sample: np.ndarray
+) -> float:
+    """Largest distance from a dense element sample, given as reference
+    points, to the collocation set."""
+    colloc = map_to_physical(mesh, elem, interpolation_points(mesh.kind, layout))
+    probes = map_to_physical(mesh, elem, sample)
     return float(np.linalg.norm(probes[:, None] - colloc, axis=-1).min(axis=1).max())
 
 
@@ -561,6 +544,8 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
     )
     for element_label, mesh in meshes:
         h_elem = mesh_size(mesh)
+        # drawn before any fit is timed: the first draw imports scipy.stats
+        fill_sample = halton_reference_points(mesh.kind, 400)
         for family in KernelFamily:
             for variant in (LayoutKind.UNIFORM, LayoutKind.SINE):
                 for n_colloc in range(3, 11):
@@ -568,12 +553,12 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
                     for policy in ("h_elem", "2_fill"):
                         epsilon = None
                         if policy == "2_fill":
-                            epsilon = 2.0 * _fill_distance(mesh, 0, layout)
-                        start = time.perf_counter()
-                        diag = basis_diagnostics(
-                            mesh, 0, layout, family, epsilon=epsilon
+                            epsilon = 2.0 * _fill_distance(
+                                mesh, 0, layout, fill_sample
+                            )
+                        diag, seconds = _timed(
+                            basis_diagnostics, mesh, 0, layout, family, epsilon=epsilon
                         )
-                        seconds = time.perf_counter() - start
                         error = None if diag.unstable else diag.rmse
                         stability = "unstable" if diag.unstable else "stable"
                         key = (
@@ -638,15 +623,10 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
     lines = ["coupled Poisson study (split unit square)", "", "flat interface:"]
 
     base_scale = 4
-    runs = [
-        ("rb", replace(config.mortar, scheme=Scheme.RB)),
-        ("eb", replace(config.mortar, scheme=Scheme.EB)),
-        ("sb", replace(config.mortar, scheme=Scheme.SB1D)),
-    ]
-    for scheme_token, mortar in runs:
-        l2_errors = []
-        h1_errors = []
-        h_slave = []
+    for scheme in (Scheme.RB, Scheme.EB, Scheme.SB1D):
+        mortar = replace(config.mortar, scheme=scheme)
+        token = scheme.value
+        sweep = []
         for level in range(config.refinements):
             n_master, n_slave = config.element_counts(level)
             master, slave = split_unit_square(
@@ -659,50 +639,39 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
                 exact=exact,
                 exact_gradient=exact_gradient,
             )
-            build_times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                build_system(problem, mortar)
-                build_times.append(time.perf_counter() - start)
-            seconds = float(np.median(build_times))
-            fields = solve(problem, mortar)
+            system, seconds = _timed(build_system, problem, mortar)
+            fields = solve_condensed(system)
             report = broken_norms(problem, fields)
-            l2_errors.append(report.l2_broken)
-            h1_errors.append(report.h1_broken)
-            h_slave.append(mesh_size(slave))
-            metrics[f"flat/{scheme_token}/constraint/level{level}"] = (
+            metrics[f"flat/{token}/constraint/level{level}"] = (
                 fields.constraint_residual
             )
-            rows.append(
-                SweepRow(
-                    level=level,
-                    h_master=mesh_size(master),
-                    h_slave=h_slave[-1],
-                    scheme=scheme_token,
-                    kernel=(
-                        mortar.kernel_family.value if scheme_token == "rb" else ""
-                    ),
-                    n_colloc=(
-                        mortar.layout.n_per_edge if scheme_token == "rb" else 0
-                    ),
-                    n_gauss=_scheme_gauss_count(ElementKind.SEG2, mortar),
+            sweep.append(
+                _sweep_row(
+                    level,
+                    master,
+                    slave,
+                    mortar,
+                    system.slave_binding.mesh.kind,
+                    system.mortar.stats,
+                    seconds,
                     l2_error=report.l2_broken,
                     h1_error=report.h1_broken,
-                    assembly_seconds=seconds,
-                    dropped_fraction=0.0,
                 )
             )
-            metrics[f"flat/{scheme_token}/l2/level{level}"] = report.l2_broken
+            metrics[f"flat/{token}/l2/level{level}"] = report.l2_broken
+        rows.extend(sweep)
+        h_slave = [row.h_slave for row in sweep]
         if config.refinements >= 2:
-            orders[f"{scheme_token}/l2"] = observed_order(h_slave, l2_errors)
-            orders[f"{scheme_token}/h1"] = observed_order(h_slave, h1_errors)
-        formatted = ", ".join(f"{e:.4e}" for e in l2_errors)
-        lines.append(f"  {scheme_token}: broken L2 [{formatted}]")
-        if f"{scheme_token}/l2" in orders:
+            l2 = [row.l2_error for row in sweep]
+            h1 = [row.h1_error for row in sweep]
+            orders[f"{token}/l2"] = observed_order(h_slave, l2)
+            orders[f"{token}/h1"] = observed_order(h_slave, h1)
+        formatted = ", ".join(f"{row.l2_error:.4e}" for row in sweep)
+        lines.append(f"  {token}: broken L2 [{formatted}]")
+        if f"{token}/l2" in orders:
             lines.append(
-                f"  {scheme_token}: observed orders L2 "
-                f"{orders[f'{scheme_token}/l2']:.3f}, "
-                f"H1 {orders[f'{scheme_token}/h1']:.3f}"
+                f"  {token}: observed orders L2 {orders[f'{token}/l2']:.3f}, "
+                f"H1 {orders[f'{token}/h1']:.3f}"
             )
 
     lines += ["", "curved interface:"]
@@ -775,44 +744,34 @@ def run_scheme_compare(config: ExperimentConfig) -> ExperimentResult:
     metrics: dict[str, float] = {}
     lines = ["scheme comparison on a jittered 1D pair", ""]
     gauss_counts = (2, 4, 8, 16, 32)
-    schemes = (
-        ("sb", Scheme.SB1D),
-        ("eb", Scheme.EB),
-        ("rb", Scheme.RB),
-    )
+    schemes = (Scheme.SB1D, Scheme.EB, Scheme.RB)
     for level, n_gauss in enumerate(gauss_counts):
-        for scheme_token, scheme in schemes:
+        for scheme in schemes:
             mortar = replace(config.mortar, scheme=scheme, n_gauss=n_gauss)
-            mats, seconds = _timed_assembly(pair, mortar)
+            mats, seconds = _timed(assemble, pair, mortar)
             err = float(np.abs(compute_transfer(mats).matrix - reference).max())
-            metrics[f"{scheme_token}/n_gauss{n_gauss}"] = err
-            metrics[f"time/{scheme_token}/n_gauss{n_gauss}"] = seconds
+            metrics[f"{scheme.value}/n_gauss{n_gauss}"] = err
+            metrics[f"time/{scheme.value}/n_gauss{n_gauss}"] = seconds
             rows.append(
-                SweepRow(
-                    level=level,
-                    h_master=mesh_size(master),
-                    h_slave=mesh_size(slave),
-                    scheme=scheme_token,
-                    kernel=(
-                        mortar.kernel_family.value if scheme_token == "rb" else ""
-                    ),
-                    n_colloc=(
-                        mortar.layout.n_per_edge if scheme_token == "rb" else 0
-                    ),
-                    n_gauss=n_gauss,
+                _sweep_row(
+                    level,
+                    master,
+                    slave,
+                    mortar,
+                    slave.kind,
+                    mats.stats,
+                    seconds,
                     l2_error=err,
-                    assembly_seconds=seconds,
-                    dropped_fraction=mats.stats.dropped_fraction,
                 )
             )
-    for scheme_token, _ in schemes:
+    for scheme in schemes:
         errs = ", ".join(
-            f"{metrics[f'{scheme_token}/n_gauss{n}']:.3e}" for n in gauss_counts
+            f"{metrics[f'{scheme.value}/n_gauss{n}']:.3e}" for n in gauss_counts
         )
-        lines.append(f"{scheme_token}: operator error vs exact reference [{errs}]")
+        lines.append(f"{scheme.value}: operator error vs exact reference [{errs}]")
     lines.append("")
     lines.append(
-        "assembly seconds are medians of three repetitions; the transfer "
+        "assembly seconds time the one assembly call of each row; the transfer "
         "solve is excluded"
     )
     return ExperimentResult(rows, "\n".join(lines) + "\n", metrics=metrics)

@@ -48,6 +48,7 @@ __all__ = [
     "VolumeMesh",
     "map_to_physical",
     "jacobian_measure",
+    "element_geometry",
     "element_circumdiameter",
     "element_circumdiameters",
     "mesh_size",
@@ -232,35 +233,55 @@ def jacobian_measure(mesh: Mesh, elem: int, xi) -> np.ndarray:
     curves and surfaces the metric sqrt(det(J^T J)).  A non-positive value
     raises :class:`DegenerateElementError`.
     """
-    grads = shape_gradients(mesh.kind, xi)
-    single = grads.ndim == 2
-    grads = grads.reshape(-1, *grads.shape[-2:])
-    meas = _element_measures(mesh, np.array([elem]), grads)[0]
-    return meas[0] if single else meas
+    meas = _element_measures(mesh, xi, np.array([elem]))[0]
+    # a single point (a scalar on segments) gives a scalar, as in shape_values
+    return meas[0] if np.ndim(xi) == mesh.kind.ref_dim - 1 else meas
 
 
-def _element_measures(mesh: Mesh, elems: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """Measures of elements ``elems`` at the points where the shape
-    gradients ``grads`` (n_points, n_nodes, ref_dim) were taken, shape
-    (n_elems, n_points).
+def element_geometry(
+    mesh: Mesh, xi, elems=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Physical points and squared measures of elements at reference points.
 
-    Raises :class:`DegenerateElementError` naming the first of ``elems``
-    with a non-positive value at any of the points.
+    Returns x(xi), shape (n_elems, n_points, dim), and det(J^T J) of the
+    isoparametric map for curves and surfaces or det J for volume
+    triangles, shape (n_elems, n_points), for every element or for those
+    ``elems`` selects.  Nothing is checked: a degenerate element shows as
+    a non-positive value.
     """
-    J = np.einsum("gnr,end->egdr", grads, mesh.nodes[mesh.connectivity[elems]])
-    volume = isinstance(mesh, VolumeMesh)
-    if volume:
+    coords = mesh.nodes[mesh.connectivity[elems]]
+    vals = shape_values(mesh.kind, xi)
+    grads = shape_gradients(mesh.kind, xi)
+    vals = vals.reshape(-1, vals.shape[-1])
+    grads = grads.reshape(-1, *grads.shape[-2:])
+    J = np.einsum("gnr,end->egdr", grads, coords)
+    if isinstance(mesh, VolumeMesh):
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-        failure = "has non-positive Jacobian determinant"
     else:
         G = np.einsum("egdr,egds->egrs", J, J)
         if G.shape[-1] == 1:
             det = G[..., 0, 0]
         else:
             det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-        failure = "has a degenerate surface metric"
+    return vals @ coords, det
+
+
+def _element_measures(mesh: Mesh, xi, elems: np.ndarray) -> np.ndarray:
+    """Measures of elements ``elems`` at reference points ``xi``, shape
+    (n_elems, n_points).
+
+    Raises :class:`DegenerateElementError` naming the first of ``elems``
+    with a non-positive value at any of the points.
+    """
+    _, det = element_geometry(mesh, xi, elems)
+    volume = isinstance(mesh, VolumeMesh)
     bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
     if bad.size:
+        failure = (
+            "has non-positive Jacobian determinant"
+            if volume
+            else "has a degenerate surface metric"
+        )
         raise DegenerateElementError(f"element {elems[bad[0]]} {failure}")
     return det if volume else np.sqrt(det)
 
@@ -295,8 +316,7 @@ def translate(mesh: Mesh, vector) -> Mesh:
 
 
 def _validate_measures(mesh: Mesh, probe) -> None:
-    grads = shape_gradients(mesh.kind, probe)
-    _element_measures(mesh, np.arange(mesh.n_elems), grads)
+    _element_measures(mesh, probe, np.arange(mesh.n_elems))
 
 
 # --- structured generation -------------------------------------------------

@@ -52,6 +52,7 @@ from .meshes import (
     InterfaceMesh,
     element_circumdiameter,
     element_circumdiameters,
+    element_geometry,
     element_nodes,
 )
 from .rbf import (  # the one-element faces are re-exported
@@ -466,25 +467,6 @@ def _projection_values(pair: InterfacePair, config: MortarConfig, masters, point
     return shape_values(mesh.kind, xi), inside, _containment_depth(box)
 
 
-def _slave_gauss_points(slave: InterfaceMesh, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Every slave Gauss point and the squared integration measure there.
-
-    Returns the physical coordinates, shape (n_elems, n_gauss, dim), and
-    det(J^T J) of the isoparametric map, shape (n_elems, n_gauss).
-    """
-    coords = slave.nodes[slave.connectivity]
-    phys = shape_values(slave.kind, rule.points) @ coords
-    jac = np.einsum(
-        "gnr,end->egdr", shape_gradients(slave.kind, rule.points), coords
-    )
-    metric = np.einsum("egdr,egds->egrs", jac, jac)
-    if slave.kind.ref_dim == 1:
-        return phys, metric[..., 0, 0]
-    return phys, (
-        metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] * metric[..., 1, 0]
-    )
-
-
 def _scatter(
     pair: InterfacePair, s_elem, m_elem, weights, slave_vals, master_vals
 ) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
@@ -530,7 +512,7 @@ def _assemble_pointwise(
     n_gauss = rule.n_points
     candidates = contact_search(pair)
     n_cands = np.array([c.size for c in candidates], dtype=np.int64)
-    phys, metric = _slave_gauss_points(slave, rule)
+    phys, metric = element_geometry(slave, rule.points)
     degenerate = np.flatnonzero((n_cands > 0) & (metric <= 0.0).any(axis=1))
     if degenerate.size:
         raise DegenerateElementError(

@@ -46,7 +46,6 @@ __all__ = [
     "evaluate_interpolants",
     "evaluate_rescaled",
     "evaluate_rescaled_masked",
-    "rmse",
     "halton_reference_points",
     "basis_diagnostics",
 ]
@@ -350,22 +349,6 @@ def evaluate_rescaled(interp: RbfInterpolant, points) -> np.ndarray:
             "the query lies outside the kernel support"
         )
     return values[0] if single else values
-
-
-def rmse(interp: RbfInterpolant, probe_points, exact_fn) -> float:
-    """Root-mean-square interpolation error over probe points.
-
-    ``exact_fn`` maps an (n, d) array of physical points to exact values,
-    broadcastable against the (n, n_basis) interpolated values.  The mean
-    runs over every (point, column) residual.
-    """
-    pts = np.atleast_2d(np.asarray(probe_points, float))
-    values = evaluate_rescaled(interp, pts)
-    exact = np.asarray(exact_fn(pts), float)
-    if exact.ndim == 1:
-        exact = exact[:, None]
-    resid = values - exact
-    return float(np.sqrt(np.mean(resid**2)))
 
 
 def halton_reference_points(kind: ElementKind, n: int) -> np.ndarray:

@@ -18,8 +18,11 @@ batched Newton projection before points at a fixed point retired early.
 :func:`reference_load` and :func:`reference_domain_errors` are the P1
 volume assembly and error integrals of :mod:`mortar_rbf.poisson` written
 with multi-operand ``einsum`` contractions, stacked per-vertex arrays and
-an ``np.add.at`` scatter.  Tests compare the library against all of them;
-nothing in the library imports them.
+an ``np.add.at`` scatter.  :func:`reference_transfer_l2_error` is the
+per-element loop of the slave L2 error integral that
+``experiments._transfer_l2_error`` computes in one array pass.  Tests
+compare the library against all of them; nothing in the library imports
+them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from scipy.spatial.distance import cdist
 
 from mortar_rbf import poisson
 from mortar_rbf.elements import (
+    gauss_rule,
     node_reference_coords,
     shape_gradients,
     shape_second_derivatives,
@@ -477,3 +481,20 @@ def reference_domain_errors(mesh, values, exact, exact_gradient):
     grad_diff = grad_approx[:, None, :] - grad_truth
     h1_sq = np.einsum("g,egd,e->", rule.weights, grad_diff**2, double_area)
     return float(l2_sq), float(h1_sq)
+
+
+def reference_transfer_l2_error(slave, values, fn) -> float:
+    """L2 norm of (FE field ``values`` - ``fn``) over the slave interface,
+    one element at a time; ``fn`` maps physical points to exact values."""
+    n_1d = 10
+    rule = gauss_rule(
+        slave.kind, n_1d if slave.kind.ref_dim == 1 else n_1d * n_1d
+    )
+    basis = shape_values(slave.kind, rule.points)
+    total = 0.0
+    for elem in range(slave.n_elems):
+        phys = map_to_physical(slave, elem, rule.points)
+        measure = jacobian_measure(slave, elem, rule.points)
+        approx = basis @ values[slave.connectivity[elem]]
+        total += np.sum(rule.weights * measure * (approx - fn(phys)) ** 2)
+    return float(np.sqrt(total))

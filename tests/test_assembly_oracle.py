@@ -16,14 +16,16 @@ as its per-pair scan and only sums in another order (1e-13 relative for
 both matrices).  Retiring ``eb`` points at a fixed point changes nothing
 (exact equality).  The P1 stiffness, load and error integrals multiply in
 another order than the ``einsum`` oracle (1e-13 relative); condensed
-solutions built on them agree to 1e-12 relative.
+solutions built on them agree to 1e-12 relative.  The array-pass slave L2
+error integral of the experiments sums in another order than its
+per-element loop (1e-13 relative).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from mortar_rbf import poisson
+from mortar_rbf import experiments, poisson
 from mortar_rbf.elements import ElementKind
 from mortar_rbf.meshes import (
     InterfaceMesh,
@@ -67,6 +69,7 @@ from reference_assembly import (
     reference_load,
     reference_project_points,
     reference_stiffness,
+    reference_transfer_l2_error,
 )
 
 
@@ -160,6 +163,21 @@ def test_array_pass_matches_loop_oracle(name, scheme):
         assert _max_rel(new.coupling, ref.coupling) <= 1e-13
     else:
         assert coupling_gap <= 1e-7
+
+
+@pytest.mark.parametrize(
+    "name", ["jittered_seg2", "seg3", "flat_quad4", "warped_quad4", "quad8"]
+)
+def test_transfer_error_matches_per_element_loop(name):
+    slave = PAIRS[name]().slave
+    values = np.random.default_rng(11).standard_normal(slave.n_nodes)
+
+    def exact(p):
+        return np.sin(3.0 * p[..., 0]) * np.cos(2.0 * p[..., 1]) + p[..., -1]
+
+    got = experiments._transfer_l2_error(slave, values, exact)
+    want = reference_transfer_l2_error(slave, values, exact)
+    assert abs(got - want) <= 1e-13 * want
 
 
 RB_PAIRS = {

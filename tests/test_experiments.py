@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortar_rbf import experiments
 from mortar_rbf.errors import ConfigError
 from mortar_rbf.experiments import (
     SWEEP_COLUMNS,
@@ -347,3 +349,37 @@ def test_sweeps_are_reproducible_modulo_timing():
     assert rows_without_timing(run_interp_1d(config)) == rows_without_timing(
         run_interp_1d(config)
     )
+
+
+def test_each_sweep_row_assembles_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(experiments, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, call)
+
+    counted("assemble")
+    counted("build_system")
+    for run, kind in (
+        (run_interp_1d, ExperimentKind.INTERP_1D),
+        (run_experiment, ExperimentKind.INTERP_SURFACE),
+    ):
+        calls.clear()
+        result = run(ExperimentConfig(kind, refinements=1))
+        assert calls == {"assemble": len(result.rows)}
+
+    calls.clear()
+    result = run_scheme_compare(ExperimentConfig(ExperimentKind.SCHEME_COMPARE))
+    # one more for the exact sb reference the rows are measured against
+    assert calls == {"assemble": len(result.rows) + 1}
+
+    calls.clear()
+    result = run_poisson_2d(ExperimentConfig(ExperimentKind.POISSON_2D, refinements=2))
+    # the curved-interface solve may build its one system through here too
+    assert calls["assemble"] == 0
+    assert calls["build_system"] in (len(result.rows), len(result.rows) + 1)
