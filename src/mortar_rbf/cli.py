@@ -2,8 +2,10 @@
 
 Usage follows ``mortar-rbf <experiment> [options]`` where the experiment
 is one of interp_1d, interp_surface, kernel_study, poisson_2d or
-scheme_compare (dashes are accepted in place of underscores).  Options
-given on the command line override values from the ``--config`` file.
+scheme_compare (dashes are accepted in place of underscores).  Each
+option flag sets one config key (see ``_FLAGS``); the flags are laid over
+the ``--config`` file's settings and everything is parsed once, by the
+same key table that reads config files.
 
 Exit codes: 0 on success, 2 for configuration problems (unknown keys,
 malformed values, unreadable files), 3 when the numerics fail (singular
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,21 +25,21 @@ from .errors import (
     DegenerateElementError,
     IllConditionedKernelError,
     InvalidGeometryError,
-    MeshFormatError,
     RescaleBreakdownError,
     SingularOperatorError,
     SolverFailureError,
 )
 from .experiments import (
+    _KERNEL_ALIASES,
     ExperimentConfig,
     ExperimentKind,
-    load_config,
+    _config_from_settings,
+    _load_settings,
     run_experiment,
     serialize_config,
     write_outputs,
 )
 from .mortar import Scheme
-from .rbf import PointLayout
 
 _NUMERICAL_ERRORS = (
     DegenerateElementError,
@@ -50,7 +51,19 @@ _NUMERICAL_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-_KERNEL_FLAGS = {"ga": "gaussian", "imq": "imq", "wendland": "wendland"}
+#: Each override flag, the config key it sets, and its --help metavar and
+#: text.  Flag values are parsed as the key's text, like the config file.
+_FLAGS = (
+    ("--scheme", "scheme", "{%s}" % ",".join(s.value for s in Scheme),
+     "mortar scheme override"),
+    ("--kernel", "kernel", "{%s}" % ",".join(_KERNEL_ALIASES),
+     "kernel family override"),
+    ("--nm", "n_m", "N", "collocation points per element edge"),
+    ("--gauss", "n_gauss", "N", "Gauss points per slave element"),
+    ("--levels", "refinements", "N", "number of refinement levels"),
+    ("--warp", "warp_amplitude", "AMPLITUDE", "out-of-plane warp amplitude"),
+    ("--out", "out", "OUT", "output directory"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,41 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment name: %s" % ", ".join(k.value for k in ExperimentKind),
     )
     parser.add_argument("--config", type=Path, help="key = value config file")
-    parser.add_argument(
-        "--scheme",
-        choices=[s.value for s in Scheme],
-        help="mortar scheme override",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=sorted(_KERNEL_FLAGS),
-        help="kernel family override",
-    )
-    parser.add_argument(
-        "--nm",
-        type=int,
-        metavar="N",
-        help="collocation points per element edge",
-    )
-    parser.add_argument(
-        "--gauss",
-        type=int,
-        metavar="N",
-        help="Gauss points per slave element",
-    )
-    parser.add_argument(
-        "--levels",
-        type=int,
-        metavar="N",
-        help="number of refinement levels",
-    )
-    parser.add_argument(
-        "--warp",
-        type=float,
-        metavar="AMPLITUDE",
-        help="out-of-plane warp amplitude",
-    )
-    parser.add_argument("--out", type=Path, help="output directory")
+    for flag, key, metavar, help_text in _FLAGS:
+        parser.add_argument(flag, dest=key, metavar=metavar, help=help_text)
     parser.add_argument(
         "--print-config",
         action="store_true",
@@ -107,40 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Merge the config file (if any) with command line overrides."""
-    try:
-        experiment = ExperimentKind(args.experiment.replace("-", "_").lower())
-    except ValueError:
-        raise ConfigError(
-            f"unknown experiment {args.experiment!r}; expected one of "
-            + ", ".join(k.value for k in ExperimentKind)
-        ) from None
+    """Lay the experiment and the flags over the config file's settings.
 
-    config = load_config(args.config) if args.config else ExperimentConfig()
-    config = replace(config, experiment=experiment)
-
-    mortar = config.mortar
-    if args.scheme is not None:
-        mortar = replace(mortar, scheme=Scheme(args.scheme))
-    if args.kernel is not None:
-        mortar = replace(mortar, kernel_family=_KERNEL_FLAGS[args.kernel])
-    try:
-        if args.nm is not None:
-            mortar = replace(
-                mortar, layout=PointLayout(mortar.layout.variant, args.nm)
-            )
-        if args.gauss is not None:
-            mortar = replace(mortar, n_gauss=args.gauss)
-        config = replace(config, mortar=mortar)
-        if args.levels is not None:
-            config = replace(config, refinements=args.levels)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if args.warp is not None:
-        config = replace(config, warp_amplitude=args.warp)
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    return config
+    All settings, wherever they come from, are parsed once by the config
+    key table, so a flag replaces its key's text before that text is read.
+    """
+    settings = _load_settings(args.config) if args.config else {}
+    settings["experiment"] = args.experiment.replace("-", "_").lower()
+    for _, key, _, _ in _FLAGS:
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
+    return _config_from_settings(settings)
 
 
 def main(argv=None) -> int:
@@ -156,21 +113,17 @@ def main(argv=None) -> int:
 
     try:
         result = run_experiment(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # Parameter combinations rejected deep in the library (for example
-        # a Gauss count below the admissible minimum) are config mistakes.
+        # Config errors and parameter combinations rejected deep in the
+        # library (for example a Gauss count below the admissible minimum)
+        # are config mistakes.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = config.out if config.out is not None else Path(
-        f"{config.experiment.value}_out"
-    )
+    out_dir = config.out or Path(f"{config.experiment.value}_out")
     written = write_outputs(result, out_dir)
     sys.stdout.write(result.report)
     for stem in sorted(written):

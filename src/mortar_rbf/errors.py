@@ -2,7 +2,7 @@
 
 
 class MeshFormatError(ValueError):
-    """Raised when a mesh file cannot be parsed.
+    """Raised when a mesh file or a matrix text file cannot be parsed.
 
     The message always names the offending line number or the section that
     is missing, so that broken files can be fixed by hand.

@@ -96,7 +96,7 @@ def _parse_kernel(key: str, token: str) -> KernelFamily:
         return _KERNEL_ALIASES[token.strip().lower()]
     except KeyError:
         raise ConfigError(
-            f"unknown kernel {token!r}; expected one of ga, imq, wendland"
+            f"unknown kernel {token!r}; expected one of " + ", ".join(_KERNEL_ALIASES)
         ) from None
 
 
@@ -823,7 +823,10 @@ def _parse_choice(kind: type[Enum]) -> Callable[[str, str], Enum]:
         try:
             return kind(value)
         except ValueError:
-            raise ConfigError(f"unknown {key} {value!r}") from None
+            raise ConfigError(
+                f"unknown {key} {value!r}; expected one of "
+                + ", ".join(member.value for member in kind)
+            ) from None
 
     return parse
 
@@ -896,13 +899,8 @@ def serialize_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the key = value config format into an :class:`ExperimentConfig`.
-
-    Blank lines and lines starting with ``#`` are ignored.  Unknown keys
-    and malformed values raise :class:`ConfigError`.  Serializing the
-    result reproduces the canonical form of the same settings.
-    """
+def _parse_settings(text: str) -> dict[str, str]:
+    """Read config text into a dict of raw key -> value strings."""
     settings: dict[str, str] = {}
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -916,7 +914,11 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in settings:
             raise ConfigError(f"duplicate key {key!r} on line {number}")
         settings[key] = value
+    return settings
 
+
+def _config_from_settings(settings: dict[str, str]) -> ExperimentConfig:
+    """Parse raw settings with the key table; unset keys keep their defaults."""
     unknown = sorted(set(settings) - {key.name for key in _CONFIG_KEYS})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -940,13 +942,25 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-def load_config(path) -> ExperimentConfig:
-    path = Path(path)
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse the key = value config format into an :class:`ExperimentConfig`.
+
+    Blank lines and lines starting with ``#`` are ignored.  Unknown keys
+    and malformed values raise :class:`ConfigError`.  Serializing the
+    result reproduces the canonical form of the same settings.
+    """
+    return _config_from_settings(_parse_settings(text))
+
+
+def _load_settings(path) -> dict[str, str]:
     try:
-        text = path.read_text()
+        return _parse_settings(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return parse_config(text)
+
+
+def load_config(path) -> ExperimentConfig:
+    return _config_from_settings(_load_settings(path))
 
 
 # ---------------------------------------------------------------------------

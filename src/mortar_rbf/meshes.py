@@ -22,11 +22,14 @@ The text format written by :func:`save_mesh` is line oriented::
 
 Node indices are 0-based.  The ``tags`` section is optional and only
 meaningful for volume meshes.  Coordinates are written with full precision
-so that a save/load round trip reproduces the payload exactly.
+so that a save/load round trip reproduces the payload exactly.  Blank
+lines are skipped, counts must be non-negative, node indices must lie in
+the mesh, and text after the last section is an error.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -190,6 +193,12 @@ class VolumeMesh:
             (int(min(a, b)), int(max(a, b))): str(t)
             for (a, b), t in self.boundary_tags.items()
         }
+        for edge in tags:
+            if edge[0] < 0 or edge[1] >= self.n_nodes:
+                raise ValueError(
+                    f"boundary tag edge {edge} names a node outside the mesh "
+                    f"of {self.n_nodes} nodes"
+                )
         object.__setattr__(self, "boundary_tags", tags)
 
     @property
@@ -581,17 +590,13 @@ def extract_interface(mesh: VolumeMesh, side: Side) -> tuple[InterfaceMesh, np.n
 # --- text format I/O -------------------------------------------------------
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
 def save_mesh(mesh: Mesh, path) -> None:
     """Write a mesh in the ``meshfmt 1`` text format (see module docstring)."""
     lines = ["meshfmt 1"]
     n, dim = mesh.nodes.shape
     lines.append(f"nodes {n} {dim}")
     for row in mesh.nodes:
-        lines.append(" ".join(_fmt_float(v) for v in row))
+        lines.append(" ".join(repr(float(v)) for v in row))
     lines.append(f"elements {mesh.n_elems} {mesh.kind.value}")
     for row in mesh.connectivity:
         lines.append(" ".join(str(int(i)) for i in row))
@@ -604,20 +609,62 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    def __init__(self, path):
-        with open(path, encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.pos = 0
+def _natural(below: float = np.inf) -> Callable[[str], int]:
+    """Field converter for an integer in [0, below): a count or an index."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if not 0 <= value < below:
+            raise ValueError(f"expected an integer in [0, {below}), got {value}")
+        return value
 
-    def next(self, missing: str) -> tuple[int, str]:
-        while self.pos < len(self.lines):
-            lineno = self.pos + 1
-            text = self.lines[self.pos].strip()
-            self.pos += 1
-            if text:
-                return lineno, text
-        raise MeshFormatError(f"unexpected end of file: missing {missing}")
+    return convert
+
+
+class _RowReader:
+    """The non-blank lines of a text file, read as rows of typed fields.
+
+    A field type is a converter, or a literal word that the field must
+    equal.  Every failure raises :class:`MeshFormatError` naming the line,
+    or the row that is missing when the file ends early.
+    """
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise MeshFormatError(f"line {line}: not UTF-8 text") from None
+        numbered = enumerate(text.splitlines(), start=1)
+        self._lines = deque((n, line.strip()) for n, line in numbered if line.strip())
+
+    def done(self) -> bool:
+        return not self._lines
+
+    def row(self, what: str, *types) -> list:
+        """The next row converted field by field; ``what`` names it in errors."""
+        if not self._lines:
+            raise MeshFormatError(f"unexpected end of file: missing {what}")
+        number, line = self._lines.popleft()
+        fields = line.split()
+        if len(fields) != len(types) or any(
+            isinstance(t, str) and t != f for t, f in zip(types, fields)
+        ):
+            raise MeshFormatError(f"line {number}: expected {what}, got {line!r}")
+        try:
+            return [t if isinstance(t, str) else t(f) for t, f in zip(types, fields)]
+        except ValueError as exc:
+            raise MeshFormatError(f"line {number}: bad {what}: {exc}") from None
+
+    def rows(self, count: int, what: str, *types) -> list[list]:
+        return [self.row(f"{what} {i}", *types) for i in range(count)]
+
+    def end(self) -> None:
+        """Raise unless every line has been read."""
+        if self._lines:
+            number = self._lines[0][0]
+            raise MeshFormatError(f"line {number}: text after the last section")
 
 
 def load_mesh(path, side: Side = Side.MASTER) -> Mesh:
@@ -628,82 +675,26 @@ def load_mesh(path, side: Side = Side.MASTER) -> Mesh:
     requested ``side``.  Malformed input raises :class:`MeshFormatError`
     naming the offending line or missing section.
     """
-    reader = _LineReader(path)
+    reader = _RowReader(path)
+    reader.row("'meshfmt 1'", "meshfmt", "1")
+    _, n_nodes, dim = reader.row(
+        "'nodes <count> <dim>'", "nodes", _natural(), _natural(4)
+    )
+    nodes = reader.rows(n_nodes, "node row", *(float,) * dim)
+    _, n_elems, kind = reader.row(
+        "'elements <count> <kind>'", "elements", _natural(), ElementKind
+    )
+    node = _natural(n_nodes)
+    conn = reader.rows(n_elems, "element row", *(node,) * kind.n_nodes)
+    tags = {}
+    if not reader.done():
+        _, n_tags = reader.row("'tags <count>'", "tags", _natural())
+        rows = reader.rows(n_tags, "tag row", node, node, str)
+        tags = {(a, b): tag for a, b, tag in rows}
+    reader.end()
 
-    lineno, header = reader.next("'meshfmt' header")
-    if header.split() != ["meshfmt", "1"]:
-        raise MeshFormatError(f"line {lineno}: expected 'meshfmt 1', got {header!r}")
-
-    lineno, text = reader.next("'nodes' section")
-    parts = text.split()
-    if len(parts) != 3 or parts[0] != "nodes":
-        raise MeshFormatError(f"line {lineno}: expected 'nodes <count> <dim>'")
-    try:
-        n_nodes, dim = int(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise MeshFormatError(f"line {lineno}: bad node header: {exc}") from None
-    if dim not in (2, 3) or n_nodes < 1:
-        raise MeshFormatError(f"line {lineno}: unsupported node count or dimension")
-    nodes = np.empty((n_nodes, dim))
-    for i in range(n_nodes):
-        lineno, text = reader.next(f"node row {i}")
-        parts = text.split()
-        if len(parts) != dim:
-            raise MeshFormatError(
-                f"line {lineno}: expected {dim} coordinates, got {len(parts)}"
-            )
-        try:
-            nodes[i] = [float(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"line {lineno}: bad coordinate value") from None
-
-    lineno, text = reader.next("'elements' section")
-    parts = text.split()
-    if len(parts) != 3 or parts[0] != "elements":
-        raise MeshFormatError(f"line {lineno}: expected 'elements <count> <kind>'")
-    try:
-        n_elems = int(parts[1])
-        kind = ElementKind(parts[2])
-    except ValueError:
-        raise MeshFormatError(
-            f"line {lineno}: bad element count or unknown kind {parts[2]!r}"
-        ) from None
-    conn = np.empty((n_elems, kind.n_nodes), dtype=np.int64)
-    for i in range(n_elems):
-        lineno, text = reader.next(f"element row {i}")
-        parts = text.split()
-        if len(parts) != kind.n_nodes:
-            raise MeshFormatError(
-                f"line {lineno}: expected {kind.n_nodes} node indices, got {len(parts)}"
-            )
-        try:
-            conn[i] = [int(p) for p in parts]
-        except ValueError:
-            raise MeshFormatError(f"line {lineno}: bad node index") from None
-
-    tags: dict[tuple[int, int], str] = {}
-    try:
-        lineno, text = reader.next("end of file")
-    except MeshFormatError:
-        text = ""
-    if text:
-        parts = text.split()
-        if len(parts) != 2 or parts[0] != "tags":
-            raise MeshFormatError(f"line {lineno}: expected 'tags <count>'")
-        n_tags = int(parts[1])
-        for i in range(n_tags):
-            lineno, text = reader.next(f"tag row {i}")
-            parts = text.split()
-            if len(parts) != 3:
-                raise MeshFormatError(
-                    f"line {lineno}: expected '<n1> <n2> <tag>', got {text!r}"
-                )
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MeshFormatError(f"line {lineno}: bad tag node index") from None
-            tags[(a, b)] = parts[2]
-
+    nodes = np.array(nodes, dtype=float).reshape(n_nodes, dim)
+    conn = np.array(conn, dtype=np.int64).reshape(n_elems, kind.n_nodes)
     try:
         if kind is ElementKind.TRI3:
             return VolumeMesh(nodes, conn, tags)

@@ -50,6 +50,8 @@ from .errors import (
 )
 from .meshes import (
     InterfaceMesh,
+    _natural,
+    _RowReader,
     element_circumdiameter,
     element_circumdiameters,
     element_geometry,
@@ -764,18 +766,18 @@ def save_matrix_text(matrix, path) -> None:
 
 
 def load_matrix_text(path) -> sparse.csr_matrix:
-    """Read a matrix written by :func:`save_matrix_text`."""
-    with open(path, "r", encoding="ascii") as handle:
-        header = handle.readline().split()
-        if len(header) != 4 or header[0] != "matrix":
-            raise ValueError(f"{path}: malformed matrix header")
-        n_rows, n_cols, nnz = (int(part) for part in header[1:])
-        rows = np.empty(nnz, int)
-        cols = np.empty(nnz, int)
-        vals = np.empty(nnz, float)
-        for k in range(nnz):
-            parts = handle.readline().split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: truncated at entry {k}")
-            rows[k], cols[k], vals[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_cols)).tocsr()
+    """Read a matrix written by :func:`save_matrix_text`.
+
+    Malformed input raises :class:`MeshFormatError` naming the line.
+    """
+    reader = _RowReader(path)
+    _, n_rows, n_cols, nnz = reader.row(
+        "'matrix <rows> <cols> <nnz>'", "matrix", *(_natural(),) * 3
+    )
+    entries = reader.rows(nnz, "entry", _natural(n_rows), _natural(n_cols), float)
+    reader.end()
+    rows, cols, vals = zip(*entries) if entries else ((), (), ())
+    return sparse.coo_matrix(
+        (np.array(vals, float), (np.array(rows, int), np.array(cols, int))),
+        shape=(n_rows, n_cols),
+    ).tocsr()

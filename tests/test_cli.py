@@ -1,5 +1,12 @@
-from mortar_rbf.cli import main
-from mortar_rbf.experiments import ExperimentKind, parse_config
+import pytest
+
+from mortar_rbf.cli import _FLAGS, build_parser, main, resolve_config
+from mortar_rbf.experiments import (
+    _CONFIG_KEYS,
+    ExperimentKind,
+    parse_config,
+    serialize_config,
+)
 from mortar_rbf.rbf import KernelFamily
 
 
@@ -21,7 +28,9 @@ def test_small_run_writes_outputs(tmp_path, capsys):
 
 def test_unknown_experiment_is_a_config_error(capsys):
     assert run_cli("warp-drive") == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown experiment" in err
+    assert "expected one of interp_1d, interp_surface" in err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -107,3 +116,56 @@ def test_config_file_with_flag_overrides(tmp_path):
     assert code == 0
     text = (out / "sweep.csv").read_text()
     assert "imq" in text
+
+
+def test_flag_replaces_an_invalid_file_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("n_m = 50\n")
+    code = run_cli(
+        "interp_1d", "--config", str(path), "--nm", "4", "--levels", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+
+
+def test_kernel_flag_accepts_every_config_alias(tmp_path, capsys):
+    code = run_cli(
+        "interp_1d", "--kernel", "gaussian", "--levels", "1", "--print-config",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    assert "kernel = gaussian" in capsys.readouterr().out.splitlines()
+
+
+def _printed_config(*argv):
+    """The --print-config text of ``argv``, as key -> line."""
+    text = serialize_config(resolve_config(build_parser().parse_args(list(argv))))
+    return {line.partition(" = ")[0]: line for line in text.splitlines()}
+
+
+# A non-default value for the key of every override flag.
+_FLAG_VALUES = {
+    "scheme": "eb",
+    "kernel": "imq",
+    "n_m": "4",
+    "n_gauss": "8",
+    "refinements": "2",
+    "warp_amplitude": "0.05",
+    "out": "X",
+}
+
+
+@pytest.mark.parametrize("flag, key", [entry[:2] for entry in _FLAGS])
+def test_each_flag_sets_exactly_its_config_key(flag, key):
+    assert key in {config_key.name for config_key in _CONFIG_KEYS}
+    base = _printed_config("interp_1d")
+    changed = _printed_config("interp_1d", flag, _FLAG_VALUES[key])
+    differs = {k for k in base.keys() | changed.keys() if base.get(k) != changed.get(k)}
+    assert differs == {key}
+    assert changed[key] == f"{key} = {_FLAG_VALUES[key]}"
+
+
+def test_flag_table_covers_every_override_flag():
+    assert [entry[0] for entry in _FLAGS] == [
+        "--scheme", "--kernel", "--nm", "--gauss", "--levels", "--warp", "--out",
+    ]

@@ -7,6 +7,7 @@ from mortar_rbf.errors import DegenerateElementError, InvalidGeometryError, Mesh
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
+    VolumeMesh,
     element_circumdiameter,
     extract_interface,
     jacobian_measure,
@@ -150,6 +151,14 @@ def test_interface_mesh_text_round_trip(tmp_path):
     assert again.side is Side.SLAVE
 
 
+def test_empty_interface_mesh_text_round_trip(tmp_path):
+    mesh = InterfaceMesh(np.zeros((0, 2)), np.zeros((0, 2), int), ElementKind.SEG2)
+    path = tmp_path / "empty.mesh"
+    save_mesh(mesh, path)
+    again = load_mesh(path)
+    assert again.nodes.shape == (0, 2) and again.connectivity.shape == (0, 2)
+
+
 def test_volume_mesh_text_round_trip(tmp_path):
     mesh, _ = split_unit_square(3, 2)
     path = tmp_path / "volume.mesh"
@@ -165,6 +174,9 @@ def test_load_mesh_rejects_garbage(tmp_path):
     path.write_text("not a mesh at all\n")
     with pytest.raises(MeshFormatError):
         load_mesh(path)
+    path.write_bytes(b"meshfmt 1\nnodes 1 2\n\xff 0.0\n")
+    with pytest.raises(MeshFormatError, match="^line 3: "):
+        load_mesh(path)
 
 
 def test_load_mesh_rejects_truncated_file(tmp_path):
@@ -174,6 +186,40 @@ def test_load_mesh_rejects_truncated_file(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(MeshFormatError):
+        load_mesh(path)
+
+
+def _volume_file_lines(tmp_path):
+    path = tmp_path / "volume.mesh"
+    save_mesh(split_unit_square(3, 2)[1], path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "prefix, bad",
+    [("tags", "tags x"), ("elements", "elements -1 tri3"), (None, "left over")],
+    ids=["tag-count", "negative-element-count", "text-after-tags"],
+)
+def test_load_mesh_names_the_bad_line(tmp_path, prefix, bad):
+    path, lines = _volume_file_lines(tmp_path)
+    lines = [bad if prefix and line.startswith(prefix) else line for line in lines]
+    if prefix is None:
+        lines.append(bad)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=rf"^line {lines.index(bad) + 1}: "):
+        load_mesh(path)
+
+
+def test_tags_naming_nodes_outside_the_mesh_are_rejected(tmp_path):
+    mesh = split_unit_square(3, 2)[1]
+    with pytest.raises(ValueError, match=r"edge \(0, 999\)"):
+        VolumeMesh(mesh.nodes, mesh.connectivity, {(0, 999): "interface"})
+
+    path, lines = _volume_file_lines(tmp_path)
+    row = next(i for i, line in enumerate(lines) if line.startswith("tags")) + 1
+    lines[row] = "0 999 interface"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=rf"^line {row + 1}: .*999"):
         load_mesh(path)
 
 

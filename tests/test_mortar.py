@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mortar_rbf.elements import ElementKind
-from mortar_rbf.errors import InvalidGeometryError, SingularOperatorError
+from mortar_rbf.errors import InvalidGeometryError, MeshFormatError, SingularOperatorError
 from mortar_rbf.meshes import InterfaceMesh, Side, segment_mesh, segment_pair
 from mortar_rbf.mortar import (
     InterfacePair,
@@ -331,6 +331,16 @@ def test_matrix_text_round_trip(tmp_path):
     dense = np.array([[0.0, -1.25e-17], [3.0, 0.125]])
     save_matrix_text(dense, path)
     np.testing.assert_array_equal(load_matrix_text(path).toarray(), dense)
+
+
+def test_matrix_text_names_the_bad_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("matrix 2 x 1\n0 0 1.0\n")
+    with pytest.raises(MeshFormatError, match=r"^line 1: "):
+        load_matrix_text(path)
+    path.write_text("matrix 2 2 1\n0 0 1.0\n1 1 2.0\n")
+    with pytest.raises(MeshFormatError, match=r"^line 3: "):
+        load_matrix_text(path)
 
 
 def test_matrix_text_rejects_garbage(tmp_path):
