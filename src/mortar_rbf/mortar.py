@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -214,27 +215,35 @@ class MortarMatrices:
 class TransferOperator:
     """Maps master interface nodal values to slave interface nodal values.
 
-    ``matrix`` is M^-1 D as a dense array, shape (n_slave_nodes,
-    n_master_nodes).  The inverse of the slave mass couples every slave
-    node, so M^-1 D is dense even though M and D are sparse: stored as CSR
-    it keeps nearly every entry, takes more memory than the array and
-    applies several times slower.  ``factor`` is the slave mass LU factor
-    it was solved with, kept for further solves (multiplier recovery).
+    M^-1 D is kept as the slave mass LU ``factor`` and the CSC ``coupling``
+    D, which transfer one field by a sparse product and a solve.  The
+    inverse couples every slave node, so ``matrix``, M^-1 D as a dense
+    (n_slave_nodes, n_master_nodes) array, costs an n_slave x n_master
+    solve: it is built on first read, by batch transfers and the condensed
+    prolongation, and kept.  The factor also serves multiplier recovery.
     """
 
-    matrix: np.ndarray
     factor: SuperLU = field(repr=False)
+    coupling: sparse.csc_matrix = field(repr=False)
 
     @property
     def n_slave_nodes(self) -> int:
-        return self.matrix.shape[0]
+        return self.coupling.shape[0]
 
     @property
     def n_master_nodes(self) -> int:
-        return self.matrix.shape[1]
+        return self.coupling.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = np.empty(self.coupling.shape, order="F")
+        for start in range(0, self.n_master_nodes, _SOLVE_COLUMNS):
+            block = slice(start, start + _SOLVE_COLUMNS)
+            matrix[:, block] = self.factor.solve(self.coupling[:, block].toarray())
+        return matrix
 
     def row_sums(self) -> np.ndarray:
-        return self.matrix @ np.ones(self.n_master_nodes)
+        return _transfer_field(self, np.ones(self.n_master_nodes))
 
 
 @dataclass(frozen=True)
@@ -687,14 +696,12 @@ def assemble(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
 
 
 def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
-    """Solve the slave mass against the coupling matrix.
+    """Factorize the slave mass for transfers against the coupling matrix.
 
-    Never forms an inverse: the mass matrix is factorized once and solved
-    against the coupling columns, block by block, which gives the dense
-    transfer matrix; the factor stays on the operator.  Raises
-    :class:`SingularOperatorError` naming the slave nodes whose rows are
-    empty (uncovered nodes), or wrapping the factorization failure
-    otherwise.
+    Never forms an inverse, nor the dense M^-1 D until
+    ``TransferOperator.matrix`` is read.  Raises :class:`SingularOperatorError`
+    naming the slave nodes whose rows are empty (uncovered nodes), or
+    wrapping the factorization failure otherwise.
     """
     mass = matrices.slave_mass.tocsr()
     row_weight = np.asarray(np.abs(mass).sum(axis=1)).ravel()
@@ -711,22 +718,29 @@ def compute_transfer(matrices: MortarMatrices) -> TransferOperator:
         raise SingularOperatorError(
             f"slave mass factorization failed: {exc}"
         ) from exc
-    coupling = matrices.coupling.tocsc()
-    matrix = np.empty(coupling.shape, order="F")
-    for start in range(0, coupling.shape[1], _SOLVE_COLUMNS):
-        block = slice(start, start + _SOLVE_COLUMNS)
-        matrix[:, block] = factor.solve(coupling[:, block].toarray())
-    return TransferOperator(matrix=matrix, factor=factor)
+    return TransferOperator(factor=factor, coupling=matrices.coupling.tocsc())
+
+
+def _transfer_field(transfer: TransferOperator, values: np.ndarray) -> np.ndarray:
+    return transfer.factor.solve(transfer.coupling @ values)
 
 
 def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
-    """Apply the transfer operator to master interface nodal values."""
+    """Apply the transfer operator to master interface nodal values.
+
+    A field (n_master,) goes through the factor, a batch (n_master, k)
+    through the dense ``matrix``.
+    """
     values = np.asarray(master_values, float)
+    if values.ndim not in (1, 2):
+        raise ValueError(f"master_values must be 1-d or 2-d, got shape {values.shape}")
     if values.shape[0] != transfer.n_master_nodes:
         raise ValueError(
             f"expected {transfer.n_master_nodes} master nodal values, "
             f"got {values.shape[0]}"
         )
+    if values.ndim == 1:
+        return _transfer_field(transfer, values)
     return transfer.matrix @ values
 
 

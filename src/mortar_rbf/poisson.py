@@ -29,6 +29,7 @@ from .mortar import (
     InterfacePair,
     MortarConfig,
     MortarMatrices,
+    _transfer_field,
     assemble,
     compute_transfer,
 )
@@ -388,7 +389,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     shift = np.zeros(n_total)
     shift[system.pinned_master] = system.pinned_master_values
     shift[n_master + system.pinned_slave] = system.pinned_slave_values
-    shift[n_master + slave_map] = transfer.matrix @ shift[master_map]
+    shift[n_master + slave_map] = _transfer_field(transfer, shift[master_map])
     local, k = np.nonzero(transfer.matrix)
     target = column[master_map[k]]
     linked = target >= 0

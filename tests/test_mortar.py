@@ -86,21 +86,25 @@ def test_constant_transfer_is_exact():
         np.testing.assert_allclose(ones, 1.0, atol=1e-12)
 
 
-def test_large_transfer_is_one_dense_array():
+def test_large_transfer_forms_the_dense_array_only_when_read():
     # 901 x 1201 entries: more than a million, as on fine 1D pairs
     transfer = compute_transfer(
         assemble(unit_pair(1200, 900), MortarConfig(scheme=Scheme.RB))
     )
-    assert type(transfer.matrix) is np.ndarray
-    assert transfer.matrix.shape == (901, 1201)
-    np.testing.assert_allclose(transfer.row_sums(), 1.0, atol=1e-12)
-
     rng = np.random.default_rng(0)
     batch = rng.standard_normal((transfer.n_master_nodes, 5))
+    # single fields and row sums go through the slave-mass factor
     columns = [interface_transfer(transfer, column) for column in batch.T]
+    np.testing.assert_allclose(transfer.row_sums(), 1.0, atol=1e-12)
+    assert "matrix" not in vars(transfer)
+
+    # a batch is one product with the dense matrix, built once and kept
     np.testing.assert_allclose(
         interface_transfer(transfer, batch), np.column_stack(columns), atol=1e-13
     )
+    assert type(vars(transfer)["matrix"]) is np.ndarray
+    assert transfer.matrix is vars(transfer)["matrix"]
+    assert transfer.matrix.shape == (901, 1201)
 
 
 def test_projection_scheme_ignores_normal_offset():
@@ -319,6 +323,10 @@ def test_pair_and_config_validation():
         InterfacePair(seg, seg, gap_tolerance=-0.1)
     with pytest.raises(ValueError):
         assemble(unit_pair(1, 1), MortarConfig(n_gauss=1))
+    transfer = compute_transfer(assemble(unit_pair(3, 2), MortarConfig()))
+    for values in (np.float64(1.0), np.ones((transfer.n_master_nodes, 2, 3))):
+        with pytest.raises(ValueError, match="master_values must be 1-d or 2-d"):
+            interface_transfer(transfer, values)
 
 
 def test_matrix_text_round_trip(tmp_path):
@@ -363,3 +371,7 @@ def test_row_sums_are_one_for_any_pair(n_master, n_slave, scheme):
     config = MortarConfig(scheme=scheme, kernel_family=KernelFamily.WENDLAND_C2)
     transfer = compute_transfer(assemble(unit_pair(n_master, n_slave), config))
     np.testing.assert_allclose(transfer.row_sums(), 1.0, atol=1e-10)
+    # the factor path agrees with the dense matrix
+    np.testing.assert_allclose(
+        transfer.row_sums(), transfer.matrix.sum(axis=1), rtol=0.0, atol=1e-12
+    )
