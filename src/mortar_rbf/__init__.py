@@ -15,7 +15,6 @@ from .errors import (
     IllConditionedKernelError,
     InvalidGeometryError,
     MeshFormatError,
-    RescaleBreakdownError,
     SingularOperatorError,
     SolverFailureError,
 )
@@ -66,7 +65,6 @@ from .rbf import (
     KernelFamily,
     LayoutKind,
     PointLayout,
-    evaluate_rescaled,
     fit_master_interpolant,
 )
 
@@ -92,7 +90,6 @@ __all__ = [
     "PointLayout",
     "PoissonProblem",
     "QuadratureRule",
-    "RescaleBreakdownError",
     "Scheme",
     "Side",
     "SingularOperatorError",
@@ -105,7 +102,6 @@ __all__ = [
     "broken_norms",
     "compute_transfer",
     "consistency_report",
-    "evaluate_rescaled",
     "extract_interface",
     "fit_master_interpolant",
     "gauss_rule",

@@ -25,7 +25,6 @@ from .errors import (
     DegenerateElementError,
     IllConditionedKernelError,
     InvalidGeometryError,
-    RescaleBreakdownError,
     SingularOperatorError,
     SolverFailureError,
 )
@@ -45,7 +44,6 @@ _NUMERICAL_ERRORS = (
     DegenerateElementError,
     IllConditionedKernelError,
     InvalidGeometryError,
-    RescaleBreakdownError,
     SingularOperatorError,
     SolverFailureError,
     np.linalg.LinAlgError,

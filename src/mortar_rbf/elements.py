@@ -102,86 +102,41 @@ def node_reference_coords(kind: ElementKind) -> np.ndarray:
     return _NODE_COORDS[ElementKind(kind)].copy()
 
 
-def _prepare_points(kind: ElementKind, xi) -> tuple[np.ndarray, bool]:
-    """Normalize query points to shape (n_pts, ref_dim).
-
-    Returns the array and a flag telling whether the input was a single
-    point (so results should be squeezed back).
-    """
-    rdim = kind.ref_dim
+def _prepare_points(kind: ElementKind, xi) -> np.ndarray:
+    """Check that query points form an (n_pts, ref_dim) array in range."""
     arr = np.asarray(xi, dtype=float)
-    if rdim == 1 and arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        single = True
-    elif arr.ndim == 1:
-        if rdim == 1:
-            # A 1-D array of scalars is a batch of segment coordinates.
-            arr = arr.reshape(-1, 1)
-            single = False
-        else:
-            if arr.shape[0] != rdim:
-                raise ValueError(
-                    f"expected a point with {rdim} coordinates, got shape {arr.shape}"
-                )
-            arr = arr.reshape(1, rdim)
-            single = True
-    elif arr.ndim == 2:
-        if arr.shape[1] != rdim:
-            raise ValueError(
-                f"expected points of dimension {rdim}, got shape {arr.shape}"
-            )
-        single = False
-    else:
-        raise ValueError(f"points must be 0-, 1- or 2-dimensional, got {arr.ndim}")
+    if arr.ndim != 2 or arr.shape[1] != kind.ref_dim:
+        raise ValueError(
+            f"expected points of shape (n, {kind.ref_dim}), got shape {arr.shape}"
+        )
     if arr.size and np.max(np.abs(arr)) > EVAL_BOUND:
         raise ValueError(
             f"reference coordinate out of range: |xi| must not exceed {EVAL_BOUND}"
         )
-    return arr, single
+    return arr
 
 
 def shape_values(kind: ElementKind, xi) -> np.ndarray:
-    """Nodal shape function values.
-
-    Parameters
-    ----------
-    kind : ElementKind
-    xi : array_like
-        A single reference point of shape (ref_dim,) (or a scalar for
-        segments), or a batch of shape (n_pts, ref_dim).
-
-    Returns
-    -------
-    ndarray
-        Shape (n_nodes,) for a single point, (n_pts, n_nodes) for a batch.
-    """
+    """Nodal shape function values at reference points ``xi``, shape
+    (n_pts, ref_dim); returns shape (n_pts, n_nodes)."""
     kind = ElementKind(kind)
-    pts, single = _prepare_points(kind, xi)
-    vals = _VALUE_FUNCS[kind](pts)
-    return vals[0] if single else vals
+    return _VALUE_FUNCS[kind](_prepare_points(kind, xi))
 
 
 def shape_gradients(kind: ElementKind, xi) -> np.ndarray:
-    """Shape function gradients with respect to reference coordinates.
-
-    Returns shape (n_nodes, ref_dim) for a single point and
-    (n_pts, n_nodes, ref_dim) for a batch.
-    """
+    """Shape function gradients with respect to reference coordinates,
+    shape (n_pts, n_nodes, ref_dim)."""
     kind = ElementKind(kind)
-    pts, single = _prepare_points(kind, xi)
-    grads = _GRAD_FUNCS[kind](pts)
-    return grads[0] if single else grads
+    return _GRAD_FUNCS[kind](_prepare_points(kind, xi))
 
 
 def shape_second_derivatives(kind: ElementKind, xi) -> np.ndarray:
-    """Second derivatives, shape (..., n_nodes, ref_dim, ref_dim).
+    """Second derivatives, shape (n_pts, n_nodes, ref_dim, ref_dim).
 
     Needed by the Newton closest-point projection on curved elements.
     """
     kind = ElementKind(kind)
-    pts, single = _prepare_points(kind, xi)
-    hess = _HESS_FUNCS[kind](pts)
-    return hess[0] if single else hess
+    return _HESS_FUNCS[kind](_prepare_points(kind, xi))
 
 
 # --- shape function tables -------------------------------------------------

@@ -26,15 +26,6 @@ class IllConditionedKernelError(RuntimeError):
         self.condition = condition
 
 
-class RescaleBreakdownError(RuntimeError):
-    """Raised when the rescaling denominator of an interpolant vanishes.
-
-    This signals a query point far outside the kernel support, which is
-    common for compactly supported kernels.  Assembly paths treat such
-    points as out of support instead of raising.
-    """
-
-
 class SingularOperatorError(RuntimeError):
     """Raised when the slave mass matrix cannot be factorized.
 

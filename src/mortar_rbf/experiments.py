@@ -27,7 +27,6 @@ from .meshes import (
     InterfaceMesh,
     Side,
     element_geometry,
-    map_to_physical,
     mesh_size,
     segment_pair,
     sine_bump,
@@ -506,8 +505,9 @@ def _fill_distance(
 ) -> float:
     """Largest distance from a dense element sample, given as reference
     points, to the collocation set."""
-    colloc = map_to_physical(mesh, elem, interpolation_points(mesh.kind, layout))
-    probes = map_to_physical(mesh, elem, sample)
+    colloc_ref = interpolation_points(mesh.kind, layout)
+    colloc = element_geometry(mesh, colloc_ref, [elem])[0][0]
+    probes = element_geometry(mesh, sample, [elem])[0][0]
     return float(np.linalg.norm(probes[:, None] - colloc, axis=-1).min(axis=1).max())
 
 

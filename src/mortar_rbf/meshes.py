@@ -49,10 +49,7 @@ __all__ = [
     "Side",
     "InterfaceMesh",
     "VolumeMesh",
-    "map_to_physical",
-    "jacobian_measure",
     "element_geometry",
-    "element_circumdiameter",
     "element_circumdiameters",
     "mesh_size",
     "translate",
@@ -142,9 +139,6 @@ class InterfaceMesh:
     def n_elems(self) -> int:
         return self.connectivity.shape[0]
 
-    def with_side(self, side: Side) -> "InterfaceMesh":
-        return InterfaceMesh(self.nodes, self.connectivity, self.kind, side)
-
 
 def _validate_unfolded(mesh: InterfaceMesh) -> None:
     """Raise unless every element runs forward along its chord at each node.
@@ -223,30 +217,6 @@ Mesh = InterfaceMesh | VolumeMesh
 # --- isoparametric geometry ------------------------------------------------
 
 
-def element_nodes(mesh: Mesh, elem: int) -> np.ndarray:
-    """Physical coordinates of an element's nodes, shape (n_nodes, dim)."""
-    return mesh.nodes[mesh.connectivity[elem]]
-
-
-def map_to_physical(mesh: Mesh, elem: int, xi) -> np.ndarray:
-    """Map reference coordinates to physical space, x(xi) = sum_i N_i(xi) x_i."""
-    coords = element_nodes(mesh, elem)
-    vals = shape_values(mesh.kind, xi)
-    return vals @ coords
-
-
-def jacobian_measure(mesh: Mesh, elem: int, xi) -> np.ndarray:
-    """Integration measure of the isoparametric map at ``xi``.
-
-    For volume triangles this is the (signed) Jacobian determinant, for
-    curves and surfaces the metric sqrt(det(J^T J)).  A non-positive value
-    raises :class:`DegenerateElementError`.
-    """
-    meas = _element_measures(mesh, xi, np.array([elem]))[0]
-    # a single point (a scalar on segments) gives a scalar, as in shape_values
-    return meas[0] if np.ndim(xi) == mesh.kind.ref_dim - 1 else meas
-
-
 def element_geometry(
     mesh: Mesh, xi, elems=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -261,8 +231,6 @@ def element_geometry(
     coords = mesh.nodes[mesh.connectivity[elems]]
     vals = shape_values(mesh.kind, xi)
     grads = shape_gradients(mesh.kind, xi)
-    vals = vals.reshape(-1, vals.shape[-1])
-    grads = grads.reshape(-1, *grads.shape[-2:])
     J = np.einsum("gnr,end->egdr", grads, coords)
     if isinstance(mesh, VolumeMesh):
         det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
@@ -275,39 +243,11 @@ def element_geometry(
     return vals @ coords, det
 
 
-def _element_measures(mesh: Mesh, xi, elems: np.ndarray) -> np.ndarray:
-    """Measures of elements ``elems`` at reference points ``xi``, shape
-    (n_elems, n_points).
-
-    Raises :class:`DegenerateElementError` naming the first of ``elems``
-    with a non-positive value at any of the points.
-    """
-    _, det = element_geometry(mesh, xi, elems)
-    volume = isinstance(mesh, VolumeMesh)
-    bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
-    if bad.size:
-        failure = (
-            "has non-positive Jacobian determinant"
-            if volume
-            else "has a degenerate surface metric"
-        )
-        raise DegenerateElementError(f"element {elems[bad[0]]} {failure}")
-    return det if volume else np.sqrt(det)
-
-
-def _circumdiameters(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
-
-
 def element_circumdiameters(mesh: Mesh) -> np.ndarray:
     """Largest pairwise node distance of every element, shape (n_elems,)."""
-    return _circumdiameters(mesh.nodes[mesh.connectivity])
-
-
-def element_circumdiameter(mesh: Mesh, elem: int) -> float:
-    """Largest pairwise distance between the element's nodes."""
-    return float(_circumdiameters(element_nodes(mesh, elem)[None])[0])
+    coords = mesh.nodes[mesh.connectivity]
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
 
 
 def mesh_size(mesh: Mesh) -> float:
@@ -325,7 +265,17 @@ def translate(mesh: Mesh, vector) -> Mesh:
 
 
 def _validate_measures(mesh: Mesh, probe) -> None:
-    _element_measures(mesh, probe, np.arange(mesh.n_elems))
+    """Raise :class:`DegenerateElementError` naming the first element with
+    a non-positive measure at any of the reference points ``probe``."""
+    _, det = element_geometry(mesh, probe)
+    bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
+    if bad.size:
+        failure = (
+            "has non-positive Jacobian determinant"
+            if isinstance(mesh, VolumeMesh)
+            else "has a degenerate surface metric"
+        )
+        raise DegenerateElementError(f"element {bad[0]} {failure}")
 
 
 # --- structured generation -------------------------------------------------

@@ -53,12 +53,10 @@ from .meshes import (
     InterfaceMesh,
     _natural,
     _RowReader,
-    element_circumdiameter,
     element_circumdiameters,
     element_geometry,
-    element_nodes,
 )
-from .rbf import (  # the one-element faces are re-exported
+from .rbf import (  # bench/tracer.py wraps the one-element faces here
     KernelFamily,
     PointLayout,
     evaluate_interpolants,
@@ -149,6 +147,9 @@ class InterfacePair:
     gap_tolerance: float | None = None
 
     def __post_init__(self):
+        for side, mesh in (("master", self.master), ("slave", self.slave)):
+            if mesh.n_elems == 0:
+                raise InvalidGeometryError(f"the {side} interface has no elements")
         if self.master.kind.ref_dim != self.slave.kind.ref_dim:
             raise InvalidGeometryError(
                 "master and slave interfaces must both be curves or both "
@@ -168,7 +169,7 @@ class InterfacePair:
         if self.gap_tolerance is not None:
             return self.gap_tolerance
         return 0.5 * max(
-            float(element_circumdiameters(mesh).max(initial=0.0))
+            float(element_circumdiameters(mesh).max())
             for mesh in (self.master, self.slave)
         )
 
@@ -315,18 +316,16 @@ def contact_search(pair: InterfacePair) -> list[np.ndarray]:
 
 
 def support_detect(values, tol: float):
-    """True where every entry of a probe row lies within [-tol, 1+tol].
+    """True for each probe row of ``values`` whose entries all lie within
+    [-tol, 1+tol]; ``values`` has shape (n_points, n_probes).
 
-    The probe row holds quantities that live in [0, 1] exactly when the
+    A probe row holds quantities that live in [0, 1] exactly when the
     point sits over the master element: interpolated coordinate ramps for
     the kernel scheme, normalized reference coordinates for the projection
-    scheme.  Accepts a single row (returns bool) or a batch (bool array).
+    scheme.
     """
-    arr = np.asarray(values, float)
-    single = arr.ndim == 1
-    arr = np.atleast_2d(arr)
-    inside = ((arr >= -tol) & (arr <= 1.0 + tol)).all(axis=1)
-    return bool(inside[0]) if single else inside
+    values = np.asarray(values, float)
+    return ((values >= -tol) & (values <= 1.0 + tol)).all(axis=1)
 
 
 def _containment_depth(box_coords: np.ndarray) -> np.ndarray:
@@ -422,29 +421,6 @@ def _project_points(
         xi[active] = new_xi
         active = active[(new_xi != current).any(axis=1)]
     return xi, converged
-
-
-def project_point_newton(
-    mesh: InterfaceMesh,
-    elem: int,
-    point,
-    settings: NewtonSettings | None = None,
-) -> tuple[np.ndarray, bool]:
-    """Project one physical point onto a master element.
-
-    Returns the reference coordinates of the foot point and a convergence
-    flag; non-converged points must be treated as outside the element.
-    """
-    if settings is None:
-        settings = NewtonSettings()
-    xi, converged = _project_points(
-        mesh.kind,
-        element_nodes(mesh, elem)[None],
-        np.asarray(point, float).reshape(1, -1),
-        np.array([element_circumdiameter(mesh, elem) ** 2]),
-        settings,
-    )
-    return xi[0], bool(converged[0])
 
 
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):

@@ -134,7 +134,6 @@ class ErrorReport:
     h1_broken: float
     l2_parts: tuple[float, float]
     h1_parts: tuple[float, float]
-    observed_order: float | None = None
 
 
 # --- P1 assembly -----------------------------------------------------------

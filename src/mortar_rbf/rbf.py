@@ -29,22 +29,19 @@ import numpy as np
 from scipy import sparse
 
 from .elements import ElementKind, shape_values
-from .errors import IllConditionedKernelError, RescaleBreakdownError
-from .meshes import Mesh, element_circumdiameters, map_to_physical
+from .errors import IllConditionedKernelError
+from .meshes import Mesh, element_circumdiameters, element_geometry
 
 __all__ = [
     "KernelFamily",
-    "RbfKernel",
     "LayoutKind",
     "PointLayout",
     "RbfInterpolant",
     "InterpolationDiagnostics",
-    "kernel_eval",
     "interpolation_points",
     "fit_master_interpolant",
     "fit_interpolants",
     "evaluate_interpolants",
-    "evaluate_rescaled",
     "evaluate_rescaled_masked",
     "halton_reference_points",
     "basis_diagnostics",
@@ -75,6 +72,9 @@ MAX_POINTS_PER_EDGE = 10
 #: memory stays fixed however large the mesh is.
 _CHUNK_ENTRIES = 2**15
 
+#: Halton probe points at which :func:`basis_diagnostics` measures a fit.
+_DIAGNOSTIC_PROBES = 40
+
 
 class KernelFamily(str, Enum):
     GAUSSIAN = "gaussian"
@@ -82,34 +82,13 @@ class KernelFamily(str, Enum):
     WENDLAND_C2 = "wendland"
 
 
-@dataclass(frozen=True)
-class RbfKernel:
-    """A radial kernel family with shape parameter ``epsilon``.
+def _kernel_profile(family: KernelFamily, r: np.ndarray, eps) -> np.ndarray:
+    """Kernel values (never negative) at distances ``r``; ``eps`` broadcasts.
 
     Gaussian:             exp(-(r/eps)^2)
     Inverse multiquadric: 1 / sqrt(r^2 + eps^2)
     Wendland C2:          (1 - r/eps)_+^4 (1 + 4 r/eps), zero for r >= eps
     """
-
-    family: KernelFamily
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", KernelFamily(self.family))
-        if not self.epsilon > 0.0:
-            raise ValueError("kernel shape parameter epsilon must be positive")
-
-    def __call__(self, r):
-        return kernel_eval(self, r)
-
-
-def kernel_eval(kernel: RbfKernel, r) -> np.ndarray:
-    """Evaluate the kernel profile at distances ``r`` (any shape, r >= 0)."""
-    return _kernel_profile(kernel.family, np.asarray(r, float), kernel.epsilon)
-
-
-def _kernel_profile(family: KernelFamily, r: np.ndarray, eps) -> np.ndarray:
-    """Kernel values (never negative) at ``r``; ``eps`` broadcasts."""
     if family is KernelFamily.GAUSSIAN:
         return np.exp(-((r / eps) ** 2))
     if family is KernelFamily.INV_MULTIQUADRIC:
@@ -181,7 +160,8 @@ class RbfInterpolant:
     """
 
     kind: ElementKind
-    kernel: RbfKernel
+    family: KernelFamily
+    epsilon: float
     points: np.ndarray
     weights: np.ndarray
     condition: float
@@ -189,10 +169,6 @@ class RbfInterpolant:
     def __post_init__(self):
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
-
-    @property
-    def n_basis(self) -> int:
-        return self.weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -265,7 +241,8 @@ def fit_master_interpolant(
     )
     return RbfInterpolant(
         kind=ElementKind(mesh.kind),
-        kernel=RbfKernel(family, float(eps[0])),
+        family=KernelFamily(family),
+        epsilon=float(eps[0]),
         points=points[0],
         weights=weights[0],
         condition=float(condition[0]),
@@ -317,38 +294,20 @@ def evaluate_rescaled_masked(
     interp: RbfInterpolant, points
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled basis values and validity mask, see :func:`evaluate_interpolants`."""
-    pts = np.atleast_2d(np.asarray(points, float))
-    if pts.shape[1] != interp.points.shape[1]:
+    pts = np.asarray(points, float)
+    if pts.ndim != 2 or pts.shape[1] != interp.points.shape[1]:
         raise ValueError(
-            f"query points have dimension {pts.shape[1]}, "
-            f"interpolant lives in dimension {interp.points.shape[1]}"
+            f"query points must have shape (n, {interp.points.shape[1]}), "
+            f"got shape {pts.shape}"
         )
     return evaluate_interpolants(
-        interp.kernel.family,
+        interp.family,
         interp.points[None],
-        np.array([interp.kernel.epsilon]),
+        np.array([interp.epsilon]),
         interp.weights[None],
         np.zeros(pts.shape[0], dtype=np.int64),
         pts,
     )
-
-
-def evaluate_rescaled(interp: RbfInterpolant, points) -> np.ndarray:
-    """Rescaled basis values at query points.
-
-    Returns (n_basis,) for a single point, (n_pts, n_basis) for a batch.
-    Raises :class:`RescaleBreakdownError` if any denominator vanishes.
-    """
-    pts = np.asarray(points, float)
-    single = pts.ndim == 1
-    values, ok = evaluate_rescaled_masked(interp, pts)
-    if not ok.all():
-        bad = int(np.count_nonzero(~ok))
-        raise RescaleBreakdownError(
-            f"rescaling denominator vanished at {bad} query point(s); "
-            "the query lies outside the kernel support"
-        )
-    return values[0] if single else values
 
 
 def halton_reference_points(kind: ElementKind, n: int) -> np.ndarray:
@@ -374,27 +333,25 @@ def basis_diagnostics(
     layout: PointLayout,
     family: KernelFamily,
     epsilon: float | None = None,
-    n_probes: int = 40,
-    unstable_threshold: float = COND_LIMIT,
 ) -> InterpolationDiagnostics:
     """Fit an element interpolant and measure how well it reproduces the basis.
 
     The RMSE compares rescaled interpolated basis values against the exact
-    shape functions at ``n_probes`` Halton points of the reference element.
-    The fit is never rejected here; a condition number beyond
-    ``unstable_threshold`` (by default the limit at which assembly refuses
-    the fit) is only flagged.
+    shape functions at :data:`_DIAGNOSTIC_PROBES` Halton points of the
+    reference element.  The fit is never rejected here; a condition number
+    beyond :data:`COND_LIMIT`, where assembly refuses the fit, is only
+    flagged.
     """
     interp = fit_master_interpolant(
         mesh, elem, layout, family, epsilon=epsilon, cond_limit=None
     )
-    ref = halton_reference_points(mesh.kind, n_probes)
-    phys = np.atleast_2d(map_to_physical(mesh, elem, ref))
+    ref = halton_reference_points(mesh.kind, _DIAGNOSTIC_PROBES)
+    phys = element_geometry(mesh, ref, [elem])[0][0]
     exact = shape_values(mesh.kind, ref)
     values, ok = evaluate_rescaled_masked(interp, phys)
     err = float(np.sqrt(np.mean((values[ok] - exact[ok]) ** 2))) if ok.any() else np.inf
     return InterpolationDiagnostics(
         rmse=err,
         condition_estimate=interp.condition,
-        unstable=bool(interp.condition > unstable_threshold),
+        unstable=bool(interp.condition > COND_LIMIT),
     )

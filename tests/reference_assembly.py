@@ -41,12 +41,7 @@ from mortar_rbf.elements import (
     shape_values,
     triangle_rule_for_degree,
 )
-from mortar_rbf.meshes import (
-    element_circumdiameter,
-    element_nodes,
-    jacobian_measure,
-    map_to_physical,
-)
+from mortar_rbf.meshes import element_circumdiameters, element_geometry
 from mortar_rbf.mortar import (
     AssemblyStats,
     MortarMatrices,
@@ -68,12 +63,21 @@ from mortar_rbf.errors import (
 from mortar_rbf.rbf import (
     BREAKDOWN_TOL,
     COND_LIMIT,
-    RbfKernel,
+    KernelFamily,
+    _kernel_profile,
     interpolation_points,
-    kernel_eval,
 )
 
 _NEWTON_CLAMP = 1.45
+
+
+def _element_points(mesh, elem, xi):
+    """Physical points and measures of one element at reference points
+    ``xi``; a non-positive measure raises."""
+    phys, metric = element_geometry(mesh, xi, [elem])
+    if np.any(metric <= 0.0):
+        raise DegenerateElementError(f"element {elem} has a degenerate surface metric")
+    return phys[0], np.sqrt(metric[0])
 
 
 def reference_contact_search(pair) -> list[np.ndarray]:
@@ -92,9 +96,9 @@ def reference_contact_search(pair) -> list[np.ndarray]:
 def reference_project_batch(mesh, elem, targets, settings):
     """Newton projection onto one element, stopping when all points converge."""
     kind = mesh.kind
-    coords = element_nodes(mesh, elem)
+    coords = mesh.nodes[mesh.connectivity[elem]]
     xi = np.zeros((targets.shape[0], kind.ref_dim))
-    scale = element_circumdiameter(mesh, elem) ** 2
+    scale = element_circumdiameters(mesh)[elem] ** 2
 
     def tangent_residual(current):
         grads = shape_gradients(kind, current)
@@ -159,17 +163,18 @@ def reference_project_points(kind, coords, targets, scale, settings):
 
 
 def reference_fit(mesh, elem, layout, family, epsilon=None, cond_limit=COND_LIMIT):
-    """One element's kernel fit: (kernel, points, weights, condition estimate).
+    """One element's kernel fit: ((family, epsilon), points, weights, condition
+    estimate).
 
     The condition is LAPACK's 1-norm estimate from the LU factors
     (``dgecon``), infinite when a pivot is exactly zero.
     """
     ref_pts = interpolation_points(mesh.kind, layout)
-    phys = np.atleast_2d(map_to_physical(mesh, elem, ref_pts))
+    phys = element_geometry(mesh, ref_pts, [elem])[0][0]
+    family = KernelFamily(family)
     if epsilon is None:
-        epsilon = element_circumdiameter(mesh, elem)
-    kernel = RbfKernel(family, epsilon)
-    gram = kernel_eval(kernel, cdist(phys, phys))
+        epsilon = element_circumdiameters(mesh)[elem]
+    gram = _kernel_profile(family, cdist(phys, phys), epsilon)
     lu, piv = lu_factor(gram)
     rcond, info = lapack.dgecon(lu, np.linalg.norm(gram, 1), norm="1")
     condition = np.inf if info != 0 or rcond == 0.0 else float(1.0 / rcond)
@@ -180,13 +185,13 @@ def reference_fit(mesh, elem, layout, family, epsilon=None, cond_limit=COND_LIMI
             condition=condition,
         )
     weights = lu_solve((lu, piv), shape_values(mesh.kind, ref_pts))
-    return kernel, phys, weights, condition
+    return (family, epsilon), phys, weights, condition
 
 
 def reference_evaluate(fit, points):
     """Rescaled basis values and validity mask of one fit at ``points``."""
-    kernel, phys, weights, _ = fit
-    phi = kernel_eval(kernel, cdist(np.atleast_2d(points), phys))
+    (family, epsilon), phys, weights, _ = fit
+    phi = _kernel_profile(family, cdist(points, phys), epsilon)
     numer = phi @ weights
     denom = numer.sum(axis=1)
     term_size = (np.abs(phi) @ np.abs(weights)).sum(axis=1)
@@ -267,8 +272,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
             dropped += rule.n_points
             uncovered.append(s_elem)
             continue
-        phys = map_to_physical(slave, s_elem, rule.points)
-        measure = jacobian_measure(slave, s_elem, rule.points)
+        phys, measure = _element_points(slave, s_elem, rule.points)
 
         best_depth = np.full(rule.n_points, -np.inf)
         best_master = np.full(rule.n_points, -1)
@@ -493,8 +497,7 @@ def reference_transfer_l2_error(slave, values, fn) -> float:
     basis = shape_values(slave.kind, rule.points)
     total = 0.0
     for elem in range(slave.n_elems):
-        phys = map_to_physical(slave, elem, rule.points)
-        measure = jacobian_measure(slave, elem, rule.points)
+        phys, measure = _element_points(slave, elem, rule.points)
         approx = basis @ values[slave.connectivity[elem]]
         total += np.sum(rule.weights * measure * (approx - fn(phys)) ** 2)
     return float(np.sqrt(total))

@@ -30,7 +30,6 @@ from mortar_rbf.elements import ElementKind
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
-    element_circumdiameter,
     element_circumdiameters,
     VolumeMesh,
     segment_mesh,
@@ -50,7 +49,6 @@ from mortar_rbf.mortar import (
     _project_points,
     assemble,
     contact_search,
-    project_point_newton,
 )
 from mortar_rbf.rbf import (
     COND_LIMIT,
@@ -260,12 +258,15 @@ def test_newton_mask_keeps_each_point_independent_of_its_batch():
     targets = np.array([[0.45, 0.03], [0.5, -0.01], [0.6, 0.1], [5.0, 2.0]])
     settings = NewtonSettings()
     coords = np.repeat(curved.nodes[curved.connectivity[elem]][None], len(targets), 0)
-    scale = np.full(len(targets), element_circumdiameter(curved, elem) ** 2)
+    scale = np.full(len(targets), element_circumdiameters(curved)[elem] ** 2)
     xi, converged = _project_points(curved.kind, coords, targets, scale, settings)
-    for k, target in enumerate(targets):
-        solo_xi, solo_converged = project_point_newton(curved, elem, target, settings)
-        np.testing.assert_allclose(xi[k], solo_xi, rtol=0.0, atol=1e-12)
-        assert converged[k] == solo_converged
+    for k in range(len(targets)):
+        solo = slice(k, k + 1)
+        solo_xi, solo_converged = _project_points(
+            curved.kind, coords[solo], targets[solo], scale[solo], settings
+        )
+        np.testing.assert_allclose(xi[k], solo_xi[0], rtol=0.0, atol=1e-12)
+        assert converged[k] == solo_converged[0]
     assert converged[:3].all()
     assert not converged[3]
 

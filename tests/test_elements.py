@@ -78,6 +78,19 @@ def test_evaluation_rejects_far_outside_points():
     shape_values(ElementKind.SEG2, [[1.4]])
 
 
+@pytest.mark.parametrize("kind", [ElementKind.SEG2, ElementKind.QUAD4])
+@pytest.mark.parametrize(
+    "func", [shape_values, shape_gradients, shape_second_derivatives]
+)
+def test_evaluation_takes_point_arrays_only(kind, func):
+    # one point is a (1, ref_dim) array; a scalar or a bare coordinate row
+    # is refused rather than squeezed
+    func(kind, np.zeros((1, kind.ref_dim)))
+    for point in (0.0, np.zeros(kind.ref_dim), np.zeros((1, kind.ref_dim + 1))):
+        with pytest.raises(ValueError, match="expected points of shape"):
+            func(kind, point)
+
+
 def test_segment_rule_exactness():
     for n in (1, 2, 5, 10, 16):
         rule = gauss_rule(ElementKind.SEG2, n)

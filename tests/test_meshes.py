@@ -8,11 +8,10 @@ from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
     VolumeMesh,
-    element_circumdiameter,
+    element_circumdiameters,
+    element_geometry,
     extract_interface,
-    jacobian_measure,
     load_mesh,
-    map_to_physical,
     mesh_size,
     rectangle_mesh,
     save_mesh,
@@ -39,20 +38,20 @@ def test_seg3_has_midside_nodes():
     mesh = segment_mesh(2, ElementKind.SEG3, span=(-1.0, 1.0))
     assert mesh.nodes.shape[0] == 5
     assert mesh.connectivity.shape == (2, 3)
-    mids = map_to_physical(mesh, 0, [[0.0]])
-    assert mids[0, 0] == pytest.approx(-0.5)
+    mids, _ = element_geometry(mesh, [[0.0]], [0])
+    assert mids[0, 0, 0] == pytest.approx(-0.5)
 
 
-def test_map_to_physical_hits_vertices():
+def test_element_geometry_hits_vertices():
     mesh = segment_mesh(3, span=(0.0, 3.0))
-    ends = map_to_physical(mesh, 1, [[-1.0], [1.0]])
-    np.testing.assert_allclose(ends[:, 0], [1.0, 2.0], atol=1e-15)
+    ends, _ = element_geometry(mesh, [[-1.0], [1.0]], [1])
+    np.testing.assert_allclose(ends[0, :, 0], [1.0, 2.0], atol=1e-15)
 
 
-def test_jacobian_measure_of_affine_segment():
+def test_element_geometry_measure_of_affine_segment():
     mesh = segment_mesh(5, span=(0.0, 1.0))
-    meas = jacobian_measure(mesh, 2, [[-0.3], [0.8]])
-    np.testing.assert_allclose(meas, 0.1, atol=1e-15)
+    _, metric = element_geometry(mesh, [[-0.3], [0.8]], [2])
+    np.testing.assert_allclose(np.sqrt(metric[0]), 0.1, atol=1e-15)
 
 
 def test_nodes_are_read_only():
@@ -76,7 +75,7 @@ def test_surface_pair_element_counts():
     master, slave = surface_pair(3, 2, ElementKind.QUAD8)
     assert master.n_elems == 9 and slave.n_elems == 4
     assert master.kind is ElementKind.QUAD8
-    assert element_circumdiameter(master, 0) > 0.0
+    assert element_circumdiameters(master)[0] > 0.0
 
 
 def test_rectangle_mesh_tags_partition_boundary():

@@ -4,19 +4,26 @@ from hypothesis import given, settings, strategies as st
 
 from mortar_rbf.elements import ElementKind
 from mortar_rbf.errors import InvalidGeometryError, MeshFormatError, SingularOperatorError
-from mortar_rbf.meshes import InterfaceMesh, Side, segment_mesh, segment_pair
+from mortar_rbf.meshes import (
+    InterfaceMesh,
+    Side,
+    element_circumdiameters,
+    load_mesh,
+    segment_mesh,
+    segment_pair,
+)
 from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
     NewtonSettings,
     Scheme,
+    _project_points,
     assemble,
     compute_transfer,
     consistency_report,
     contact_search,
     interface_transfer,
     load_matrix_text,
-    project_point_newton,
     save_matrix_text,
     support_detect,
 )
@@ -194,21 +201,25 @@ def test_contact_search_finds_every_true_overlap():
 
 
 def test_support_detect_interval():
-    assert support_detect([0.0, 0.5, 1.0], tol=0.0)
-    assert not support_detect([-0.01, 0.5], tol=1e-6)
-    assert support_detect([-0.01, 0.5], tol=0.05)
-    batch = support_detect([[0.2, 0.8], [1.2, 0.5]], tol=1e-6)
-    assert batch.tolist() == [True, False]
+    assert support_detect([[0.0, 0.5, 1.0]], tol=0.0).tolist() == [True]
+    rows = [[-0.01, 0.5], [0.2, 0.8], [1.2, 0.5]]
+    assert support_detect(rows, tol=1e-6).tolist() == [False, True, False]
+    assert support_detect(rows, tol=0.05).tolist() == [True, True, False]
 
 
 def test_point_projection_on_affine_segment():
     mesh = segment_mesh(3, span=(0.0, 1.0))
-    xi, converged = project_point_newton(mesh, 0, [1.0 / 6.0, 0.0])
-    assert converged
-    assert xi[0] == pytest.approx(0.0, abs=1e-10)
-    xi, converged = project_point_newton(mesh, 0, [1.0 / 3.0, 0.2])
-    assert converged
-    assert xi[0] == pytest.approx(1.0, abs=1e-8)
+    targets = np.array([[1.0 / 6.0, 0.0], [1.0 / 3.0, 0.2]])
+    xi, converged = _project_points(
+        mesh.kind,
+        mesh.nodes[mesh.connectivity[[0, 0]]],
+        targets,
+        np.full(2, element_circumdiameters(mesh)[0] ** 2),
+        NewtonSettings(),
+    )
+    assert converged.all()
+    assert xi[0, 0] == pytest.approx(0.0, abs=1e-10)
+    assert xi[1, 0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_exact_scheme_requires_straight_meshes():
@@ -256,6 +267,18 @@ def test_every_scheme_refuses_a_folded_element(name, side):
             assemble(InterfacePair(*meshes), MortarConfig(scheme=scheme))
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+@pytest.mark.parametrize("side", ["master", "slave"])
+def test_an_empty_interface_side_is_refused_by_name(tmp_path, side, scheme):
+    path = tmp_path / "empty.mesh"
+    path.write_text("meshfmt 1\nnodes 0 2\nelements 0 seg2\n")
+    meshes = dict(zip(("master", "slave"), segment_pair(3, 2)))
+    meshes[side] = load_mesh(path)
+    expected = f"the {side} interface has no elements"
+    with pytest.raises(InvalidGeometryError, match=expected):
+        assemble(InterfacePair(**meshes), MortarConfig(scheme=scheme))
 
 
 def test_curved_seg3_elements_are_not_folded():
