@@ -16,13 +16,15 @@ what makes the transfer operator reproduce constants, so the pointwise
 schemes enforce it structurally: each surviving point is assigned to
 exactly one master element and contributes to both matrices at once.
 
-The pointwise schemes work in array passes over every (slave Gauss point,
-candidate master element) pair rather than loops over elements: a
-sort-and-sweep contact search lists the pairs, ``rb`` fits and evaluates
-all candidate masters in chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs
-one Newton iteration over all pairs in which every pair retires as soon
-as its own residual converges, one sort picks each point's master, and
-one COO build scatters both matrices.
+The pointwise schemes work in array passes over (slave Gauss point,
+candidate master element) pairs rather than loops over elements: a
+sort-and-sweep contact search lists the element pairs, and a point goes on
+only with the candidates whose master box holds it (see
+:func:`_master_boxes`).  ``rb`` fits and evaluates those masters in
+chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs one Newton
+iteration over all pairs in which every pair retires as soon as its own
+residual converges, one sort picks each point's master, and one COO build
+scatters both matrices.
 """
 
 from __future__ import annotations
@@ -75,6 +77,16 @@ _SLIVER_REL = 1e-14
 
 #: Coupling columns densified per slave-mass solve (no full-size dense copy).
 _SOLVE_COLUMNS = 64
+
+#: (mid node, corner, corner) of each quadratic element edge.
+_MID_NODES = {
+    ElementKind.SEG3: ((1, 0, 2),),
+    ElementKind.QUAD8: ((4, 0, 1), (5, 1, 2), (6, 2, 3), (7, 3, 0)),
+}
+
+#: Master boxes also grow by this fraction of their coordinate size, so a
+#: slave point lying on the master surface is never dropped by rounding.
+_BOX_ROUNDING = 1e-12
 
 
 class Scheme(str, Enum):
@@ -135,11 +147,14 @@ class MortarConfig:
 class InterfacePair:
     """A master and a slave interface mesh glued by mortar conditions.
 
-    ``gap_tolerance`` inflates bounding boxes during contact search; it
-    must cover the largest geometric gap between the two surfaces (warped
-    or offset interfaces).  The default, half the largest element
-    circumdiameter on either side, covers moderate warps; pass an explicit
-    value for larger offsets.
+    ``gap_tolerance`` inflates the element boxes of the contact search
+    and bounds each slave Gauss point's distance to the box of the master
+    that takes it (see :func:`_master_boxes`).  It must cover the largest
+    geometric gap between the two surfaces (warped or offset interfaces):
+    a point farther than the gap from every candidate master's box is
+    dropped and counted in ``gauss_points_dropped``.  The default, half
+    the largest element circumdiameter on either side, covers moderate
+    warps; pass an explicit value for larger offsets.
     """
 
     master: InterfaceMesh
@@ -176,9 +191,15 @@ class InterfacePair:
 
 @dataclass
 class AssemblyStats:
-    """Bookkeeping emitted by every assembly run."""
+    """Bookkeeping emitted by every assembly run.
+
+    ``pairs_visited`` counts (slave element, master element) pairs and
+    ``point_pairs`` the (slave Gauss point, master element) pairs that
+    ``rb``/``eb`` evaluate, those whose master box holds the point.
+    """
 
     pairs_visited: int = 0
+    point_pairs: int = 0
     gauss_points_total: int = 0
     gauss_points_dropped: int = 0
     uncovered_slave_elements: tuple[int, ...] = ()
@@ -313,6 +334,35 @@ def contact_search(pair: InterfacePair) -> list[np.ndarray]:
     s_elem, m_elem = _sweep_overlaps(*corners, pair.resolved_gap_tolerance)
     per_slave = np.bincount(s_elem, minlength=pair.slave.n_elems)
     return np.split(m_elem, np.cumsum(per_slave))[:-1]
+
+
+def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners, each (n_master_elems, dim), of the master
+    boxes: each holds every foot point its element can accept, grown by
+    the pair's gap tolerance.
+
+    The acceptance tests pass reference coordinates up to ``2 tol`` beyond
+    the reference box.  There the linear or bilinear map of the corners
+    leaves the node box by at most 2 tol (1 + tol) of its extent per axis.
+    A ``seg3``/``quad8`` map adds sum_m N_m d_m, where d_m is mid node m's
+    offset from the mean of its edge's two corners and |N_m| <= 1 + tol,
+    so the bulge adds (1 + tol) sum_m |d_m| per axis.  The pair's gap
+    tolerance then covers the distance from the slave point to the
+    master surface.
+    """
+    mesh = pair.master
+    nodes = mesh.nodes[mesh.connectivity]
+    lo, hi = nodes.min(axis=1), nodes.max(axis=1)
+    bulge = sum(
+        np.abs(nodes[:, mid] - 0.5 * (nodes[:, a] + nodes[:, b]))
+        for mid, a, b in _MID_NODES.get(mesh.kind, ())
+    )
+    grow = (
+        (1.0 + tol) * (2.0 * tol * (hi - lo) + bulge)
+        + pair.resolved_gap_tolerance
+        + _BOX_ROUNDING * np.maximum(np.abs(lo), np.abs(hi))
+    )
+    return lo - grow, hi + grow
 
 
 def support_detect(values, tol: float):
@@ -486,9 +536,10 @@ def _assemble_pointwise(
 ) -> MortarMatrices:
     """Shared assembly of the kernel and projection schemes, in array passes.
 
-    Every slave Gauss point is paired with every candidate master element
-    of its slave element; ``evaluate`` returns the master basis values,
-    an acceptance flag and a containment depth for all pairs at once.
+    Every slave Gauss point is paired with each candidate master element
+    of its slave element whose box (see :func:`_master_boxes`) holds it;
+    ``evaluate`` returns the master basis values, an acceptance flag and a
+    containment depth for all those pairs at once.
     Among the masters accepting a point, the point is assigned to the one
     it sits deepest in, a tie going to the lowest master index.  Points
     accepted by nobody are dropped from both matrices, which keeps the
@@ -513,9 +564,11 @@ def _assemble_pointwise(
     pair_master = np.repeat(
         np.concatenate(candidates).astype(np.int64, copy=False), n_gauss
     )
-    values, inside, depth = evaluate(
-        pair, config, pair_master, phys.reshape(-1, phys.shape[-1])[pair_point]
-    )
+    points = phys.reshape(-1, phys.shape[-1])[pair_point]
+    lo, hi = _master_boxes(pair, config.support_tol)
+    held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
+    pair_point, pair_master = pair_point[held], pair_master[held]
+    values, inside, depth = evaluate(pair, config, pair_master, points[held])
 
     hit = np.flatnonzero(inside)
     hit = hit[np.lexsort((pair_master[hit], -depth[hit], pair_point[hit]))]
@@ -532,6 +585,7 @@ def _assemble_pointwise(
 
     stats = AssemblyStats(
         pairs_visited=int(n_cands.sum()),
+        point_pairs=int(pair_point.size),
         gauss_points_total=n_gauss * slave.n_elems,
         gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
         uncovered_slave_elements=tuple(

@@ -192,7 +192,8 @@ def fit_interpolants(
 
     Returns the physical collocation points (E, M, dim), shape parameters
     (E,), basis weights (E, M, n_basis) and exact 1-norm condition numbers
-    (E,), the last from one batched inverse per chunk.  ``epsilon``
+    (E,).  One LU factorization per fit gives both the weights and the
+    inverse the condition number is read from.  ``epsilon``
     overrides the default shape parameter, each element's circumdiameter.
     Raises :class:`IllConditionedKernelError` naming the first element
     whose condition exceeds ``cond_limit``; with ``cond_limit=None`` an
@@ -206,15 +207,20 @@ def fit_interpolants(
         eps = element_circumdiameters(mesh)[elems]
     else:
         eps = np.full(elems.size, float(epsilon))
-    weights = np.full((elems.size,) + basis.shape, np.nan)
+    n_points, n_basis = basis.shape
+    rhs = np.hstack([basis, np.eye(n_points)])
+    weights = np.empty((elems.size,) + basis.shape)
     condition = np.empty(elems.size)
-    step = max(1, _CHUNK_ENTRIES // basis.shape[0] ** 2)
+    step = max(1, _CHUNK_ENTRIES // n_points**2)
     for start in range(0, elems.size, step):
         chunk = slice(start, start + step)
         p = points[chunk]
         d2 = sum((p[:, :, None, c] - p[:, None, :, c]) ** 2 for c in range(p.shape[2]))
         gram = _kernel_profile(family, np.sqrt(d2), eps[chunk, None, None])
-        cond = condition[chunk] = np.linalg.cond(gram, 1)
+        solved = _solve_each(gram, rhs)
+        cond = _norm_1(gram) * _norm_1(solved[:, :, n_basis:])
+        cond[np.isnan(cond)] = np.inf
+        condition[chunk] = cond
         if cond_limit is not None and (cond > cond_limit).any():
             k = int(np.argmax(cond > cond_limit))
             raise IllConditionedKernelError(
@@ -222,9 +228,28 @@ def fit_interpolants(
                 f"numerically singular (condition {cond[k]:.3e})",
                 condition=float(cond[k]),
             )
-        regular = np.isfinite(cond)
-        weights[chunk][regular] = np.linalg.solve(gram[regular], basis)
+        weights[chunk] = solved[:, :, :n_basis]
     return points, eps, weights, condition
+
+
+def _norm_1(matrices: np.ndarray) -> np.ndarray:
+    """Matrix 1-norms (largest absolute column sum) of stacked matrices."""
+    return np.abs(matrices).sum(axis=1).max(axis=1)
+
+
+def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solutions of gram[k] X = rhs for stacked matrices, NaN where exactly
+    singular; one batched LAPACK call unless some matrix is singular."""
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        solved = np.full(gram.shape[:2] + rhs.shape[1:], np.nan)
+        for k, matrix in enumerate(gram):
+            try:
+                solved[k] = np.linalg.solve(matrix, rhs)
+            except np.linalg.LinAlgError:
+                pass
+        return solved
 
 
 def fit_master_interpolant(

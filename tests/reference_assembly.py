@@ -3,8 +3,10 @@
 This is the straightforward form of the ``rb``/``eb`` assembly that
 ``mortar._assemble_pointwise`` computes in array passes: a dense box test
 for contact search, a Python loop over slave elements and their candidate
-masters, and a Newton projection batched per (slave element, master
-element) pair that iterates until every point of the batch has converged.
+masters, a per-master box (:func:`reference_master_box`) that each slave
+point must lie in, and a Newton projection batched per (slave element,
+master element) pair that iterates until every point of the batch has
+converged.
 :func:`reference_assemble_sb` is the same for the exact ``sb`` assembly
 that ``mortar.assemble_sb_1d`` computes in array passes: every slave
 element is intersected with every master element, and each intersection
@@ -46,6 +48,7 @@ from mortar_rbf.mortar import (
     AssemblyStats,
     MortarMatrices,
     Scheme,
+    _BOX_ROUNDING,
     _SLIVER_REL,
     _box_coordinate_data,
     _collinearity_residual,
@@ -91,6 +94,32 @@ def reference_contact_search(pair) -> list[np.ndarray]:
     high_ok = slave_hi[:, None, :] + gap >= master_lo[None, :, :]
     hit = (low_ok & high_ok).all(axis=2)
     return [np.flatnonzero(row) for row in hit]
+
+
+def reference_master_box(pair, elem, tol):
+    """Lower and upper corners of the box a slave point must lie in to be
+    offered to master element ``elem``.
+
+    The node box grows by 2 tol (1 + tol) of its extent and, for a
+    quadratic element, by (1 + tol) times the summed offsets of the mid
+    nodes from the mean of their edge's corners (found from the reference
+    node coordinates), then by the pair's gap and a rounding margin.
+    """
+    mesh = pair.master
+    ref = node_reference_coords(mesh.kind)
+    coords = mesh.nodes[mesh.connectivity[elem]]
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    corner = (np.abs(ref) == 1.0).all(axis=1)
+    bulge = np.zeros(coords.shape[1])
+    for mid in np.flatnonzero(~corner):
+        ends = corner & (np.abs(ref - ref[mid]).sum(axis=1) == 1.0)
+        bulge += np.abs(coords[mid] - coords[ends].mean(axis=0))
+    grow = (
+        (1.0 + tol) * (2.0 * tol * (hi - lo) + bulge)
+        + pair.resolved_gap_tolerance
+        + _BOX_ROUNDING * np.maximum(np.abs(lo), np.abs(hi))
+    )
+    return lo - grow, hi + grow
 
 
 def reference_project_batch(mesh, elem, targets, settings):
@@ -249,9 +278,10 @@ def _build(triplets, shape):
 def reference_assemble(pair, config) -> MortarMatrices:
     """``rb`` or ``eb`` assembly by the per-pair loop.
 
-    Each Gauss point is offered to every candidate master element in
-    ascending index order; the deepest containment wins and a tie keeps
-    the earlier (lower-index) master.
+    Each Gauss point is offered to every candidate master element whose
+    :func:`reference_master_box` holds it, in ascending index order; the
+    deepest containment wins and a tie keeps the earlier (lower-index)
+    master.
     """
     slave, master = pair.slave, pair.master
     if config.scheme is Scheme.RB:
@@ -263,7 +293,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
     candidates = reference_contact_search(pair)
 
     mass, coupling = [], []
-    pairs_visited = 0
+    pairs_visited = point_pairs = 0
     dropped = 0
     uncovered = []
     for s_elem in range(slave.n_elems):
@@ -279,12 +309,17 @@ def reference_assemble(pair, config) -> MortarMatrices:
         best_vals = np.zeros((rule.n_points, master.kind.n_nodes))
         for m_elem in cands:
             pairs_visited += 1
-            vals, inside, depth = evaluator(int(m_elem), phys)
+            lo, hi = reference_master_box(pair, m_elem, config.support_tol)
+            held = np.flatnonzero(((phys >= lo) & (phys <= hi)).all(axis=1))
+            if held.size == 0:
+                continue
+            point_pairs += held.size
+            vals, inside, depth = evaluator(int(m_elem), phys[held])
             depth = np.where(inside, depth, -np.inf)
-            better = depth > best_depth
-            best_depth[better] = depth[better]
-            best_master[better] = m_elem
-            best_vals[better] = vals[better]
+            better = depth > best_depth[held]
+            best_depth[held[better]] = depth[better]
+            best_master[held[better]] = m_elem
+            best_vals[held[better]] = vals[better]
 
         keep = best_master >= 0
         dropped += rule.n_points - int(np.count_nonzero(keep))
@@ -311,6 +346,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
 
     stats = AssemblyStats(
         pairs_visited=pairs_visited,
+        point_pairs=point_pairs,
         gauss_points_total=rule.n_points * slave.n_elems,
         gauss_points_dropped=dropped,
         uncovered_slave_elements=tuple(uncovered),

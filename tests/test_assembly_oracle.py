@@ -21,6 +21,8 @@ error integral of the experiments sums in another order than its
 per-element loop (1e-13 relative).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -65,6 +67,7 @@ from reference_assembly import (
     reference_domain_errors,
     reference_fit,
     reference_load,
+    reference_master_box,
     reference_project_points,
     reference_stiffness,
     reference_transfer_l2_error,
@@ -226,6 +229,90 @@ def test_rb_matches_per_element_fits(name, config_name):
         assert _max_rel(new.coupling, ref.coupling) <= 1e-13
     else:
         assert np.max(np.abs((new.coupling - ref.coupling).toarray())) <= 1e-7
+
+
+WINNER_CASES = {
+    # inverse multiquadric ramps read inside [0, 1] far from the element,
+    # so without the box test masters two or more elements away win points
+    "seg2-imq-uniform3": (jittered_seg2, RB_CONFIGS["imq-uniform3"]),
+    "seg2-imq-sine3": (jittered_seg2, RB_CONFIGS["imq-sine3"]),
+    "quad8-imq-epsilon0.3": (quad8, RB_CONFIGS["imq-epsilon0.3"]),
+    "warped_quad4-eb": (warped_quad4, MortarConfig(scheme=Scheme.EB)),
+}
+
+
+@pytest.mark.parametrize("name", list(WINNER_CASES))
+def test_every_winning_master_box_holds_its_point(monkeypatch, name):
+    build, config = WINNER_CASES[name]
+    pair = build()
+    winners = []
+    scatter = mortar._scatter
+
+    def record(pair, s_elem, m_elem, weights, slave_vals, master_vals):
+        winners.append((s_elem, m_elem, slave_vals))
+        return scatter(pair, s_elem, m_elem, weights, slave_vals, master_vals)
+
+    monkeypatch.setattr(mortar, "_scatter", record)
+    assemble(pair, config)
+    (s_elem, m_elem, slave_vals), = winners
+    slave = pair.slave
+    points = np.einsum(
+        "pn,pnd->pd", slave_vals, slave.nodes[slave.connectivity[s_elem]]
+    )
+    boxes = [reference_master_box(pair, m, config.support_tol) for m in m_elem]
+    outside = [
+        (int(s), int(m))
+        for s, m, point, (lo, hi) in zip(s_elem, m_elem, points, boxes)
+        if not ((lo <= point) & (point <= hi)).all()
+    ]
+    assert not outside, f"(slave element, master) pairs won outside the box: {outside}"
+
+
+def curved_seg3(gap_tolerance=None):
+    """5 master and 7 slave seg3 elements with their nodes on one circular arc."""
+
+    def arc(n_elems, side):
+        angles = np.linspace(0.2, np.pi - 0.2, 2 * n_elems + 1)
+        return InterfaceMesh(
+            np.column_stack([np.cos(angles), np.sin(angles)]),
+            2 * np.arange(n_elems)[:, None] + np.arange(3),
+            ElementKind.SEG3,
+            side,
+        )
+
+    return InterfacePair(
+        arc(5, Side.MASTER), arc(7, Side.SLAVE), gap_tolerance=gap_tolerance
+    )
+
+
+def _unbounded_boxes(pair, tol):
+    shape = (pair.master.n_elems, pair.master.nodes.shape[1])
+    return np.full(shape, -np.inf), np.full(shape, np.inf)
+
+
+@pytest.mark.parametrize("gap_tolerance", [0.0, None], ids=["gap0", "default_gap"])
+@pytest.mark.parametrize("scheme", [Scheme.RB, Scheme.EB])
+def test_master_boxes_leave_curved_seg3_matrices_unchanged(
+    monkeypatch, scheme, gap_tolerance
+):
+    # the slave points sit off the master's quadratic arc by far less than
+    # the mid-node bulge, so even at gap 0 every box test keeps the winner
+    pair, config = curved_seg3(gap_tolerance), MortarConfig(scheme=scheme)
+    boxed = assemble(pair, config)
+    monkeypatch.setattr(mortar, "_master_boxes", _unbounded_boxes)
+    every_pair = assemble(pair, config)
+    assert boxed.stats.gauss_points_dropped == 0
+    assert boxed.stats.point_pairs < every_pair.stats.point_pairs
+    assert dataclasses.replace(boxed.stats, point_pairs=0) == dataclasses.replace(
+        every_pair.stats, point_pairs=0
+    )
+    for got, want in (
+        (boxed.slave_mass, every_pair.slave_mass),
+        (boxed.coupling, every_pair.coupling),
+    ):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("variant", list(LayoutKind))

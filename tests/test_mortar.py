@@ -11,6 +11,8 @@ from mortar_rbf.meshes import (
     load_mesh,
     segment_mesh,
     segment_pair,
+    sine_bump,
+    surface_pair,
 )
 from mortar_rbf.mortar import (
     InterfacePair,
@@ -185,6 +187,28 @@ def test_dropped_fraction_counts_points_outside_the_master():
     )
     assert matrices.stats.gauss_points_total == 8
     assert matrices.stats.dropped_fraction == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RB, Scheme.EB])
+def test_an_explicit_gap_below_the_separation_drops_and_counts_points(scheme):
+    # the two warped surfaces interpolate the same bump on different grids,
+    # so at gap 0 some slave points lie outside every master box
+    warp = sine_bump(0.1)
+    meshes = surface_pair(6, 4, warp_master=warp, warp_slave=warp)
+    config = MortarConfig(scheme=scheme)
+    tight = assemble(InterfacePair(*meshes, gap_tolerance=0.0), config).stats
+    assert (tight.gauss_points_dropped, tight.gauss_points_total) == (16, 64)
+    assert tight.uncovered_slave_elements == ()
+    assert assemble(InterfacePair(*meshes), config).stats.gauss_points_dropped == 0
+
+
+def test_point_pairs_count_only_the_points_inside_master_boxes():
+    warp = sine_bump(0.1)
+    pair = InterfacePair(*surface_pair(12, 8, warp_master=warp, warp_slave=warp))
+    for scheme in (Scheme.RB, Scheme.EB):
+        stats = assemble(pair, MortarConfig(scheme=scheme)).stats
+        assert (stats.pairs_visited, stats.point_pairs) == (1296, 2116)
+    assert assemble(unit_pair(3, 2), MortarConfig(scheme=Scheme.SB1D)).stats.point_pairs == 0
 
 
 def test_contact_search_finds_every_true_overlap():
