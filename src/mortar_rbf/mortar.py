@@ -23,8 +23,8 @@ only with the candidates whose master box holds it (see
 :func:`_master_boxes`).  ``rb`` fits and evaluates those masters in
 chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs one Newton
 iteration over all pairs in which every pair retires as soon as its own
-residual converges, one sort picks each point's master, and one COO build
-scatters both matrices.
+residual converges or its step leaves the clamp box, one sort picks each
+point's master, and one COO build scatters both matrices.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ from .rbf import (  # bench/tracer.py wraps the one-element faces here
 )
 
 #: Newton iterates are clamped inside the widest reference box the shape
-#: routines accept, so evaluation never fails mid-iteration.
+#: routines accept, so evaluation never fails mid-iteration.  An ``eb``
+#: pair whose Newton step reaches it retires as not converged.
 _NEWTON_CLAMP = 1.45
 
 #: Intersection intervals shorter than this fraction of the interface span
@@ -179,8 +180,9 @@ class InterfacePair:
         if self.gap_tolerance is not None and self.gap_tolerance < 0.0:
             raise ValueError("gap_tolerance must be non-negative")
 
-    @property
+    @cached_property
     def resolved_gap_tolerance(self) -> float:
+        """The gap tolerance, computed once: the pair and its meshes are frozen."""
         if self.gap_tolerance is not None:
             return self.gap_tolerance
         return 0.5 * max(
@@ -196,10 +198,13 @@ class AssemblyStats:
     ``pairs_visited`` counts (slave element, master element) pairs and
     ``point_pairs`` the (slave Gauss point, master element) pairs that
     ``rb``/``eb`` evaluate, those whose master box holds the point.
+    ``newton_updates`` counts the (point pair, step) Newton updates that
+    ``eb`` makes; it is 0 for ``rb`` and ``sb``.
     """
 
     pairs_visited: int = 0
     point_pairs: int = 0
+    newton_updates: int = 0
     gauss_points_total: int = 0
     gauss_points_dropped: int = 0
     uncovered_slave_elements: tuple[int, ...] = ()
@@ -422,7 +427,7 @@ def _project_points(
     targets: np.ndarray,
     scale: np.ndarray,
     settings: NewtonSettings,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton projection of each target point onto its own element.
 
     ``coords`` (n_points, n_nodes, dim) holds the nodes of the element
@@ -433,16 +438,20 @@ def _project_points(
     length squared, so the tolerance is taken relative to ``scale``.
 
     Each point retires as soon as its own residual passes the tolerance,
-    so a point's result does not depend on the other points in the batch,
-    and points clamped outside their element (which never converge) do
-    not keep converged ones iterating.  A point whose clamped iterate
-    stops changing exactly sits at a fixed point of the iteration, so it
-    retires at once as not converged instead of repeating the same step
-    until the budget runs out.
+    so a point's result does not depend on the other points in the batch.
+    A point whose Newton step leaves the clamp box (any |xi| >= the clamp)
+    retires at once as not converged: its foot point lies far outside the
+    element, and on every interface tested a pair that converged after
+    such a step landed outside the support anyway.  Its iterate is still clipped into the box, so
+    the shape routines accept it.  A point whose iterate stops changing
+    exactly (say, a zero step from a singular Hessian) sits at a fixed
+    point and retires as not converged too.  Returns the reference coordinates,
+    the convergence flags and the number of (point, step) Newton updates.
     """
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
+    updates = 0
     for step in range(settings.max_iter + 1):
         nodes, current = coords[active], xi[active]
         jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
@@ -463,14 +472,14 @@ def _project_points(
         hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
             "pdrs,pd->prs", curv, gap
         )
-        new_xi = np.clip(
-            current + _solve_newton_step(hess, -resid[go]),
-            -_NEWTON_CLAMP,
-            _NEWTON_CLAMP,
-        )
+        raw = current + _solve_newton_step(hess, -resid[go])
+        new_xi = np.clip(raw, -_NEWTON_CLAMP, _NEWTON_CLAMP)
         xi[active] = new_xi
-        active = active[(new_xi != current).any(axis=1)]
-    return xi, converged
+        updates += active.size
+        moving = (new_xi != current).any(axis=1)
+        boxed = (np.abs(raw) < _NEWTON_CLAMP).all(axis=1)
+        active = active[moving & boxed]
+    return xi, converged, updates
 
 
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
@@ -485,14 +494,14 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     )
     probes = values @ _box_coordinate_data(mesh.kind)
     inside = ok & support_detect(probes, config.support_tol)
-    return values, inside, _containment_depth(probes)
+    return values, inside, _containment_depth(probes), 0
 
 
 def _projection_values(pair: InterfacePair, config: MortarConfig, masters, points):
     """Master bases at the Newton foot points of each (point, master) pair."""
     mesh = pair.master
     scale = element_circumdiameters(mesh) ** 2
-    xi, converged = _project_points(
+    xi, converged, updates = _project_points(
         mesh.kind,
         mesh.nodes[mesh.connectivity[masters]],
         points,
@@ -501,7 +510,7 @@ def _projection_values(pair: InterfacePair, config: MortarConfig, masters, point
     )
     box = (1.0 + xi) / 2.0
     inside = converged & support_detect(box, config.support_tol)
-    return shape_values(mesh.kind, xi), inside, _containment_depth(box)
+    return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
 
 
 def _scatter(
@@ -539,7 +548,8 @@ def _assemble_pointwise(
     Every slave Gauss point is paired with each candidate master element
     of its slave element whose box (see :func:`_master_boxes`) holds it;
     ``evaluate`` returns the master basis values, an acceptance flag and a
-    containment depth for all those pairs at once.
+    containment depth for all those pairs at once, plus its Newton update
+    count.
     Among the masters accepting a point, the point is assigned to the one
     it sits deepest in, a tie going to the lowest master index.  Points
     accepted by nobody are dropped from both matrices, which keeps the
@@ -568,7 +578,9 @@ def _assemble_pointwise(
     lo, hi = _master_boxes(pair, config.support_tol)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
     pair_point, pair_master = pair_point[held], pair_master[held]
-    values, inside, depth = evaluate(pair, config, pair_master, points[held])
+    values, inside, depth, newton_updates = evaluate(
+        pair, config, pair_master, points[held]
+    )
 
     hit = np.flatnonzero(inside)
     hit = hit[np.lexsort((pair_master[hit], -depth[hit], pair_point[hit]))]
@@ -586,6 +598,7 @@ def _assemble_pointwise(
     stats = AssemblyStats(
         pairs_visited=int(n_cands.sum()),
         point_pairs=int(pair_point.size),
+        newton_updates=int(newton_updates),
         gauss_points_total=n_gauss * slave.n_elems,
         gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
         uncovered_slave_elements=tuple(

@@ -15,7 +15,8 @@ is inverted on its own.  :func:`reference_fit` and
 that ``rbf.fit_interpolants`` and ``rbf.evaluate_interpolants`` batch:
 ``cdist``, an LU factorization with LAPACK's condition estimate and one
 matrix product per element.  :func:`reference_project_points` is the
-batched Newton projection before points at a fixed point retired early.
+batched Newton projection with the full iteration budget, before points
+at a fixed point or past the clamp box retired early.
 :func:`reference_stiffness`,
 :func:`reference_load` and :func:`reference_domain_errors` are the P1
 volume assembly and error integrals of :mod:`mortar_rbf.poisson` written
@@ -123,7 +124,12 @@ def reference_master_box(pair, elem, tol):
 
 
 def reference_project_batch(mesh, elem, targets, settings):
-    """Newton projection onto one element, stopping when all points converge."""
+    """Newton projection onto one element, stopping when all points converge.
+
+    Returns the reference coordinates, the convergence flags and the number
+    of (point, step) Newton updates: every point of the batch takes each
+    step.
+    """
     kind = mesh.kind
     coords = mesh.nodes[mesh.connectivity[elem]]
     xi = np.zeros((targets.shape[0], kind.ref_dim))
@@ -136,10 +142,12 @@ def reference_project_batch(mesh, elem, targets, settings):
         gap = targets - pos
         return jac, gap, np.einsum("gdr,gd->gr", jac, gap)
 
+    updates = 0
     for _ in range(settings.max_iter):
         jac, gap, resid = tangent_residual(xi)
         if np.max(np.abs(resid)) <= settings.tol * scale:
             break
+        updates += targets.shape[0]
         curv = np.einsum(
             "gnrs,nd->gdrs", shape_second_derivatives(kind, xi), coords
         )
@@ -151,18 +159,22 @@ def reference_project_batch(mesh, elem, targets, settings):
         )
     _, _, resid = tangent_residual(xi)
     converged = np.max(np.abs(resid), axis=1) <= settings.tol * scale
-    return xi, converged
+    return xi, converged, updates
 
 
 def reference_project_points(kind, coords, targets, scale, settings):
-    """``mortar._project_points`` without fixed-point retirement.
+    """``mortar._project_points`` with the full iteration budget.
 
     Every point iterates until its own residual converges or the budget
-    runs out, even once its clamped iterate no longer moves.
+    runs out: no fixed-point retirement and no clamp retirement, so a
+    point goes on after its Newton step leaves the clamp box and after its
+    clamped iterate stops moving.  Returns the reference coordinates, the
+    convergence flags and the number of (point, step) Newton updates.
     """
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
+    updates = 0
     for step in range(settings.max_iter + 1):
         nodes, current = coords[active], xi[active]
         jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
@@ -188,7 +200,8 @@ def reference_project_points(kind, coords, targets, scale, settings):
             -_NEWTON_CLAMP,
             _NEWTON_CLAMP,
         )
-    return xi, converged
+        updates += active.size
+    return xi, converged, updates
 
 
 def reference_fit(mesh, elem, layout, family, epsilon=None, cond_limit=COND_LIMIT):
@@ -243,7 +256,7 @@ def _kernel_evaluator(pair, config):
         vals, ok = reference_evaluate(cache[elem], phys)
         probes = vals @ box_data
         inside = ok & support_detect(probes, config.support_tol)
-        return vals, inside, _containment_depth(probes)
+        return vals, inside, _containment_depth(probes), 0
 
     return evaluate
 
@@ -252,10 +265,12 @@ def _projection_evaluator(pair, config):
     mesh = pair.master
 
     def evaluate(elem, phys):
-        xi, converged = reference_project_batch(mesh, elem, phys, config.newton)
+        xi, converged, updates = reference_project_batch(
+            mesh, elem, phys, config.newton
+        )
         box = (1.0 + xi) / 2.0
         inside = converged & support_detect(box, config.support_tol)
-        return shape_values(mesh.kind, xi), inside, _containment_depth(box)
+        return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
 
     return evaluate
 
@@ -293,7 +308,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
     candidates = reference_contact_search(pair)
 
     mass, coupling = [], []
-    pairs_visited = point_pairs = 0
+    pairs_visited = point_pairs = newton_updates = 0
     dropped = 0
     uncovered = []
     for s_elem in range(slave.n_elems):
@@ -314,7 +329,8 @@ def reference_assemble(pair, config) -> MortarMatrices:
             if held.size == 0:
                 continue
             point_pairs += held.size
-            vals, inside, depth = evaluator(int(m_elem), phys[held])
+            vals, inside, depth, updates = evaluator(int(m_elem), phys[held])
+            newton_updates += updates
             depth = np.where(inside, depth, -np.inf)
             better = depth > best_depth[held]
             best_depth[held[better]] = depth[better]
@@ -347,6 +363,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
     stats = AssemblyStats(
         pairs_visited=pairs_visited,
         point_pairs=point_pairs,
+        newton_updates=newton_updates,
         gauss_points_total=rule.n_points * slave.n_elems,
         gauss_points_dropped=dropped,
         uncovered_slave_elements=tuple(uncovered),

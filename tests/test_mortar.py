@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortar_rbf import mortar
 from mortar_rbf.elements import ElementKind
 from mortar_rbf.errors import InvalidGeometryError, MeshFormatError, SingularOperatorError
 from mortar_rbf.meshes import (
@@ -202,13 +203,36 @@ def test_an_explicit_gap_below_the_separation_drops_and_counts_points(scheme):
     assert assemble(InterfacePair(*meshes), config).stats.gauss_points_dropped == 0
 
 
-def test_point_pairs_count_only_the_points_inside_master_boxes():
+def test_stats_count_point_pairs_in_master_boxes_and_newton_updates():
+    # eb pairs retire once their Newton step leaves the clamp box: the full
+    # budget takes 32,480 updates on this pair, and running clamped pairs
+    # on until their iterate stops moving about 21,950
     warp = sine_bump(0.1)
     pair = InterfacePair(*surface_pair(12, 8, warp_master=warp, warp_slave=warp))
+    updates = {}
     for scheme in (Scheme.RB, Scheme.EB):
         stats = assemble(pair, MortarConfig(scheme=scheme)).stats
         assert (stats.pairs_visited, stats.point_pairs) == (1296, 2116)
-    assert assemble(unit_pair(3, 2), MortarConfig(scheme=Scheme.SB1D)).stats.point_pairs == 0
+        updates[scheme] = stats.newton_updates
+    assert updates[Scheme.RB] == 0
+    assert 0 < updates[Scheme.EB] <= 3300
+    sb = assemble(unit_pair(3, 2), MortarConfig(scheme=Scheme.SB1D)).stats
+    assert (sb.point_pairs, sb.newton_updates) == (0, 0)
+
+
+def test_default_gap_tolerance_is_computed_once_per_pair(monkeypatch):
+    measured = []
+
+    def counted(mesh):
+        measured.append(mesh)
+        return element_circumdiameters(mesh)
+
+    monkeypatch.setattr(mortar, "element_circumdiameters", counted)
+    pair = unit_pair(6, 4)
+    first = assemble(pair, MortarConfig()).stats
+    assert assemble(pair, MortarConfig()).stats == first
+    assert len(measured) == 2
+    assert measured[0] is pair.master and measured[1] is pair.slave
 
 
 def test_contact_search_finds_every_true_overlap():
@@ -234,7 +258,7 @@ def test_support_detect_interval():
 def test_point_projection_on_affine_segment():
     mesh = segment_mesh(3, span=(0.0, 1.0))
     targets = np.array([[1.0 / 6.0, 0.0], [1.0 / 3.0, 0.2]])
-    xi, converged = _project_points(
+    xi, converged, _ = _project_points(
         mesh.kind,
         mesh.nodes[mesh.connectivity[[0, 0]]],
         targets,
