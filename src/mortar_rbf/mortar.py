@@ -23,8 +23,8 @@ only with the candidates whose master box holds it (see
 :func:`_master_boxes`).  ``rb`` fits and evaluates those masters in
 chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs one Newton
 iteration over all pairs in which every pair retires as soon as its own
-residual converges or its step leaves the clamp box, one sort picks each
-point's master, and one COO build scatters both matrices.
+residual converges or its step leaves the clamp box twice in a row, one
+sort picks each point's master, and one COO build scatters both matrices.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ from .rbf import (  # bench/tracer.py wraps the one-element faces here
 
 #: Newton iterates are clamped inside the widest reference box the shape
 #: routines accept, so evaluation never fails mid-iteration.  An ``eb``
-#: pair whose Newton step reaches it retires as not converged.
+#: pair whose Newton step reaches it twice in a row retires as not
+#: converged.
 _NEWTON_CLAMP = 1.45
 
 #: Intersection intervals shorter than this fraction of the interface span
@@ -439,14 +440,16 @@ def _project_points(
 
     Each point retires as soon as its own residual passes the tolerance,
     so a point's result does not depend on the other points in the batch.
-    A point whose Newton step leaves the clamp box (any |xi| >= the clamp)
-    retires at once as not converged: its foot point lies far outside the
-    element, and on every interface tested a pair that converged after
-    such a step landed outside the support anyway.  Its iterate is still clipped into the box, so
-    the shape routines accept it.  A point whose iterate stops changing
-    exactly (say, a zero step from a singular Hessian) sits at a fixed
-    point and retires as not converged too.  Returns the reference coordinates,
-    the convergence flags and the number of (point, step) Newton updates.
+    Iterates are clipped into the clamp box.  A point whose Newton step
+    leaves the box (any |xi| >= the clamp) from an iterate already clipped
+    there, so twice in a row, retires as not converged.  One such step is
+    not enough: on a strongly curved element (a ``seg3`` spanning a
+    quarter circle) the first step from the centre overshoots a foot
+    point near an end node past the clamp, and the next one comes back.
+    A point whose iterate stops changing exactly (say, a zero step from a
+    singular Hessian) sits at a fixed point and retires as not converged
+    too.  Returns the reference coordinates, the convergence flags and
+    the number of (point, step) Newton updates.
     """
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
@@ -477,8 +480,9 @@ def _project_points(
         xi[active] = new_xi
         updates += active.size
         moving = (new_xi != current).any(axis=1)
-        boxed = (np.abs(raw) < _NEWTON_CLAMP).all(axis=1)
-        active = active[moving & boxed]
+        clipped = (np.abs(current) == _NEWTON_CLAMP).any(axis=1)
+        leaves = (np.abs(raw) >= _NEWTON_CLAMP).any(axis=1)
+        active = active[moving & ~(clipped & leaves)]
     return xi, converged, updates
 
 
@@ -494,7 +498,7 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     )
     probes = values @ _box_coordinate_data(mesh.kind)
     inside = ok & support_detect(probes, config.support_tol)
-    return values, inside, _containment_depth(probes), 0
+    return values, inside, _containment_depth(probes)
 
 
 def _projection_values(pair: InterfacePair, config: MortarConfig, masters, points):
@@ -548,8 +552,8 @@ def _assemble_pointwise(
     Every slave Gauss point is paired with each candidate master element
     of its slave element whose box (see :func:`_master_boxes`) holds it;
     ``evaluate`` returns the master basis values, an acceptance flag and a
-    containment depth for all those pairs at once, plus its Newton update
-    count.
+    containment depth for all those pairs at once; the projection also
+    returns its Newton update count.
     Among the masters accepting a point, the point is assigned to the one
     it sits deepest in, a tie going to the lowest master index.  Points
     accepted by nobody are dropped from both matrices, which keeps the
@@ -578,7 +582,7 @@ def _assemble_pointwise(
     lo, hi = _master_boxes(pair, config.support_tol)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
     pair_point, pair_master = pair_point[held], pair_master[held]
-    values, inside, depth, newton_updates = evaluate(
+    values, inside, depth, *newton_updates = evaluate(
         pair, config, pair_master, points[held]
     )
 
@@ -598,7 +602,7 @@ def _assemble_pointwise(
     stats = AssemblyStats(
         pairs_visited=int(n_cands.sum()),
         point_pairs=int(pair_point.size),
-        newton_updates=int(newton_updates),
+        newton_updates=sum(newton_updates),
         gauss_points_total=n_gauss * slave.n_elems,
         gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
         uncovered_slave_elements=tuple(

@@ -256,7 +256,7 @@ def _kernel_evaluator(pair, config):
         vals, ok = reference_evaluate(cache[elem], phys)
         probes = vals @ box_data
         inside = ok & support_detect(probes, config.support_tol)
-        return vals, inside, _containment_depth(probes), 0
+        return vals, inside, _containment_depth(probes)
 
     return evaluate
 
@@ -329,8 +329,8 @@ def reference_assemble(pair, config) -> MortarMatrices:
             if held.size == 0:
                 continue
             point_pairs += held.size
-            vals, inside, depth, updates = evaluator(int(m_elem), phys[held])
-            newton_updates += updates
+            vals, inside, depth, *updates = evaluator(int(m_elem), phys[held])
+            newton_updates += sum(updates)
             depth = np.where(inside, depth, -np.inf)
             better = depth > best_depth[held]
             best_depth[held[better]] = depth[better]

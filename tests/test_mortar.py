@@ -204,9 +204,9 @@ def test_an_explicit_gap_below_the_separation_drops_and_counts_points(scheme):
 
 
 def test_stats_count_point_pairs_in_master_boxes_and_newton_updates():
-    # eb pairs retire once their Newton step leaves the clamp box: the full
-    # budget takes 32,480 updates on this pair, and running clamped pairs
-    # on until their iterate stops moving about 21,950
+    # eb pairs retire once their Newton step leaves the clamp box twice in
+    # a row (4,760 updates on this pair): the full budget takes 32,480, and
+    # running clamped pairs on until their iterate stops moving 21,952
     warp = sine_bump(0.1)
     pair = InterfacePair(*surface_pair(12, 8, warp_master=warp, warp_slave=warp))
     updates = {}
@@ -215,7 +215,7 @@ def test_stats_count_point_pairs_in_master_boxes_and_newton_updates():
         assert (stats.pairs_visited, stats.point_pairs) == (1296, 2116)
         updates[scheme] = stats.newton_updates
     assert updates[Scheme.RB] == 0
-    assert 0 < updates[Scheme.EB] <= 3300
+    assert 0 < updates[Scheme.EB] <= 4800
     sb = assemble(unit_pair(3, 2), MortarConfig(scheme=Scheme.SB1D)).stats
     assert (sb.point_pairs, sb.newton_updates) == (0, 0)
 
