@@ -80,6 +80,10 @@ _SLIVER_REL = 1e-14
 #: Coupling columns densified per slave-mass solve (no full-size dense copy).
 _SOLVE_COLUMNS = 64
 
+#: Entries of the dense transfer smaller in magnitude than the smallest
+#: normal double are stored as exact zeros (see :class:`TransferOperator`).
+_TRANSFER_FLOOR = np.finfo(float).tiny
+
 #: (mid node, corner, corner) of each quadratic element edge.
 _MID_NODES = {
     ElementKind.SEG3: ((1, 0, 2),),
@@ -249,6 +253,14 @@ class TransferOperator:
     (n_slave_nodes, n_master_nodes) array, costs an n_slave x n_master
     solve: it is built on first read, by batch transfers and the condensed
     prolongation, and kept.  The factor also serves multiplier recovery.
+
+    The entries of the inverse of a banded mass matrix decay exponentially
+    with the distance between nodes, so on long interfaces far entries of
+    M^-1 D fall into the subnormal range, where every product costs many
+    times a normal one.  ``matrix`` stores each entry with |m| below
+    ``_TRANSFER_FLOOR``, the smallest normal double, as exact 0.0, flushed
+    per solved block, so no second full-size array is made.  A product
+    with ``b`` then moves by less than 2.23e-308 ||b||_1 per entry.
     """
 
     factor: SuperLU = field(repr=False)
@@ -266,8 +278,10 @@ class TransferOperator:
     def matrix(self) -> np.ndarray:
         matrix = np.empty(self.coupling.shape, order="F")
         for start in range(0, self.n_master_nodes, _SOLVE_COLUMNS):
-            block = slice(start, start + _SOLVE_COLUMNS)
-            matrix[:, block] = self.factor.solve(self.coupling[:, block].toarray())
+            columns = slice(start, start + _SOLVE_COLUMNS)
+            block = self.factor.solve(self.coupling[:, columns].toarray())
+            block[np.abs(block) < _TRANSFER_FLOOR] = 0.0
+            matrix[:, columns] = block
         return matrix
 
     def row_sums(self) -> np.ndarray:
@@ -776,7 +790,9 @@ def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
     """Apply the transfer operator to master interface nodal values.
 
     A field (n_master,) goes through the factor, a batch (n_master, k)
-    through the dense ``matrix``.
+    through the dense ``matrix``.  That matrix stores its subnormal
+    entries as zeros, which moves each batch entry by less than 2.23e-308
+    times the 1-norm of its master values.
     """
     values = np.asarray(master_values, float)
     if values.ndim not in (1, 2):

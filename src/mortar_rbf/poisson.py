@@ -228,7 +228,10 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
 
     pinned_master = problem.master.tagged_nodes("dirichlet")
     slave_tagged = problem.slave.tagged_nodes("dirichlet")
-    pinned_slave = np.setdiff1d(slave_tagged, slave_binding.volume_nodes)
+    pinned = np.zeros(problem.slave.n_nodes, bool)
+    pinned[slave_tagged] = True
+    pinned[slave_binding.volume_nodes] = False
+    pinned_slave = np.flatnonzero(pinned)
     bc = problem.dirichlet
 
     return CoupledSystem(
@@ -373,11 +376,11 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     master_map = system.master_binding.volume_nodes
     slave_map = system.slave_binding.volume_nodes
 
-    free_master = np.setdiff1d(np.arange(n_master), system.pinned_master)
-    free_slave = np.setdiff1d(
-        np.arange(n_slave), np.concatenate([system.pinned_slave, slave_map])
-    )
-    free = np.concatenate([free_master, n_master + free_slave])
+    is_free = np.ones(n_total, bool)
+    is_free[system.pinned_master] = False
+    is_free[n_master + system.pinned_slave] = False
+    is_free[n_master + slave_map] = False
+    free = np.flatnonzero(is_free)
     n_free = free.size
     column = np.full(n_total, -1)
     column[free] = np.arange(n_free)

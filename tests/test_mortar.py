@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -115,6 +117,63 @@ def test_large_transfer_forms_the_dense_array_only_when_read():
     assert type(vars(transfer)["matrix"]) is np.ndarray
     assert transfer.matrix is vars(transfer)["matrix"]
     assert transfer.matrix.shape == (901, 1201)
+
+
+@pytest.fixture(scope="module")
+def jittered_long_pair():
+    """Straight 1500/1000 seg2 pair, interior slave nodes jittered by 0.3 h."""
+    n_master, n_slave = 1500, 1000
+    rng = np.random.default_rng(1)
+    xs = np.linspace(-1.0, 1.0, n_slave + 1)
+    xs[1:-1] += rng.uniform(-0.3, 0.3, n_slave - 1) * (2.0 / n_slave)
+    slave = InterfaceMesh(
+        np.column_stack([xs, np.zeros_like(xs)]),
+        np.column_stack([np.arange(n_slave), np.arange(1, n_slave + 1)]),
+        "seg2",
+        Side.SLAVE,
+    )
+    return InterfacePair(segment_mesh(n_master), slave)
+
+
+def test_dense_transfer_stores_subnormal_entries_as_zeros(jittered_long_pair):
+    transfer = compute_transfer(
+        assemble(jittered_long_pair, MortarConfig(scheme=Scheme.RB))
+    )
+    tiny = np.finfo(float).tiny
+    unflushed = transfer.factor.solve(transfer.coupling.toarray())
+    # the inverse slave mass decays exponentially away from the diagonal
+    assert np.count_nonzero((unflushed != 0.0) & (np.abs(unflushed) < tiny)) > 10_000
+
+    magnitude = np.abs(transfer.matrix)
+    assert not np.any((magnitude > 0.0) & (magnitude < tiny))
+    normal = np.abs(unflushed) >= tiny
+    assert np.array_equal(transfer.matrix[normal], unflushed[normal])
+    assert not np.any(transfer.matrix[~normal])
+
+    batch = np.random.default_rng(7).standard_normal((transfer.n_master_nodes, 64))
+    assert np.array_equal(interface_transfer(transfer, batch), unflushed @ batch)
+
+
+def test_dense_transfer_without_subnormals_is_the_plain_solve():
+    warp = sine_bump(0.1)
+    pair = InterfacePair(*surface_pair(12, 8, warp_master=warp, warp_slave=warp))
+    transfer = compute_transfer(assemble(pair, MortarConfig(scheme=Scheme.RB)))
+    unflushed = transfer.factor.solve(transfer.coupling.toarray())
+    assert np.array_equal(transfer.matrix, unflushed)
+
+
+def test_dense_transfer_is_flushed_block_by_block(jittered_long_pair):
+    transfer = compute_transfer(
+        assemble(jittered_long_pair, MortarConfig(scheme=Scheme.RB))
+    )
+    tracemalloc.start()
+    try:
+        matrix = transfer.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a pass over the whole matrix would hold a second full-size array
+    assert peak < matrix.nbytes + 4 * 2**20
 
 
 def test_projection_scheme_ignores_normal_offset():
