@@ -18,13 +18,15 @@ exactly one master element and contributes to both matrices at once.
 
 The pointwise schemes work in array passes over (slave Gauss point,
 candidate master element) pairs rather than loops over elements: a
-sort-and-sweep contact search lists the element pairs, and a point goes on
-only with the candidates whose master box holds it (see
-:func:`_master_boxes`).  ``rb`` fits and evaluates those masters in
-chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs one Newton
-iteration over all pairs in which every pair retires as soon as its own
-residual converges or its step leaves the clamp box twice in a row, one
-sort picks each point's master, and one COO build scatters both matrices.
+sort-and-sweep contact search returns the candidate (slave element,
+master element) pairs as two flat slave-major arrays, and each slave
+Gauss point goes on only with the candidates of its element whose master
+box holds it (see :func:`_master_boxes`).  ``rb`` fits and evaluates
+those masters in chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs
+one Newton iteration over all pairs in which every pair retires as soon
+as its own residual converges or its step leaves the clamp box twice in
+a row, one sort picks each point's master, and one COO build scatters
+both matrices.
 """
 
 from __future__ import annotations
@@ -341,19 +343,31 @@ def _sweep_overlaps(master, slave, gap: float) -> tuple[np.ndarray, np.ndarray]:
     return s_elem[order], m_elem[order]
 
 
-def contact_search(pair: InterfacePair) -> list[np.ndarray]:
-    """Candidate master elements per slave element, in ascending order.
+def _candidate_pairs(pair: InterfacePair) -> tuple[np.ndarray, np.ndarray]:
+    """Slave and master element indices of every candidate pair.
 
     Axis-aligned bounding boxes inflated by the pair's gap tolerance; a
     master is a candidate whenever the inflated boxes intersect, found by
     one sort-and-sweep.  Flat conforming interfaces produce no false
     negatives even at zero tolerance because touching boxes count as
-    intersecting.
+    intersecting.  Pairs come slave-major with the master index ascending.
     """
     corners = [mesh.nodes[mesh.connectivity] for mesh in (pair.master, pair.slave)]
-    s_elem, m_elem = _sweep_overlaps(*corners, pair.resolved_gap_tolerance)
+    return _sweep_overlaps(*corners, pair.resolved_gap_tolerance)
+
+
+def contact_search(pair: InterfacePair) -> list[np.ndarray]:
+    """Candidate master elements per slave element, in ascending order: the
+    per-slave view of :func:`_candidate_pairs`, which assembly reads
+    directly, kept for callers and the benchmark tracer."""
+    s_elem, m_elem = _candidate_pairs(pair)
     per_slave = np.bincount(s_elem, minlength=pair.slave.n_elems)
     return np.split(m_elem, np.cumsum(per_slave))[:-1]
+
+
+def _uncovered(s_elem: np.ndarray, n_elems: int) -> tuple[int, ...]:
+    """Slave elements, ascending, that no surviving Gauss point lies on."""
+    return tuple(np.flatnonzero(np.bincount(s_elem, minlength=n_elems) == 0).tolist())
 
 
 def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -503,7 +517,8 @@ def _project_points(
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     """Kernel-interpolated master bases; each candidate master is fitted once."""
     mesh = pair.master
-    elems, owner = np.unique(masters, return_inverse=True)
+    used = np.bincount(masters, minlength=mesh.n_elems) > 0
+    elems, owner = np.flatnonzero(used), (np.cumsum(used) - 1)[masters]
     fitted, epsilon, weights, _ = fit_interpolants(
         mesh, elems, config.layout, config.kernel_family, epsilon=config.epsilon
     )
@@ -576,8 +591,8 @@ def _assemble_pointwise(
     slave = pair.slave
     rule = _resolve_rule(config, slave.kind)
     n_gauss = rule.n_points
-    candidates = contact_search(pair)
-    n_cands = np.array([c.size for c in candidates], dtype=np.int64)
+    cand_slave, cand_master = _candidate_pairs(pair)
+    n_cands = np.bincount(cand_slave, minlength=slave.n_elems)
     phys, metric = element_geometry(slave, rule.points)
     degenerate = np.flatnonzero((n_cands > 0) & (metric <= 0.0).any(axis=1))
     if degenerate.size:
@@ -587,11 +602,8 @@ def _assemble_pointwise(
 
     # One entry per (slave Gauss point, candidate master) pair; a point is
     # numbered s_elem * n_gauss + gauss_index.
-    pair_elem = np.repeat(np.arange(slave.n_elems), n_cands)
-    pair_point = (pair_elem[:, None] * n_gauss + np.arange(n_gauss)).ravel()
-    pair_master = np.repeat(
-        np.concatenate(candidates).astype(np.int64, copy=False), n_gauss
-    )
+    pair_point = (cand_slave[:, None] * n_gauss + np.arange(n_gauss)).ravel()
+    pair_master = np.repeat(cand_master, n_gauss)
     points = phys.reshape(-1, phys.shape[-1])[pair_point]
     lo, hi = _master_boxes(pair, config.support_tol)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
@@ -614,14 +626,12 @@ def _assemble_pointwise(
     )
 
     stats = AssemblyStats(
-        pairs_visited=int(n_cands.sum()),
+        pairs_visited=int(cand_slave.size),
         point_pairs=int(pair_point.size),
         newton_updates=sum(newton_updates),
         gauss_points_total=n_gauss * slave.n_elems,
         gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
-        uncovered_slave_elements=tuple(
-            np.setdiff1d(np.arange(slave.n_elems), s_elem).tolist()
-        ),
+        uncovered_slave_elements=_uncovered(s_elem, slave.n_elems),
     )
     return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 
@@ -738,11 +748,10 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     slave_vals = shape_values(slave.kind, xi_s)
     master_vals = shape_values(master.kind, xi_m)
     mass, coupling = _scatter(pair, s_point, m_point, weights, slave_vals, master_vals)
-    uncovered = np.setdiff1d(np.arange(slave.n_elems), s_elem)
     stats = AssemblyStats(
         pairs_visited=int(s_elem.size),
         gauss_points_total=n_points * int(s_elem.size),
-        uncovered_slave_elements=tuple(uncovered.tolist()),
+        uncovered_slave_elements=_uncovered(s_elem, slave.n_elems),
     )
     return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 

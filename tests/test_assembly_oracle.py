@@ -175,6 +175,55 @@ def test_array_pass_matches_loop_oracle(name, scheme):
         assert coupling_gap <= 1e-7
 
 
+@pytest.mark.parametrize("name", list(PAIRS))
+def test_contact_search_is_the_per_slave_view_of_the_flat_pairs(name):
+    pair = PAIRS[name]()
+    s_elem, m_elem = mortar._candidate_pairs(pair)
+    np.testing.assert_array_equal(np.lexsort((m_elem, s_elem)), np.arange(s_elem.size))
+    candidates = contact_search(pair)
+    assert len(candidates) == pair.slave.n_elems
+    for slave_elem, got in enumerate(candidates):
+        np.testing.assert_array_equal(got, m_elem[s_elem == slave_elem])
+    config = MortarConfig(n_gauss=N_GAUSS.get(name))
+    assert assemble(pair, config).stats.pairs_visited == s_elem.size
+
+
+def overhanging_seg2():
+    """A slave reaching past both master ends; at gap 0 its first and last
+    elements have no candidate master at all."""
+    return InterfacePair(
+        segment_mesh(6),
+        segment_mesh(9, span=(-1.5, 1.5), side=Side.SLAVE),
+        gap_tolerance=0.0,
+    )
+
+
+def _assert_csr_equal(got, want):
+    got, want = got.copy(), want.copy()
+    got.sort_indices()
+    want.sort_indices()
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RB, Scheme.EB])
+def test_slaves_without_candidates_at_both_ends_match_loop_oracle(scheme):
+    pair, config = overhanging_seg2(), MortarConfig(scheme=scheme)
+    candidates = contact_search(pair)
+    assert candidates[0].size == candidates[-1].size == 0
+    new = assemble(pair, config)
+    ref = reference_assemble(pair, config)
+    assert new.stats == ref.stats
+    assert new.stats.uncovered_slave_elements == (0, pair.slave.n_elems - 1)
+    _assert_csr_equal(new.slave_mass, ref.slave_mass)
+    if scheme is Scheme.EB:
+        _assert_csr_equal(new.coupling, ref.coupling)
+    else:  # the batched fits sum in another order than the oracle's
+        assert new.coupling.nnz == ref.coupling.nnz
+        assert _max_rel(new.coupling, ref.coupling) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "name", ["jittered_seg2", "seg3", "flat_quad4", "warped_quad4", "quad8"]
 )
@@ -559,6 +608,7 @@ SB_PAIRS = {
     "shuffled_reversed_master": (sb_shuffled_reversed_master, None),
     "partial_overlap": (sb_partial_overlap, None),
     "jittered_seg2_n_gauss5": (jittered_seg2, 5),
+    "overhanging_seg2": (overhanging_seg2, None),
 }
 
 
@@ -581,6 +631,8 @@ def test_sb_matches_per_pair_scan(name):
     assert matrices.stats.pairs_visited > 0
     if name == "partial_overlap":
         assert matrices.stats.uncovered_slave_elements
+    if name == "overhanging_seg2":
+        assert matrices.stats.uncovered_slave_elements == (0, 8)
 
 
 @seed(20240607)
