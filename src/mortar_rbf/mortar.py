@@ -519,12 +519,10 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     mesh = pair.master
     used = np.bincount(masters, minlength=mesh.n_elems) > 0
     elems, owner = np.flatnonzero(used), (np.cumsum(used) - 1)[masters]
-    fitted, epsilon, weights, _ = fit_interpolants(
+    interp = fit_interpolants(
         mesh, elems, config.layout, config.kernel_family, epsilon=config.epsilon
     )
-    values, ok = evaluate_interpolants(
-        config.kernel_family, fitted, epsilon, weights, owner, points
-    )
+    values, ok = evaluate_interpolants(interp, owner, points)
     probes = values @ _box_coordinate_data(mesh.kind)
     inside = ok & support_detect(probes, config.support_tol)
     return values, inside, _containment_depth(probes)
@@ -636,21 +634,6 @@ def _assemble_pointwise(
     return MortarMatrices(slave_mass=mass, coupling=coupling, stats=stats)
 
 
-def assemble_rb(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
-    """Assemble with the kernel-interpolated master basis.
-
-    One rescaled interpolant is fitted per candidate master element;
-    slave points are classified by interpolated coordinate ramps, so no
-    projection ever runs.
-    """
-    return _assemble_pointwise(pair, config, _kernel_values)
-
-
-def assemble_eb(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
-    """Assemble with Newton projection of slave Gauss points."""
-    return _assemble_pointwise(pair, config, _projection_values)
-
-
 def _principal_direction(nodes: np.ndarray) -> np.ndarray:
     centered = nodes - nodes.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
@@ -757,11 +740,17 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
 
 
 def assemble(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
-    """Dispatch on the configured scheme."""
+    """Dispatch on the configured scheme.
+
+    ``rb`` fits one rescaled interpolant per candidate master element and
+    classifies slave points by interpolated coordinate ramps, so no
+    projection ever runs; ``eb`` projects slave Gauss points by Newton
+    iteration.
+    """
     if config.scheme is Scheme.RB:
-        return assemble_rb(pair, config)
+        return _assemble_pointwise(pair, config, _kernel_values)
     if config.scheme is Scheme.EB:
-        return assemble_eb(pair, config)
+        return _assemble_pointwise(pair, config, _projection_values)
     return assemble_sb_1d(pair, config)
 
 

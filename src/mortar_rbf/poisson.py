@@ -431,16 +431,13 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     )
 
 
-def solve(
-    problem: PoissonProblem,
-    config: MortarConfig | None = None,
-    path: str = "condensed",
-) -> SolutionFields:
-    """Assemble and solve the coupled problem along the requested path."""
-    if path not in ("condensed", "saddle"):
-        raise ValueError(f"unknown solve path {path!r}")
+def solve(problem: PoissonProblem, config: MortarConfig | None = None) -> SolutionFields:
+    """Assemble the coupled problem and solve it by static condensation.
+
+    The saddle-point path is ``solve_saddle(build_system(problem, config))``.
+    """
     system = build_system(problem, config if config is not None else MortarConfig())
-    return solve_condensed(system) if path == "condensed" else solve_saddle(system)
+    return solve_condensed(system)
 
 
 def solve_single_domain(

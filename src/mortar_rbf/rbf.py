@@ -6,9 +6,12 @@ nodal basis functions (plus the constant 1) are sampled there.  Solving the
 collocation system once per element yields weight vectors that evaluate the
 interpolated basis anywhere in physical space.
 
+Master elements are interface elements: segments and quadrilaterals.
 Fits and evaluations run in chunked array passes over many elements: one
 batched LAPACK call solves a chunk's collocation systems, and one
-block-sparse product evaluates a chunk of (query, element) pairs.
+block-sparse product evaluates a chunk of (query, element) pairs.  A fit
+is one :class:`RbfInterpolant` holding the stacked arrays of its batch;
+one element's fit is a batch of one.
 
 Evaluation always returns the *rescaled* interpolant
 
@@ -109,7 +112,7 @@ class PointLayout:
     """Collocation point layout on the reference element.
 
     ``n_per_edge`` counts points per edge, element vertices included, so a
-    segment gets n points, a quadrilateral n^2 and a triangle n(n+1)/2.
+    segment gets n points and a quadrilateral n^2.
     The "sine" variant remaps each uniform coordinate through sin(pi t / 2)
     (in edge-normalized coordinates), clustering points toward the element
     boundary where interpolation of the nodal basis is hardest.
@@ -127,48 +130,49 @@ class PointLayout:
             )
 
 
+def _interface_kind(kind) -> ElementKind:
+    """``kind`` as an :class:`ElementKind`; triangles are volume elements,
+    and no interface mesh (the only kind that is fitted) is made of them."""
+    kind = ElementKind(kind)
+    if kind is ElementKind.TRI3:
+        raise ValueError(f"{kind.value} is a volume element, not an interface element")
+    return kind
+
+
 def interpolation_points(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     """Reference coordinates of the collocation points, shape (M, ref_dim)."""
-    kind = ElementKind(kind)
-    n = layout.n_per_edge
-    t = np.linspace(-1.0, 1.0, n)
+    kind = _interface_kind(kind)
+    t = np.linspace(-1.0, 1.0, layout.n_per_edge)
     if layout.variant is LayoutKind.SINE:
         t = np.sin(0.5 * np.pi * t)
     if kind.ref_dim == 1:
         return t.reshape(-1, 1)
-    if kind in (ElementKind.QUAD4, ElementKind.QUAD8):
-        xx, yy = np.meshgrid(t, t, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
-    # Triangle: uniform barycentric lattice, sine-remapped per coordinate.
-    # The remap is the [-1, 1] one transported to [0, 1]; being odd about
-    # the midpoint it preserves u_i + u_j <= 1, so points stay inside.
-    u = np.linspace(0.0, 1.0, n)
-    if layout.variant is LayoutKind.SINE:
-        u = 0.5 * (1.0 + np.sin(0.5 * np.pi * (2.0 * u - 1.0)))
-    pts = [(u[i], u[j]) for j in range(n) for i in range(n - j)]
-    return np.array(pts)
+    xx, yy = np.meshgrid(t, t, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
 
 
 @dataclass(frozen=True, eq=False)
 class RbfInterpolant:
-    """Fitted rescaled interpolant of one master element's nodal basis.
+    """Fitted rescaled interpolants of a batch of E master elements.
 
-    ``weights`` has one column per basis function; their row sums weight
-    the rescaling denominator, the interpolant of the constant one.
-    ``condition`` is the exact 1-norm condition number ||G||_1 ||G^-1||_1
-    of the collocation matrix G (infinite when G is exactly singular).
+    Element k of the batch is collocated at the physical points
+    ``points[k]`` (M, dim) with shape parameter ``epsilon[k]``.
+    ``weights[k]`` (M, n_basis) has one column per basis function; their
+    row sums weight the rescaling denominator, the interpolant of the
+    constant one.  ``condition[k]`` is the exact 1-norm condition number
+    ||G||_1 ||G^-1||_1 of its collocation matrix G (infinite when G is
+    exactly singular).  The arrays are read-only.
     """
 
-    kind: ElementKind
     family: KernelFamily
-    epsilon: float
     points: np.ndarray
+    epsilon: np.ndarray
     weights: np.ndarray
-    condition: float
+    condition: np.ndarray
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        for array in (self.points, self.epsilon, self.weights, self.condition):
+            array.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -187,19 +191,18 @@ def fit_interpolants(
     family: KernelFamily,
     epsilon: float | None = None,
     cond_limit: float | None = COND_LIMIT,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> RbfInterpolant:
     """Fit the rescaled kernel interpolants of elements ``elems``, in chunks.
 
-    Returns the physical collocation points (E, M, dim), shape parameters
-    (E,), basis weights (E, M, n_basis) and exact 1-norm condition numbers
-    (E,).  One LU factorization per fit gives both the weights and the
-    inverse the condition number is read from.  ``epsilon``
-    overrides the default shape parameter, each element's circumdiameter.
-    Raises :class:`IllConditionedKernelError` naming the first element
-    whose condition exceeds ``cond_limit``; with ``cond_limit=None`` an
-    exactly singular fit gets NaN weights, so its queries are flagged.
+    Element k of the returned batch is ``elems[k]``.  One LU factorization
+    per fit gives both the weights and the inverse the condition number is
+    read from.  ``epsilon`` overrides the default shape parameter, each
+    element's circumdiameter.  Raises :class:`IllConditionedKernelError`
+    naming the first element whose condition exceeds ``cond_limit``; with
+    ``cond_limit=None`` an exactly singular fit gets NaN weights, so its
+    queries are flagged.  Raises ``ValueError`` for a ``tri3`` mesh.
     """
-    kind = ElementKind(mesh.kind)
+    kind, family = ElementKind(mesh.kind), KernelFamily(family)
     elems = np.asarray(elems, dtype=np.int64).reshape(-1)
     basis = shape_values(kind, interpolation_points(kind, layout))
     points = basis @ mesh.nodes[mesh.connectivity[elems]]
@@ -229,7 +232,7 @@ def fit_interpolants(
                 condition=float(cond[k]),
             )
         weights[chunk] = solved[:, :, :n_basis]
-    return points, eps, weights, condition
+    return RbfInterpolant(family, points, eps, weights, condition)
 
 
 def _norm_1(matrices: np.ndarray) -> np.ndarray:
@@ -260,36 +263,29 @@ def fit_master_interpolant(
     epsilon: float | None = None,
     cond_limit: float | None = COND_LIMIT,
 ) -> RbfInterpolant:
-    """Fit one element's interpolant, the one-element :func:`fit_interpolants`."""
-    points, eps, weights, condition = fit_interpolants(
+    """Fit one element's interpolant: :func:`fit_interpolants` of ``[elem]``."""
+    return fit_interpolants(
         mesh, [elem], layout, family, epsilon=epsilon, cond_limit=cond_limit
-    )
-    return RbfInterpolant(
-        kind=ElementKind(mesh.kind),
-        family=KernelFamily(family),
-        epsilon=float(eps[0]),
-        points=points[0],
-        weights=weights[0],
-        condition=float(condition[0]),
     )
 
 
 def evaluate_interpolants(
-    family: KernelFamily, points, epsilon, weights, owner, queries
+    interp: RbfInterpolant, owner, queries
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled basis values of each query under its own interpolant.
 
-    Query k uses interpolant ``owner[k]`` of a :func:`fit_interpolants`
-    batch.  Per chunk, one block-sparse matrix of kernel rows times the
-    stacked weights gives every numerator (no query copies its weights);
-    their sum is the denominator, so valid rows sum to one however
-    ill-conditioned the fit.
+    Query k, row k of ``queries`` (n, dim), uses element ``owner[k]`` of
+    the batch ``interp``.  Per chunk, one block-sparse matrix of kernel
+    rows times the stacked weights gives every numerator (no query copies
+    its weights); their sum is the denominator, so valid rows sum to one
+    however ill-conditioned the fit.
 
     Rows whose denominator is below :data:`BREAKDOWN_TOL` times the
     absolute sum of its kernel-weighted terms (cancellation), or whose
     kernel values all vanish (beyond the Wendland cutoff, or Gaussian
     underflow), are zeroed and flagged False: out of support.
     """
+    points, epsilon, weights = interp.points, interp.epsilon, interp.weights
     _, n_points, n_basis = weights.shape
     # kernel values are non-negative, so rows times |weights| sum term sizes
     stacked = np.concatenate([weights, np.abs(weights)], axis=2).reshape(-1, 2 * n_basis)
@@ -300,7 +296,7 @@ def evaluate_interpolants(
         rows = slice(start, start + step)
         own, q = owner[rows], queries[rows]
         d2 = sum((q[:, c, None] - points[own, :, c]) ** 2 for c in range(q.shape[1]))
-        phi = _kernel_profile(family, np.sqrt(d2), epsilon[own, None])
+        phi = _kernel_profile(interp.family, np.sqrt(d2), epsilon[own, None])
         cols = own[:, None] * n_points + np.arange(n_points)
         kernel_rows = sparse.csr_matrix(
             (phi.ravel(), cols.ravel(), np.arange(0, phi.size + 1, n_points)),
@@ -318,38 +314,21 @@ def evaluate_interpolants(
 def evaluate_rescaled_masked(
     interp: RbfInterpolant, points
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled basis values and validity mask, see :func:`evaluate_interpolants`."""
+    """Rescaled basis values and validity mask of every point under the
+    batch's first interpolant, see :func:`evaluate_interpolants`."""
     pts = np.asarray(points, float)
-    if pts.ndim != 2 or pts.shape[1] != interp.points.shape[1]:
-        raise ValueError(
-            f"query points must have shape (n, {interp.points.shape[1]}), "
-            f"got shape {pts.shape}"
-        )
-    return evaluate_interpolants(
-        interp.family,
-        interp.points[None],
-        np.array([interp.epsilon]),
-        interp.weights[None],
-        np.zeros(pts.shape[0], dtype=np.int64),
-        pts,
-    )
+    dim = interp.points.shape[2]
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise ValueError(f"query points must have shape (n, {dim}), got shape {pts.shape}")
+    return evaluate_interpolants(interp, np.zeros(pts.shape[0], dtype=np.int64), pts)
 
 
 def halton_reference_points(kind: ElementKind, n: int) -> np.ndarray:
     """Deterministic Halton probe points inside the reference element."""
+    kind = _interface_kind(kind)
     from scipy.stats import qmc  # scipy.stats takes half a second to import
 
-    kind = ElementKind(kind)
-    sampler = qmc.Halton(d=kind.ref_dim, scramble=False)
-    u = sampler.random(n)
-    if kind.ref_dim == 1:
-        return 2.0 * u - 1.0
-    if kind in (ElementKind.QUAD4, ElementKind.QUAD8):
-        return 2.0 * u - 1.0
-    # Fold the unit square onto the simplex.
-    over = u.sum(axis=1) > 1.0
-    u[over] = 1.0 - u[over]
-    return u
+    return 2.0 * qmc.Halton(d=kind.ref_dim, scramble=False).random(n) - 1.0
 
 
 def basis_diagnostics(
@@ -367,16 +346,13 @@ def basis_diagnostics(
     beyond :data:`COND_LIMIT`, where assembly refuses the fit, is only
     flagged.
     """
-    interp = fit_master_interpolant(
-        mesh, elem, layout, family, epsilon=epsilon, cond_limit=None
-    )
+    interp = fit_interpolants(mesh, [elem], layout, family, epsilon=epsilon, cond_limit=None)
     ref = halton_reference_points(mesh.kind, _DIAGNOSTIC_PROBES)
     phys = element_geometry(mesh, ref, [elem])[0][0]
     exact = shape_values(mesh.kind, ref)
-    values, ok = evaluate_rescaled_masked(interp, phys)
+    values, ok = evaluate_interpolants(interp, np.zeros(len(phys), dtype=np.int64), phys)
     err = float(np.sqrt(np.mean((values[ok] - exact[ok]) ** 2))) if ok.any() else np.inf
+    condition = float(interp.condition[0])
     return InterpolationDiagnostics(
-        rmse=err,
-        condition_estimate=interp.condition,
-        unstable=bool(interp.condition > COND_LIMIT),
+        rmse=err, condition_estimate=condition, unstable=condition > COND_LIMIT
     )

@@ -384,7 +384,7 @@ def test_batched_condition_matches_lapack_estimate_on_segments(
     # LAPACK's estimate is exact on these well-conditioned fits; on
     # quadrilaterals it can fall short of the exact value by several percent
     mesh, layout = build().master, PointLayout(variant, n_per_edge)
-    condition = fit_interpolants(mesh, np.arange(mesh.n_elems), layout, family)[3]
+    condition = fit_interpolants(mesh, np.arange(mesh.n_elems), layout, family).condition
     estimate = [reference_fit(mesh, e, layout, family)[3] for e in range(mesh.n_elems)]
     np.testing.assert_allclose(condition, estimate, rtol=1e-10, atol=0.0)
 

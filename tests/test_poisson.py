@@ -193,12 +193,6 @@ def test_problem_requires_dirichlet_tags():
         PoissonProblem(UNIT_TRIANGLE, UNIT_TRIANGLE, source=zero_source)
 
 
-def test_solve_rejects_unknown_path():
-    problem = split_problem(4, 3, source=bubble_source)
-    with pytest.raises(ValueError):
-        solve(problem, path="direct")
-
-
 # A nearly singular system whose right-hand side is small next to |A| |x|:
 # the LU solution is accurate to roundoff (backward error near 1e-17), but
 # its residual is large relative to |b| alone.

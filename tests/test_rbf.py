@@ -8,6 +8,7 @@ from mortar_rbf import rbf
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
+    VolumeMesh,
     element_geometry,
     segment_mesh,
     segment_pair,
@@ -20,7 +21,9 @@ from mortar_rbf.rbf import (
     KernelFamily,
     LayoutKind,
     PointLayout,
+    RbfInterpolant,
     basis_diagnostics,
+    evaluate_interpolants,
     evaluate_rescaled_masked,
     fit_interpolants,
     fit_master_interpolant,
@@ -29,6 +32,7 @@ from mortar_rbf.rbf import (
 )
 
 ALL_FAMILIES = list(KernelFamily)
+TRIANGLE = VolumeMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
 
 def physical_points(mesh, elem, ref):
@@ -42,25 +46,30 @@ def evaluate_all(interp, points):
     return values
 
 
-def expected_point_count(kind, n):
-    if kind.ref_dim == 1:
-        return n
+def check_layout(kind, layout):
+    """Points per edge to the power ref_dim, inside [-1, 1]^ref_dim; tri3,
+    a volume element, is refused by name."""
     if kind is ElementKind.TRI3:
-        return n * (n + 1) // 2
-    return n * n
+        with pytest.raises(ValueError, match="tri3"):
+            interpolation_points(kind, layout)
+        return
+    pts = interpolation_points(kind, layout)
+    assert pts.shape == (layout.n_per_edge**kind.ref_dim, kind.ref_dim)
+    assert np.all(np.abs(pts) <= 1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
 @pytest.mark.parametrize("variant", list(LayoutKind))
 def test_interpolation_point_counts(kind, variant):
-    layout = PointLayout(variant, 5)
-    pts = interpolation_points(kind, layout)
-    assert pts.shape == (expected_point_count(kind, 5), kind.ref_dim)
-    if kind is ElementKind.TRI3:
-        assert np.all(pts >= -1e-12)
-        assert np.all(pts.sum(axis=1) <= 1.0 + 1e-12)
-    else:
-        assert np.all(np.abs(pts) <= 1.0 + 1e-12)
+    check_layout(kind, PointLayout(variant, 5))
+
+
+def test_triangles_are_refused_by_name():
+    layout = PointLayout()
+    with pytest.raises(ValueError, match="tri3"):
+        halton_reference_points(ElementKind.TRI3, 10)
+    with pytest.raises(ValueError, match="tri3"):
+        fit_interpolants(TRIANGLE, [0], layout, KernelFamily.GAUSSIAN)
 
 
 def test_sine_layout_clusters_toward_boundary():
@@ -147,16 +156,16 @@ def test_cancelling_denominator_is_masked():
     # Opposite weights on two collocation points: the denominator cancels
     # midway between them (exactly, and to 1e-14 just beside), although
     # both kernel-weighted terms are of order one.
-    points = np.array([[[0.0, 0.0], [1.0, 0.0]]])
-    weights = np.array([[[1.0, 0.0], [0.0, -1.0]]])
-    queries = np.array([[0.5, 0.0], [0.5 + 1e-14, 0.0], [0.1, 0.0]])
-    values, ok = rbf.evaluate_interpolants(
+    interp = RbfInterpolant(
         KernelFamily.GAUSSIAN,
-        points,
-        np.array([1.0]),
-        weights,
-        np.zeros(len(queries), dtype=np.int64),
-        queries,
+        points=np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+        epsilon=np.array([1.0]),
+        weights=np.array([[[1.0, 0.0], [0.0, -1.0]]]),
+        condition=np.array([1.0]),
+    )
+    queries = np.array([[0.5, 0.0], [0.5 + 1e-14, 0.0], [0.1, 0.0]])
+    values, ok = evaluate_interpolants(
+        interp, np.zeros(len(queries), dtype=np.int64), queries
     )
     assert ok.tolist() == [False, False, True]
     np.testing.assert_array_equal(values[:2], 0.0)
@@ -213,19 +222,55 @@ def test_exactly_singular_fit_is_refused_naming_the_lowest_master():
 
 def test_exactly_singular_fit_leaves_the_rest_of_its_batch_alone():
     mesh, layout = far_apart_segments(), PointLayout()
-    _, _, weights, condition = fit_interpolants(
+    batch = fit_interpolants(
         mesh, np.arange(5), layout, KernelFamily.GAUSSIAN, epsilon=1e12, cond_limit=None
     )
-    np.testing.assert_array_equal(np.isinf(condition), [0, 0, 1, 0, 1])
-    assert np.isnan(weights[[2, 4]]).all()
+    np.testing.assert_array_equal(np.isinf(batch.condition), [0, 0, 1, 0, 1])
+    assert np.isnan(batch.weights[[2, 4]]).all()
     for elem in (0, 1, 3):
         alone = fit_master_interpolant(
             mesh, elem, layout, KernelFamily.GAUSSIAN, epsilon=1e12
         )
-        np.testing.assert_array_equal(weights[elem], alone.weights)
-        assert condition[elem] == alone.condition < 1e3
+        np.testing.assert_array_equal(batch.weights[elem], alone.weights[0])
+        assert batch.condition[elem] == alone.condition[0] < 1e3
     diag = basis_diagnostics(mesh, 2, layout, KernelFamily.GAUSSIAN, epsilon=1e12)
     assert diag.unstable and diag.condition_estimate == np.inf
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        segment_pair(3, 2, ElementKind.SEG3)[0],
+        surface_pair(3, 2, ElementKind.QUAD8, warp_master=sine_bump(0.1))[0],
+    ],
+    ids=["seg3", "warped_quad8"],
+)
+def test_one_element_fit_is_its_element_of_the_batch(mesh, family):
+    layout = PointLayout("sine", 5)
+    batch = fit_interpolants(mesh, np.arange(mesh.n_elems), layout, family)
+    for elem in range(mesh.n_elems):
+        alone = fit_master_interpolant(mesh, elem, layout, family)
+        assert alone.family is batch.family is family
+        for field in ("points", "epsilon", "weights", "condition"):
+            one, all_ = getattr(alone, field), getattr(batch, field)
+            assert one.shape == (1,) + all_.shape[1:]
+            assert not one.flags.writeable and not all_.flags.writeable
+            np.testing.assert_array_equal(one[0], all_[elem])
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_one_element_evaluation_reads_the_first_interpolant(family):
+    mesh = surface_pair(3, 2, ElementKind.QUAD4, warp_master=sine_bump(0.1))[0]
+    batch = fit_interpolants(mesh, [4, 1], PointLayout(n_per_edge=5), family)
+    probes = physical_points(mesh, 4, halton_reference_points(ElementKind.QUAD4, 30))
+    probes[-1] += 50.0  # out of every kernel's support but the inverse multiquadric's
+    values, ok = evaluate_rescaled_masked(batch, probes)
+    expected = evaluate_interpolants(batch, np.zeros(len(probes), dtype=np.int64), probes)
+    np.testing.assert_array_equal(values, expected[0])
+    np.testing.assert_array_equal(ok, expected[1])
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_rescaled_masked(batch, probes[:, :2])
 
 
 @pytest.mark.parametrize(
@@ -281,9 +326,4 @@ def test_quadratic_basis_interpolation_error_bounds():
     kind=st.sampled_from(list(ElementKind)),
 )
 def test_interpolation_points_stay_in_reference_domain(n, variant, kind):
-    pts = interpolation_points(kind, PointLayout(variant, n))
-    assert pts.shape[0] == expected_point_count(kind, n)
-    if kind is ElementKind.TRI3:
-        assert np.all(pts >= -1e-12) and np.all(pts.sum(axis=1) <= 1.0 + 1e-12)
-    else:
-        assert np.all(np.abs(pts) <= 1.0 + 1e-12)
+    check_layout(kind, PointLayout(variant, n))
