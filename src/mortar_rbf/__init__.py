@@ -14,7 +14,6 @@ from .errors import (
     DegenerateElementError,
     IllConditionedKernelError,
     InvalidGeometryError,
-    MeshFormatError,
     SingularOperatorError,
     SolverFailureError,
 )
@@ -34,8 +33,6 @@ from .meshes import (
     Side,
     VolumeMesh,
     extract_interface,
-    load_mesh,
-    save_mesh,
     segment_pair,
     split_unit_square,
     surface_pair,
@@ -49,10 +46,7 @@ from .mortar import (
     TransferOperator,
     assemble,
     compute_transfer,
-    consistency_report,
     interface_transfer,
-    load_matrix_text,
-    save_matrix_text,
 )
 from .poisson import (
     PoissonProblem,
@@ -83,7 +77,6 @@ __all__ = [
     "InvalidGeometryError",
     "KernelFamily",
     "LayoutKind",
-    "MeshFormatError",
     "MortarConfig",
     "MortarMatrices",
     "NewtonSettings",
@@ -101,18 +94,13 @@ __all__ = [
     "assemble",
     "broken_norms",
     "compute_transfer",
-    "consistency_report",
     "extract_interface",
     "fit_master_interpolant",
     "gauss_rule",
     "interface_transfer",
     "load_config",
-    "load_matrix_text",
-    "load_mesh",
     "parse_config",
     "run_experiment",
-    "save_matrix_text",
-    "save_mesh",
     "segment_pair",
     "serialize_config",
     "shape_values",

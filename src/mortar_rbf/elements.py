@@ -73,8 +73,7 @@ _DEGREE = {
 # Node ordering conventions.  Segments run left to right with the mid node
 # (if any) second in coordinate order; quadrilaterals list the four corners
 # counter-clockwise and then the four edge midpoints, bottom, right, top,
-# left.  These orderings are also the connectivity conventions of the mesh
-# file format.
+# left.
 _NODE_COORDS = {
     ElementKind.SEG2: np.array([[-1.0], [1.0]]),
     ElementKind.SEG3: np.array([[-1.0], [0.0], [1.0]]),

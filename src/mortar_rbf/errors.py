@@ -1,14 +1,6 @@
 """Exception types shared across the package."""
 
 
-class MeshFormatError(ValueError):
-    """Raised when a mesh file or a matrix text file cannot be parsed.
-
-    The message always names the offending line number or the section that
-    is missing, so that broken files can be fixed by hand.
-    """
-
-
 class DegenerateElementError(ValueError):
     """Raised when an element has a non-positive Jacobian measure."""
 

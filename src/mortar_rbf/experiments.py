@@ -87,9 +87,6 @@ _KERNEL_ALIASES = {
     "wendland": KernelFamily.WENDLAND_C2,
 }
 
-_WARP_VARIANTS = ("bump", "flat")
-
-
 def _parse_kernel(key: str, token: str) -> KernelFamily:
     try:
         return _KERNEL_ALIASES[token.strip().lower()]
@@ -117,7 +114,6 @@ class ExperimentConfig:
     mortar: MortarConfig = field(default_factory=MortarConfig)
     function: str = "default"
     warp_amplitude: float = 0.15
-    warp_variant: str = "bump"
     seed: int = 0
     out: Path | None = None
 
@@ -130,13 +126,13 @@ class ExperimentConfig:
             )
         if self.ratio <= 0:
             raise ConfigError(f"mesh ratio must be positive, got {self.ratio}")
-        if self.warp_variant not in _WARP_VARIANTS:
+        if not 0.0 <= self.warp_amplitude < np.inf:
             raise ConfigError(
-                f"warp_variant must be one of {_WARP_VARIANTS}, "
-                f"got {self.warp_variant!r}"
+                f"warp_amplitude must be finite and non-negative, "
+                f"got {self.warp_amplitude}"
             )
-        if self.warp_amplitude < 0.0:
-            raise ConfigError("warp_amplitude must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def element_counts(self, level: int) -> tuple[int, int]:
         """(master, slave) element counts at a refinement level.
@@ -475,8 +471,7 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
             lines.append(f"  {line}")
 
     lines += ["", "warped pair (identical bump on both sides):"]
-    amplitude = config.warp_amplitude if config.warp_variant == "bump" else 0.0
-    warp = sine_bump(amplitude)
+    warp = sine_bump(config.warp_amplitude)
     top_level = config.refinements - 1
     counts = config.element_counts(top_level)
     fine, coarse = max(counts), min(counts)
@@ -675,10 +670,7 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
             )
 
     lines += ["", "curved interface:"]
-    if config.warp_variant == "bump" and config.warp_amplitude > 0.0:
-        amplitude = config.warp_amplitude
-    else:
-        amplitude = 0.0
+    amplitude = config.warp_amplitude
     curve = (lambda x: amplitude * np.sin(np.pi * x)) if amplitude else None
     n_master, n_slave = config.element_counts(config.refinements - 1)
     master, slave = split_unit_square(
@@ -868,7 +860,6 @@ _CONFIG_KEYS = (
     _ConfigKey("newton_max_iter", ("mortar", "newton", "max_iter"), _parse_int),
     _ConfigKey("function", ("function",), _parse_text),
     _ConfigKey("warp_amplitude", ("warp_amplitude",), _parse_float),
-    _ConfigKey("warp_variant", ("warp_variant",), _parse_text),
     _ConfigKey("seed", ("seed",), _parse_int),
     _ConfigKey("out", ("out",), lambda key, value: Path(value)),
 )
@@ -938,7 +929,7 @@ def _config_from_settings(settings: dict[str, str]) -> ExperimentConfig:
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{key.name}: {exc}") from None
     return config
 
 

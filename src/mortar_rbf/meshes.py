@@ -1,4 +1,4 @@
-"""Mesh containers, isoparametric geometry, structured generation and I/O.
+"""Mesh containers, isoparametric geometry and structured generation.
 
 Two mesh flavours are used throughout:
 
@@ -9,27 +9,10 @@ Two mesh flavours are used throughout:
 
 Meshes are immutable after construction; node and connectivity arrays are
 marked read-only.
-
-The text format written by :func:`save_mesh` is line oriented::
-
-    meshfmt 1
-    nodes <count> <dim>
-    <x> <y> [<z>]
-    elements <count> <kind>
-    <i0> <i1> ...
-    tags <count>
-    <n1> <n2> <name>
-
-Node indices are 0-based.  The ``tags`` section is optional and only
-meaningful for volume meshes.  Coordinates are written with full precision
-so that a save/load round trip reproduces the payload exactly.  Blank
-lines are skipped, counts must be non-negative, node indices must lie in
-the mesh, and text after the last section is an error.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -43,7 +26,7 @@ from .elements import (
     shape_gradients,
     shape_values,
 )
-from .errors import DegenerateElementError, InvalidGeometryError, MeshFormatError
+from .errors import DegenerateElementError, InvalidGeometryError
 
 __all__ = [
     "Side",
@@ -62,8 +45,6 @@ __all__ = [
     "rectangle_grid_mesh",
     "split_unit_square",
     "extract_interface",
-    "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -535,119 +516,3 @@ def extract_interface(mesh: VolumeMesh, side: Side) -> tuple[InterfaceMesh, np.n
         [np.arange(len(chain) - 1), np.arange(1, len(chain))]
     ).astype(np.int64)
     return InterfaceMesh(nodes, conn, ElementKind.SEG2, side), node_map
-
-
-# --- text format I/O -------------------------------------------------------
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write a mesh in the ``meshfmt 1`` text format (see module docstring)."""
-    lines = ["meshfmt 1"]
-    n, dim = mesh.nodes.shape
-    lines.append(f"nodes {n} {dim}")
-    for row in mesh.nodes:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    lines.append(f"elements {mesh.n_elems} {mesh.kind.value}")
-    for row in mesh.connectivity:
-        lines.append(" ".join(str(int(i)) for i in row))
-    if isinstance(mesh, VolumeMesh) and mesh.boundary_tags:
-        items = sorted(mesh.boundary_tags.items())
-        lines.append(f"tags {len(items)}")
-        for (a, b), tag in items:
-            lines.append(f"{a} {b} {tag}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _natural(below: float = np.inf) -> Callable[[str], int]:
-    """Field converter for an integer in [0, below): a count or an index."""
-    def convert(text: str) -> int:
-        value = int(text)
-        if not 0 <= value < below:
-            raise ValueError(f"expected an integer in [0, {below}), got {value}")
-        return value
-
-    return convert
-
-
-class _RowReader:
-    """The non-blank lines of a text file, read as rows of typed fields.
-
-    A field type is a converter, or a literal word that the field must
-    equal.  Every failure raises :class:`MeshFormatError` naming the line,
-    or the row that is missing when the file ends early.
-    """
-
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            raw = fh.read()
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
-            raise MeshFormatError(f"line {line}: not UTF-8 text") from None
-        numbered = enumerate(text.splitlines(), start=1)
-        self._lines = deque((n, line.strip()) for n, line in numbered if line.strip())
-
-    def done(self) -> bool:
-        return not self._lines
-
-    def row(self, what: str, *types) -> list:
-        """The next row converted field by field; ``what`` names it in errors."""
-        if not self._lines:
-            raise MeshFormatError(f"unexpected end of file: missing {what}")
-        number, line = self._lines.popleft()
-        fields = line.split()
-        if len(fields) != len(types) or any(
-            isinstance(t, str) and t != f for t, f in zip(types, fields)
-        ):
-            raise MeshFormatError(f"line {number}: expected {what}, got {line!r}")
-        try:
-            return [t if isinstance(t, str) else t(f) for t, f in zip(types, fields)]
-        except ValueError as exc:
-            raise MeshFormatError(f"line {number}: bad {what}: {exc}") from None
-
-    def rows(self, count: int, what: str, *types) -> list[list]:
-        return [self.row(f"{what} {i}", *types) for i in range(count)]
-
-    def end(self) -> None:
-        """Raise unless every line has been read."""
-        if self._lines:
-            number = self._lines[0][0]
-            raise MeshFormatError(f"line {number}: text after the last section")
-
-
-def load_mesh(path, side: Side = Side.MASTER) -> Mesh:
-    """Read a mesh written by :func:`save_mesh`.
-
-    The element kind decides the container: ``tri3`` files come back as
-    :class:`VolumeMesh`, everything else as :class:`InterfaceMesh` with the
-    requested ``side``.  Malformed input raises :class:`MeshFormatError`
-    naming the offending line or missing section.
-    """
-    reader = _RowReader(path)
-    reader.row("'meshfmt 1'", "meshfmt", "1")
-    _, n_nodes, dim = reader.row(
-        "'nodes <count> <dim>'", "nodes", _natural(), _natural(4)
-    )
-    nodes = reader.rows(n_nodes, "node row", *(float,) * dim)
-    _, n_elems, kind = reader.row(
-        "'elements <count> <kind>'", "elements", _natural(), ElementKind
-    )
-    node = _natural(n_nodes)
-    conn = reader.rows(n_elems, "element row", *(node,) * kind.n_nodes)
-    tags = {}
-    if not reader.done():
-        _, n_tags = reader.row("'tags <count>'", "tags", _natural())
-        rows = reader.rows(n_tags, "tag row", node, node, str)
-        tags = {(a, b): tag for a, b, tag in rows}
-    reader.end()
-
-    nodes = np.array(nodes, dtype=float).reshape(n_nodes, dim)
-    conn = np.array(conn, dtype=np.int64).reshape(n_elems, kind.n_nodes)
-    try:
-        if kind is ElementKind.TRI3:
-            return VolumeMesh(nodes, conn, tags)
-        return InterfaceMesh(nodes, conn, kind, side)
-    except ValueError as exc:
-        raise MeshFormatError(str(exc)) from None

@@ -55,8 +55,6 @@ from .errors import (
 )
 from .meshes import (
     InterfaceMesh,
-    _natural,
-    _RowReader,
     element_circumdiameters,
     element_geometry,
 )
@@ -113,8 +111,10 @@ class NewtonSettings:
     max_iter: int = 20
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("newton tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(
+                f"newton tolerance must be finite and positive, got {self.tol}"
+            )
         if self.max_iter < 1:
             raise ValueError("newton iteration budget must be at least 1")
 
@@ -147,8 +147,10 @@ class MortarConfig:
             )
         if self.n_gauss is not None and self.n_gauss < 1:
             raise ValueError("n_gauss must be positive")
-        if self.epsilon is not None and self.epsilon <= 0.0:
-            raise ValueError("epsilon override must be positive")
+        if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
+            raise ValueError(
+                f"epsilon override must be finite and positive, got {self.epsilon}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +186,10 @@ class InterfacePair:
                 "master and slave interfaces live in different ambient "
                 "dimensions"
             )
-        if self.gap_tolerance is not None and self.gap_tolerance < 0.0:
-            raise ValueError("gap_tolerance must be non-negative")
+        if self.gap_tolerance is not None and not 0.0 <= self.gap_tolerance < np.inf:
+            raise ValueError(
+                f"gap_tolerance must be finite and non-negative, got {self.gap_tolerance}"
+            )
 
     @cached_property
     def resolved_gap_tolerance(self) -> float:
@@ -290,15 +294,6 @@ class TransferOperator:
         return _transfer_field(self, np.ones(self.n_master_nodes))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Diagnostics for the constant-transfer property of an assembly."""
-
-    row_sum_defect: float
-    dropped_fraction: float
-    uncovered_slaves: tuple[int, ...]
-
-
 def _resolve_rule(config: MortarConfig, kind: ElementKind):
     minimum = min_gauss_points(kind)
     n = config.n_gauss if config.n_gauss is not None else minimum
@@ -359,7 +354,7 @@ def _candidate_pairs(pair: InterfacePair) -> tuple[np.ndarray, np.ndarray]:
 def contact_search(pair: InterfacePair) -> list[np.ndarray]:
     """Candidate master elements per slave element, in ascending order: the
     per-slave view of :func:`_candidate_pairs`, which assembly reads
-    directly, kept for callers and the benchmark tracer."""
+    directly.  Kept for tests and the benchmark tracer only."""
     s_elem, m_elem = _candidate_pairs(pair)
     per_slave = np.bincount(s_elem, minlength=pair.slave.n_elems)
     return np.split(m_elem, np.cumsum(per_slave))[:-1]
@@ -803,56 +798,3 @@ def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
     if values.ndim == 1:
         return _transfer_field(transfer, values)
     return transfer.matrix @ values
-
-
-def consistency_report(matrices: MortarMatrices) -> ConsistencyReport:
-    """Constant-transfer diagnostics; never raises.
-
-    A singular slave mass (uncovered nodes) reports an infinite defect.
-    """
-    try:
-        transfer = compute_transfer(matrices)
-    except SingularOperatorError:
-        defect = np.inf
-    else:
-        sums = transfer.row_sums()
-        defect = float(np.max(np.abs(sums - 1.0))) if sums.size else 0.0
-    return ConsistencyReport(
-        row_sum_defect=defect,
-        dropped_fraction=matrices.stats.dropped_fraction,
-        uncovered_slaves=matrices.stats.uncovered_slave_elements,
-    )
-
-
-def save_matrix_text(matrix, path) -> None:
-    """Write a matrix as coordinate triples.
-
-    One header line ``matrix <rows> <cols> <nnz>`` followed by one
-    ``row col value`` line per stored entry, row-major, full float
-    precision.  Works for sparse and dense inputs.
-    """
-    canonical = sparse.csr_matrix(matrix)
-    canonical.sum_duplicates()
-    coo = canonical.tocoo()
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"matrix {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, value in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{i} {j} {float(value)!r}\n")
-
-
-def load_matrix_text(path) -> sparse.csr_matrix:
-    """Read a matrix written by :func:`save_matrix_text`.
-
-    Malformed input raises :class:`MeshFormatError` naming the line.
-    """
-    reader = _RowReader(path)
-    _, n_rows, n_cols, nnz = reader.row(
-        "'matrix <rows> <cols> <nnz>'", "matrix", *(_natural(),) * 3
-    )
-    entries = reader.rows(nnz, "entry", _natural(n_rows), _natural(n_cols), float)
-    reader.end()
-    rows, cols, vals = zip(*entries) if entries else ((), (), ())
-    return sparse.coo_matrix(
-        (np.array(vals, float), (np.array(rows, int), np.array(cols, int))),
-        shape=(n_rows, n_cols),
-    ).tocsr()

@@ -128,12 +128,10 @@ class SolutionFields:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Broken error norms, combined and per subdomain."""
+    """Broken error norms over both subdomains."""
 
     l2_broken: float
     h1_broken: float
-    l2_parts: tuple[float, float]
-    h1_parts: tuple[float, float]
 
 
 # --- P1 assembly -----------------------------------------------------------
@@ -494,6 +492,4 @@ def broken_norms(problem: PoissonProblem, fields: SolutionFields) -> ErrorReport
     return ErrorReport(
         l2_broken=float(np.sqrt(l2_m + l2_s)),
         h1_broken=float(np.sqrt(h1_m + h1_s)),
-        l2_parts=(float(np.sqrt(l2_m)), float(np.sqrt(l2_s))),
-        h1_parts=(float(np.sqrt(h1_m)), float(np.sqrt(h1_s))),
     )

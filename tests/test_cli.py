@@ -46,6 +46,27 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("newton_tol", "nan"),
+        ("epsilon", "nan"),
+        ("warp_amplitude", "nan"),
+        ("warp_amplitude", "inf"),
+        ("seed", "-1"),
+    ],
+)
+def test_out_of_range_settings_are_config_errors(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{key} = {value}\n")
+    code = run_cli(
+        "scheme_compare", "--config", str(path), "--levels", "1",
+        "--out", str(tmp_path / "run"),
+    )
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
 def test_bad_level_count(capsys):
     assert run_cli("interp_1d", "--levels", "0") == 2
     assert "refinements" in capsys.readouterr().err

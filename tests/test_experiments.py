@@ -53,8 +53,6 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.INTERP_1D, ratio=Fraction(-2, 3))
     with pytest.raises(ConfigError):
         ExperimentConfig(ExperimentKind.INTERP_1D, warp_amplitude=-0.1)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(ExperimentKind.INTERP_1D, warp_variant="wavy")
 
 
 def test_config_round_trips_through_the_text_format():
@@ -80,7 +78,6 @@ def test_config_default_text_is_canonical():
         "newton_max_iter = 20\n"
         "function = default\n"
         "warp_amplitude = 0.15\n"
-        "warp_variant = bump\n"
         "seed = 0\n"
     )
 
@@ -113,6 +110,7 @@ def test_kernel_aliases_are_accepted():
         "experiment = interp_1d\njust a line\n",
         "experiment = interp_1d\nn_m = 50\n",
         "experiment = interp_1d\nrefinements = 12\n",
+        "experiment = interp_1d\nwarp_variant = flat\n",
     ],
 )
 def test_config_parse_errors(text):
@@ -137,7 +135,6 @@ def test_load_config_missing_file(tmp_path):
     n_gauss=st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
     seed=st.integers(min_value=0, max_value=10_000),
     warp_amplitude=st.sampled_from([0.0, 0.15, 0.4]),
-    warp_variant=st.sampled_from(["bump", "flat"]),
 )
 def test_any_config_round_trips(
     experiment,
@@ -150,7 +147,6 @@ def test_any_config_round_trips(
     n_gauss,
     seed,
     warp_amplitude,
-    warp_variant,
 ):
     config = ExperimentConfig(
         experiment=experiment,
@@ -163,7 +159,6 @@ def test_any_config_round_trips(
             layout=PointLayout(variant, n_m),
         ),
         warp_amplitude=warp_amplitude,
-        warp_variant=warp_variant,
         seed=seed,
     )
     assert parse_config(serialize_config(config)) == config

@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from mortar_rbf import mortar
 from mortar_rbf.elements import ElementKind
-from mortar_rbf.errors import InvalidGeometryError, MeshFormatError, SingularOperatorError
+from mortar_rbf.errors import InvalidGeometryError, SingularOperatorError
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
     element_circumdiameters,
-    load_mesh,
     segment_mesh,
     segment_pair,
     sine_bump,
@@ -25,11 +24,8 @@ from mortar_rbf.mortar import (
     _project_points,
     assemble,
     compute_transfer,
-    consistency_report,
     contact_search,
     interface_transfer,
-    load_matrix_text,
-    save_matrix_text,
     support_detect,
 )
 from mortar_rbf.rbf import KernelFamily, PointLayout, fit_master_interpolant
@@ -234,10 +230,6 @@ def test_uncovered_slave_elements_are_reported(scheme):
         compute_transfer(matrices)
     assert tuple(info.value.nodes) == (3, 4)
 
-    report = consistency_report(matrices)
-    assert report.row_sum_defect == np.inf
-    assert report.uncovered_slaves == (2, 3)
-
 
 def test_dropped_fraction_counts_points_outside_the_master():
     master = segment_mesh(2, span=(0.0, 0.5))
@@ -378,11 +370,9 @@ def test_every_scheme_refuses_a_folded_element(name, side):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 @pytest.mark.parametrize("side", ["master", "slave"])
-def test_an_empty_interface_side_is_refused_by_name(tmp_path, side, scheme):
-    path = tmp_path / "empty.mesh"
-    path.write_text("meshfmt 1\nnodes 0 2\nelements 0 seg2\n")
+def test_an_empty_interface_side_is_refused_by_name(side, scheme):
     meshes = dict(zip(("master", "slave"), segment_pair(3, 2)))
-    meshes[side] = load_mesh(path)
+    meshes[side] = InterfaceMesh(np.zeros((0, 2)), np.zeros((0, 2), int), ElementKind.SEG2)
     expected = f"the {side} interface has no elements"
     with pytest.raises(InvalidGeometryError, match=expected):
         assemble(InterfacePair(**meshes), MortarConfig(scheme=scheme))
@@ -449,46 +439,15 @@ def test_pair_and_config_validation():
         NewtonSettings(tol=0.0)
     with pytest.raises(ValueError):
         NewtonSettings(max_iter=0)
-    with pytest.raises(ValueError):
-        InterfacePair(seg, seg, gap_tolerance=-0.1)
+    for gap in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="gap_tolerance"):
+            InterfacePair(seg, seg, gap_tolerance=gap)
     with pytest.raises(ValueError):
         assemble(unit_pair(1, 1), MortarConfig(n_gauss=1))
     transfer = compute_transfer(assemble(unit_pair(3, 2), MortarConfig()))
     for values in (np.float64(1.0), np.ones((transfer.n_master_nodes, 2, 3))):
         with pytest.raises(ValueError, match="master_values must be 1-d or 2-d"):
             interface_transfer(transfer, values)
-
-
-def test_matrix_text_round_trip(tmp_path):
-    matrices = assemble(unit_pair(3, 4), MortarConfig(scheme=Scheme.EB))
-    path = tmp_path / "coupling.txt"
-    save_matrix_text(matrices.coupling, path)
-    again = load_matrix_text(path)
-    np.testing.assert_array_equal(again.toarray(), matrices.coupling.toarray())
-
-    dense = np.array([[0.0, -1.25e-17], [3.0, 0.125]])
-    save_matrix_text(dense, path)
-    np.testing.assert_array_equal(load_matrix_text(path).toarray(), dense)
-
-
-def test_matrix_text_names_the_bad_line(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("matrix 2 x 1\n0 0 1.0\n")
-    with pytest.raises(MeshFormatError, match=r"^line 1: "):
-        load_matrix_text(path)
-    path.write_text("matrix 2 2 1\n0 0 1.0\n1 1 2.0\n")
-    with pytest.raises(MeshFormatError, match=r"^line 3: "):
-        load_matrix_text(path)
-
-
-def test_matrix_text_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("matrix 2 2\n")
-    with pytest.raises(ValueError):
-        load_matrix_text(path)
-    path.write_text("matrix 2 2 3\n0 0 1.0\n")
-    with pytest.raises(ValueError):
-        load_matrix_text(path)
 
 
 @settings(deadline=None, max_examples=15)

@@ -1,6 +1,7 @@
 """The command line scripts run end to end from a source checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,11 @@ def test_run_all_experiments_writes_every_output(tmp_path):
     for kind in ExperimentKind:
         assert (tmp_path / kind.value / "sweep.csv").is_file()
         assert (tmp_path / kind.value / "report.txt").is_file()
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        done = run_python("-c", block)
+        assert done.returncode == 0, done.stderr
