@@ -50,7 +50,9 @@ def test_unknown_config_key(tmp_path, capsys):
     "key, value",
     [
         ("newton_tol", "nan"),
+        ("newton_tol", "inf"),
         ("epsilon", "nan"),
+        ("epsilon", "inf"),
         ("warp_amplitude", "nan"),
         ("warp_amplitude", "inf"),
         ("seed", "-1"),

@@ -137,6 +137,59 @@ def test_translate_returns_shifted_copy():
     assert moved.side is mesh.side
 
 
+def _saved_and_loaded(tmp_path, name, array):
+    path = tmp_path / f"{name}.npy"
+    np.save(path, array)
+    return np.load(path)
+
+
+def test_interface_mesh_array_round_trip(tmp_path):
+    mesh = square_surface_mesh(3, ElementKind.QUAD8, warp=sine_bump(0.11))
+    again = InterfaceMesh(
+        _saved_and_loaded(tmp_path, "nodes", mesh.nodes),
+        _saved_and_loaded(tmp_path, "connectivity", mesh.connectivity),
+        mesh.kind,
+        Side.SLAVE,
+    )
+    np.testing.assert_array_equal(again.nodes, mesh.nodes)
+    np.testing.assert_array_equal(again.connectivity, mesh.connectivity)
+    assert again.kind is mesh.kind
+    assert again.side is Side.SLAVE
+
+
+def test_empty_interface_mesh_array_round_trip(tmp_path):
+    mesh = InterfaceMesh(np.zeros((0, 2)), np.zeros((0, 2), int), ElementKind.SEG2)
+    again = InterfaceMesh(
+        _saved_and_loaded(tmp_path, "nodes", mesh.nodes),
+        _saved_and_loaded(tmp_path, "connectivity", mesh.connectivity),
+        mesh.kind,
+    )
+    assert again.nodes.shape == (0, 2) and again.connectivity.shape == (0, 2)
+    assert again.n_elems == 0
+
+
+def test_volume_mesh_array_round_trip(tmp_path):
+    mesh, _ = split_unit_square(3, 2)
+    edges = np.array(list(mesh.boundary_tags), dtype=np.int64)
+    names = np.array(list(mesh.boundary_tags.values()))
+    tags = zip(
+        map(tuple, _saved_and_loaded(tmp_path, "edges", edges)),
+        _saved_and_loaded(tmp_path, "names", names),
+    )
+    again = VolumeMesh(
+        _saved_and_loaded(tmp_path, "nodes", mesh.nodes),
+        _saved_and_loaded(tmp_path, "connectivity", mesh.connectivity),
+        dict(tags),
+    )
+    np.testing.assert_array_equal(again.nodes, mesh.nodes)
+    np.testing.assert_array_equal(again.connectivity, mesh.connectivity)
+    assert again.boundary_tags == mesh.boundary_tags
+    interface, volume_nodes = extract_interface(again, Side.SLAVE)
+    expected, expected_volume_nodes = extract_interface(mesh, Side.SLAVE)
+    np.testing.assert_array_equal(interface.nodes, expected.nodes)
+    np.testing.assert_array_equal(volume_nodes, expected_volume_nodes)
+
+
 def test_tags_naming_nodes_outside_the_mesh_are_rejected():
     mesh = split_unit_square(3, 2)[1]
     with pytest.raises(ValueError, match=r"edge \(0, 999\)"):
