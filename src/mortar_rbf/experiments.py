@@ -112,7 +112,6 @@ class ExperimentConfig:
     refinements: int = 5
     ratio: Fraction = Fraction(2, 3)
     mortar: MortarConfig = field(default_factory=MortarConfig)
-    function: str = "default"
     warp_amplitude: float = 0.15
     seed: int = 0
     out: Path | None = None
@@ -269,42 +268,35 @@ def _sweep_row(
 
 
 # ---------------------------------------------------------------------------
-# Analytic test functions
+# Analytic test functions: the 1D, flat surface and warped surface transfer
+# fields, and the manufactured Poisson problem
 
 
-def _function_1d(name: str) -> Callable:
-    if name in ("default", "sin4_plus_square"):
-        return lambda p: np.sin(4.0 * p[..., 0]) + p[..., 0] * p[..., 0]
-    raise ConfigError(f"unknown 1D test function {name!r}")
+def _sin4_plus_square(p):
+    return np.sin(4.0 * p[..., 0]) + p[..., 0] * p[..., 0]
 
 
-def _surface_function(name: str, default: str) -> Callable:
-    """Surface test fields; the default differs between flat and warped runs."""
-    resolved = default if name == "default" else name
-    if resolved == "sin4x_cos4y":
-        return lambda p: np.sin(4.0 * p[..., 0]) * np.cos(4.0 * p[..., 1])
-    if resolved == "sinx_plus_cosy":
-        return lambda p: np.sin(p[..., 0]) + np.cos(p[..., 1])
-    raise ConfigError(f"unknown surface test function {name!r}")
+def _sin4x_cos4y(p):
+    return np.sin(4.0 * p[..., 0]) * np.cos(4.0 * p[..., 1])
 
 
-def _poisson_functions(name: str):
-    """Source, exact solution and gradient of the manufactured problem."""
-    if name not in ("default", "bubble16"):
-        raise ConfigError(f"unknown Poisson test function {name!r}")
+def _sinx_plus_cosy(p):
+    return np.sin(p[..., 0]) + np.cos(p[..., 1])
 
-    def source(x, y):
-        return 32.0 * (x * (1.0 - x) + y * (1.0 - y))
 
-    def exact(x, y):
-        return 16.0 * x * y * (1.0 - x) * (1.0 - y)
+def _bubble_source(x, y):
+    return 32.0 * (x * (1.0 - x) + y * (1.0 - y))
 
-    def exact_gradient(x, y):
-        gx = 16.0 * y * (1.0 - y) * (1.0 - 2.0 * x)
-        gy = 16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)
-        return np.stack([gx, gy], axis=-1)
 
-    return source, exact, exact_gradient
+def _bubble_exact(x, y):
+    return 16.0 * x * y * (1.0 - x) * (1.0 - y)
+
+
+def _bubble_gradient(x, y):
+    """Gradient of :func:`_bubble_exact`, components on a trailing axis."""
+    gx = 16.0 * y * (1.0 - y) * (1.0 - 2.0 * x)
+    gy = 16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)
+    return np.stack([gx, gy], axis=-1)
 
 
 def _transfer_l2_error(slave: InterfaceMesh, values: np.ndarray, fn: Callable) -> float:
@@ -382,7 +374,6 @@ def run_interp_1d(config: ExperimentConfig) -> ExperimentResult:
     the configured kernel plus Wendland for the smoothness contrast) and
     reports observed orders of the slave-side L2 error.
     """
-    fn = _function_1d(config.function)
     rb_kernels = [config.mortar.kernel_family]
     if KernelFamily.WENDLAND_C2 not in rb_kernels:
         rb_kernels.append(KernelFamily.WENDLAND_C2)
@@ -407,7 +398,7 @@ def run_interp_1d(config: ExperimentConfig) -> ExperimentResult:
                 config,
                 config.refinements,
                 partial(segment_pair, kind=kind, span=(-1.0, 1.0)),
-                fn,
+                _sin4_plus_square,
                 mortar,
                 label,
                 rows,
@@ -435,8 +426,6 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
     warped part runs one pair (both role assignments) with an identical
     out-of-plane bump on both sides, comparing RB and EB L2 errors.
     """
-    flat_fn = _surface_function(config.function, "sin4x_cos4y")
-    warped_fn = _surface_function(config.function, "sinx_plus_cosy")
     rows: list[SweepRow] = []
     orders: dict[str, float] = {}
     metrics: dict[str, float] = {}
@@ -460,7 +449,7 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
                 config,
                 flat_levels,
                 partial(surface_pair, kind=kind),
-                flat_fn,
+                _sin4x_cos4y,
                 mortar,
                 label,
                 rows,
@@ -484,7 +473,7 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
         )
         for scheme in (Scheme.RB, Scheme.EB):
             mortar = replace(config.mortar, scheme=scheme)
-            row = _transfer_row(top_level, master, slave, mortar, warped_fn)
+            row = _transfer_row(top_level, master, slave, mortar, _sinx_plus_cosy)
             rows.append(row)
             metrics[f"warped/{role}/{scheme.value}"] = row.l2_error
         rb_err = metrics[f"warped/{role}/rb"]
@@ -611,7 +600,6 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
     RB, EB and SB, then solves one curved-interface problem at the finest
     resolution and exports point-wise nodal errors.
     """
-    source, exact, exact_gradient = _poisson_functions(config.function)
     rows: list[SweepRow] = []
     orders: dict[str, float] = {}
     metrics: dict[str, float] = {}
@@ -630,9 +618,9 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
             problem = PoissonProblem(
                 master,
                 slave,
-                source,
-                exact=exact,
-                exact_gradient=exact_gradient,
+                _bubble_source,
+                exact=_bubble_exact,
+                exact_gradient=_bubble_gradient,
             )
             system, seconds = _timed(build_system, problem, mortar)
             fields = solve_condensed(system)
@@ -677,7 +665,11 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
         base_scale * n_master, base_scale * n_slave, interface_offset=curve
     )
     problem = PoissonProblem(
-        master, slave, source, exact=exact, exact_gradient=exact_gradient
+        master,
+        slave,
+        _bubble_source,
+        exact=_bubble_exact,
+        exact_gradient=_bubble_gradient,
     )
     fields = solve(problem, config.mortar)
     report = broken_norms(problem, fields)
@@ -695,7 +687,7 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
         (master, fields.master_values),
         (slave, fields.slave_values),
     ):
-        truth = exact(mesh.nodes[:, 0], mesh.nodes[:, 1])
+        truth = _bubble_exact(mesh.nodes[:, 0], mesh.nodes[:, 1])
         samples.append(
             np.column_stack([mesh.nodes, np.abs(values - truth)])
         )
@@ -823,10 +815,6 @@ def _parse_choice(kind: type[Enum]) -> Callable[[str, str], Enum]:
     return parse
 
 
-def _parse_text(key: str, value: str) -> str:
-    return value
-
-
 @dataclass(frozen=True)
 class _ConfigKey:
     """One key of the config format.
@@ -858,7 +846,6 @@ _CONFIG_KEYS = (
     _ConfigKey("epsilon", ("mortar", "epsilon"), _parse_float, optional=True),
     _ConfigKey("newton_tol", ("mortar", "newton", "tol"), _parse_float),
     _ConfigKey("newton_max_iter", ("mortar", "newton", "max_iter"), _parse_int),
-    _ConfigKey("function", ("function",), _parse_text),
     _ConfigKey("warp_amplitude", ("warp_amplitude",), _parse_float),
     _ConfigKey("seed", ("seed",), _parse_int),
     _ConfigKey("out", ("out",), lambda key, value: Path(value)),

@@ -22,6 +22,7 @@ import numpy as np
 from .elements import (
     ElementKind,
     gauss_rule,
+    min_gauss_points,
     node_reference_coords,
     shape_gradients,
     shape_values,
@@ -111,6 +112,8 @@ class InterfaceMesh:
         _validate_connectivity(self.nodes, self.connectivity, self.kind)
         if self.kind is ElementKind.SEG3:
             _validate_unfolded(self)
+        probe = gauss_rule(self.kind, min_gauss_points(self.kind)).points
+        _validate_measures(self, probe)
 
     @property
     def n_nodes(self) -> int:
@@ -251,12 +254,13 @@ def _validate_measures(mesh: Mesh, probe) -> None:
     _, det = element_geometry(mesh, probe)
     bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
     if bad.size:
-        failure = (
-            "has non-positive Jacobian determinant"
-            if isinstance(mesh, VolumeMesh)
-            else "has a degenerate surface metric"
+        if isinstance(mesh, VolumeMesh):
+            raise DegenerateElementError(
+                f"element {bad[0]} has non-positive Jacobian determinant"
+            )
+        raise DegenerateElementError(
+            f"{mesh.side.value} element {bad[0]} has a degenerate surface metric"
         )
-        raise DegenerateElementError(f"element {bad[0]} {failure}")
 
 
 # --- structured generation -------------------------------------------------
@@ -354,10 +358,7 @@ def square_surface_mesh(
         xy = np.vstack([xy, np.column_stack([vx.ravel(), vy.ravel()])])
 
     z = warp(xy[:, 0], xy[:, 1]) if warp is not None else np.zeros(xy.shape[0])
-    mesh = InterfaceMesh(np.column_stack([xy, z]), np.column_stack(conn), kind, side)
-    probe = gauss_rule(kind, (kind.degree + 1) ** 2).points
-    _validate_measures(mesh, probe)
-    return mesh
+    return InterfaceMesh(np.column_stack([xy, z]), np.column_stack(conn), kind, side)
 
 
 def surface_pair(

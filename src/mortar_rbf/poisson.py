@@ -5,12 +5,15 @@ whole-mesh array passes: quadrature points and load contributions are
 matrix products with the reference basis, stiffness blocks are products
 of the constant basis gradients, and the load is scattered with one
 ``bincount``.  Continuity across the shared interface is imposed weakly
-through the coupling matrices of :mod:`.mortar`.  The resulting saddle
-system can be solved directly, or after static condensation, which
-eliminates the multipliers together with the slave interface values and
-leaves a symmetric positive definite system in the remaining unknowns.
-Both paths recover the full solution fields including the multipliers,
-and must agree to solver accuracy.
+through the coupling matrices of :mod:`.mortar`.  Both subdomains share
+one stacked numbering, master nodes first.  The resulting saddle system
+can be solved directly, or after static condensation, which eliminates
+the multipliers together with the slave interface values and leaves a
+symmetric positive definite system in the remaining unknowns.  Every
+solve, the single-mesh one included, eliminates its fixed dofs by the
+same restriction x = P y + c.  Both coupled paths recover the full
+solution fields including the multipliers, and must agree to solver
+accuracy.
 """
 
 from __future__ import annotations
@@ -85,45 +88,40 @@ class InterfaceBinding:
 
 @dataclass(frozen=True)
 class CoupledSystem:
-    """Assembled per-subdomain operators plus the mortar coupling.
+    """Stacked operators of both subdomains plus the mortar coupling.
 
-    Interface bindings give the partition of each subdomain's nodes into
-    interior and interface sets; the mortar matrices are numbered in the
-    local interface ordering of the bindings.
+    Unknowns are numbered master nodes first, then slave nodes.
+    ``stiffness`` is the block diagonal of the two subdomain stiffness
+    matrices and ``load`` stacks their load vectors; ``pinned`` lists the
+    Dirichlet dofs in that numbering and ``pinned_values`` their data.
+    Interface bindings map each side's local interface ordering, in which
+    the mortar matrices are numbered, to its volume nodes.
     """
 
     problem: PoissonProblem
-    stiffness_master: sparse.csr_matrix
-    stiffness_slave: sparse.csr_matrix
-    load_master: np.ndarray
-    load_slave: np.ndarray
+    stiffness: sparse.csr_matrix
+    load: np.ndarray
+    pinned: np.ndarray
+    pinned_values: np.ndarray
     master_binding: InterfaceBinding
     slave_binding: InterfaceBinding
     mortar: MortarMatrices
-    pinned_master: np.ndarray
-    pinned_master_values: np.ndarray
-    pinned_slave: np.ndarray
-    pinned_slave_values: np.ndarray
 
 
 @dataclass(frozen=True)
 class SolutionFields:
     """Nodal solution of the coupled problem.
 
-    ``master_trace`` and ``slave_trace`` restrict the subdomain fields to
-    their interface nodes (in interface ordering); the slave trace equals
-    the transferred master trace up to solver accuracy.  ``multipliers``
-    live on the slave interface nodes.  ``constraint_residual`` is the
-    max-norm mortar constraint defect relative to the coupling scale.
+    ``multipliers`` live on the slave interface nodes.
+    ``constraint_residual`` is the max-norm mortar constraint defect
+    relative to the coupling scale.  A side's interface trace is its
+    values at ``binding.volume_nodes``.
     """
 
     master_values: np.ndarray
     slave_values: np.ndarray
     multipliers: np.ndarray
-    master_trace: np.ndarray
-    slave_trace: np.ndarray
     constraint_residual: float
-    path: str
 
 
 @dataclass(frozen=True)
@@ -196,23 +194,22 @@ def interface_bindings(
     problem: PoissonProblem,
 ) -> tuple[InterfaceBinding, InterfaceBinding]:
     """Extract both interface traces with their volume numbering."""
-    master_mesh, master_map = extract_interface(problem.master, Side.MASTER)
+    master_mesh, master_dofs = extract_interface(problem.master, Side.MASTER)
     slave_mesh, slave_map = extract_interface(problem.slave, Side.SLAVE)
     return (
-        InterfaceBinding(master_mesh, master_map),
+        InterfaceBinding(master_mesh, master_dofs),
         InterfaceBinding(slave_mesh, slave_map),
     )
 
 
-def _dirichlet_values(dirichlet: Callable | None, mesh: VolumeMesh, nodes):
+def _dirichlet_values(dirichlet: Callable | None, coords: np.ndarray) -> np.ndarray:
     if dirichlet is None:
-        return np.zeros(len(nodes))
-    coords = mesh.nodes[nodes]
+        return np.zeros(len(coords))
     return np.asarray(dirichlet(coords[:, 0], coords[:, 1]), float)
 
 
 def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem:
-    """Assemble subdomain operators and the mortar coupling.
+    """Assemble the stacked subdomain operators and the mortar coupling.
 
     The master keeps every Dirichlet-tagged node pinned, interface
     endpoints included.  The slave never pins its interface nodes, even
@@ -224,53 +221,29 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
     pair = InterfacePair(master_binding.mesh, slave_binding.mesh)
     mortar = assemble(pair, config)
 
-    pinned_master = problem.master.tagged_nodes("dirichlet")
-    slave_tagged = problem.slave.tagged_nodes("dirichlet")
-    pinned = np.zeros(problem.slave.n_nodes, bool)
-    pinned[slave_tagged] = True
-    pinned[slave_binding.volume_nodes] = False
-    pinned_slave = np.flatnonzero(pinned)
-    bc = problem.dirichlet
-
+    master, slave = problem.master, problem.slave
+    pinned_master = master.tagged_nodes("dirichlet")
+    pinned_slave = np.setdiff1d(
+        slave.tagged_nodes("dirichlet"), slave_binding.volume_nodes
+    )
+    coords = np.vstack([master.nodes[pinned_master], slave.nodes[pinned_slave]])
     return CoupledSystem(
         problem=problem,
-        stiffness_master=assemble_stiffness(problem.master),
-        stiffness_slave=assemble_stiffness(problem.slave),
-        load_master=assemble_load(problem.master, problem.source),
-        load_slave=assemble_load(problem.slave, problem.source),
+        stiffness=sparse.block_diag(
+            [assemble_stiffness(master), assemble_stiffness(slave)], format="csr"
+        ),
+        load=np.concatenate(
+            [assemble_load(mesh, problem.source) for mesh in (master, slave)]
+        ),
+        pinned=np.concatenate([pinned_master, master.n_nodes + pinned_slave]),
+        pinned_values=_dirichlet_values(problem.dirichlet, coords),
         master_binding=master_binding,
         slave_binding=slave_binding,
         mortar=mortar,
-        pinned_master=pinned_master,
-        pinned_master_values=_dirichlet_values(bc, problem.master, pinned_master),
-        pinned_slave=pinned_slave,
-        pinned_slave_values=_dirichlet_values(bc, problem.slave, pinned_slave),
     )
 
 
 # --- linear algebra helpers ------------------------------------------------
-
-
-def _expand_columns(matrix, n_total: int, col_map: np.ndarray) -> sparse.csr_matrix:
-    """Re-index matrix columns from local interface to volume numbering."""
-    coo = sparse.coo_matrix(matrix)
-    return sparse.coo_matrix(
-        (coo.data, (coo.row, col_map[coo.col])), shape=(matrix.shape[0], n_total)
-    ).tocsr()
-
-
-def _apply_dirichlet(matrix, rhs, dofs: np.ndarray, values: np.ndarray):
-    """Symmetric elimination: pinned dofs become identity rows/columns."""
-    if dofs.size == 0:
-        return matrix.tocsr(), rhs
-    rhs = rhs - matrix.tocsc()[:, dofs] @ values
-    keep = np.ones(matrix.shape[0])
-    keep[dofs] = 0.0
-    selector = sparse.diags(keep)
-    pinned_diag = sparse.diags(1.0 - keep)
-    matrix = selector @ matrix @ selector + pinned_diag
-    rhs[dofs] = values
-    return matrix.tocsr(), rhs
 
 
 def _checked_solve(
@@ -296,13 +269,66 @@ def _checked_solve(
     return solution
 
 
-def _constraint_residual(system: CoupledSystem, u_master, u_slave) -> float:
-    trace_master = u_master[system.master_binding.volume_nodes]
-    trace_slave = u_slave[system.slave_binding.volume_nodes]
-    coupled = system.mortar.coupling @ trace_master
-    defect = system.mortar.slave_mass @ trace_slave - coupled
+#: Link entries (rows, dofs, weights) of a restriction without links.
+_NO_LINKS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+
+
+def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS, **ordering):
+    """Solve ``matrix x = rhs`` over x = P y + c, eliminating ``fixed``.
+
+    The shift c holds ``values`` on the ``fixed`` dofs and zero elsewhere.
+    P copies y onto the free dofs in increasing order, and each link
+    (row, dof, weight) adds weight times the unknown of the free ``dof``
+    to the fixed ``row``; links to a fixed dof are dropped, so their part
+    belongs in ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved with
+    ``ordering`` and the full x returned.
+    """
+    n = matrix.shape[0]
+    is_free = np.ones(n, bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    n_free = free.size
+    column = np.full(n, -1)
+    column[free] = np.arange(n_free)
+    shift = np.zeros(n)
+    shift[fixed] = values
+
+    rows, dofs, weights = links
+    target = column[dofs]
+    linked = target >= 0
+    data = np.concatenate([np.ones(n_free), weights[linked]])
+    p_rows = np.concatenate([free, rows[linked]])
+    p_cols = np.concatenate([np.arange(n_free), target[linked]])
+    prolongation = sparse.coo_matrix(
+        (data, (p_rows, p_cols)), shape=(n, n_free)
+    ).tocsr()
+    restricted = (prolongation.T @ matrix @ prolongation).tocsr()
+    reduced_rhs = prolongation.T @ (rhs - matrix @ shift)
+    # drop this reference, so that a matrix built for the call is freed
+    # before the factorization
+    del matrix
+    return prolongation @ _checked_solve(restricted, reduced_rhs, **ordering) + shift
+
+
+def _interface_dofs(system: CoupledSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked dofs of the master and the slave interface nodes."""
+    slave_dofs = system.problem.master.n_nodes + system.slave_binding.volume_nodes
+    return system.master_binding.volume_nodes, slave_dofs
+
+
+def _solution_fields(system: CoupledSystem, values, multipliers) -> SolutionFields:
+    """Split stacked nodal values and measure their mortar constraint defect."""
+    n_master = system.problem.master.n_nodes
+    master_dofs, slave_dofs = _interface_dofs(system)
+    coupled = system.mortar.coupling @ values[master_dofs]
+    defect = system.mortar.slave_mass @ values[slave_dofs] - coupled
     scale = max(np.max(np.abs(coupled), initial=0.0), np.finfo(float).tiny)
-    return float(np.max(np.abs(defect), initial=0.0) / scale)
+    return SolutionFields(
+        master_values=values[:n_master],
+        slave_values=values[n_master:],
+        multipliers=multipliers,
+        constraint_residual=float(np.max(np.abs(defect), initial=0.0) / scale),
+    )
 
 
 # --- solvers ---------------------------------------------------------------
@@ -311,122 +337,59 @@ def _constraint_residual(system: CoupledSystem, u_master, u_slave) -> float:
 def solve_saddle(system: CoupledSystem) -> SolutionFields:
     """Direct solve of the symmetric indefinite three-field system.
 
-    Unknowns are the two subdomain fields and the multipliers; the
-    constraint block row couples them, and Dirichlet data is eliminated
-    symmetrically before factorization.
+    Unknowns are the stacked subdomain fields and the multipliers; the
+    constraint rows -D u_master + M u_slave couple them, and the pinned
+    dofs are eliminated before factorization.
     """
-    n_master = system.problem.master.n_nodes
-    n_slave = system.problem.slave.n_nodes
-    n_mult = system.mortar.n_slave_nodes
-
-    coupling_cols = _expand_columns(
-        system.mortar.coupling, n_master, system.master_binding.volume_nodes
+    n_total, n_mult = system.stiffness.shape[0], system.mortar.n_slave_nodes
+    interface = np.concatenate(_interface_dofs(system))
+    local = sparse.hstack([-system.mortar.coupling, system.mortar.slave_mass]).tocoo()
+    constraint = sparse.coo_matrix(
+        (local.data, (local.row, interface[local.col])), shape=(n_mult, n_total)
+    ).tocsr()
+    blocks = [[system.stiffness, constraint.T], [constraint, None]]
+    rhs = np.concatenate([system.load, np.zeros(n_mult)])
+    solution = _restricted_solve(
+        sparse.bmat(blocks, format="csr"), rhs, system.pinned, system.pinned_values
     )
-    mass_cols = _expand_columns(
-        system.mortar.slave_mass, n_slave, system.slave_binding.volume_nodes
-    )
-    saddle = sparse.bmat(
-        [
-            [system.stiffness_master, None, -coupling_cols.T],
-            [None, system.stiffness_slave, mass_cols.T],
-            [-coupling_cols, mass_cols, None],
-        ],
-        format="csr",
-    )
-    rhs = np.concatenate(
-        [system.load_master, system.load_slave, np.zeros(n_mult)]
-    )
-    pinned = np.concatenate([system.pinned_master, n_master + system.pinned_slave])
-    pinned_values = np.concatenate(
-        [system.pinned_master_values, system.pinned_slave_values]
-    )
-    saddle, rhs = _apply_dirichlet(saddle, rhs, pinned, pinned_values)
-    solution = _checked_solve(saddle, rhs)
-
-    u_master = solution[:n_master]
-    u_slave = solution[n_master : n_master + n_slave]
-    multipliers = solution[n_master + n_slave :]
-    return SolutionFields(
-        master_values=u_master,
-        slave_values=u_slave,
-        multipliers=multipliers,
-        master_trace=u_master[system.master_binding.volume_nodes],
-        slave_trace=u_slave[system.slave_binding.volume_nodes],
-        constraint_residual=_constraint_residual(system, u_master, u_slave),
-        path="saddle",
-    )
+    return _solution_fields(system, solution[:n_total], solution[n_total:])
 
 
 def solve_condensed(system: CoupledSystem) -> SolutionFields:
     """Eliminate multipliers and slave interface values, then solve SPD.
 
     The slave interface values are an affine function of the master field
-    through the transfer operator; substituting it turns the block
-    diagonal stiffness into a symmetric positive definite system over the
-    free master nodes and the free slave interior nodes.  Multipliers are
-    recovered from the slave interface equilibrium afterwards.
+    through the transfer operator; fixing them with links to the free
+    master interface nodes turns the block diagonal stiffness into a
+    symmetric positive definite system over the free master nodes and the
+    free slave interior nodes.  Multipliers are recovered from the slave
+    interface equilibrium afterwards.
     """
     transfer = compute_transfer(system.mortar)
+    master_dofs, slave_dofs = _interface_dofs(system)
 
-    n_master = system.problem.master.n_nodes
-    n_slave = system.problem.slave.n_nodes
-    n_total = n_master + n_slave
-    master_map = system.master_binding.volume_nodes
-    slave_map = system.slave_binding.volume_nodes
-
-    is_free = np.ones(n_total, bool)
-    is_free[system.pinned_master] = False
-    is_free[n_master + system.pinned_slave] = False
-    is_free[n_master + slave_map] = False
-    free = np.flatnonzero(is_free)
-    n_free = free.size
-    column = np.full(n_total, -1)
-    column[free] = np.arange(n_free)
-
-    # affine reconstruction u_full = P x + c over [master; slave] stacking:
-    # free dofs copy their unknown, slave interface values are the transfer
-    # of the master trace, whose pinned entries go to c
-    shift = np.zeros(n_total)
-    shift[system.pinned_master] = system.pinned_master_values
-    shift[n_master + system.pinned_slave] = system.pinned_slave_values
-    shift[n_master + slave_map] = _transfer_field(transfer, shift[master_map])
+    # the slave interface is the transfer of the master trace: its pinned
+    # entries give the fixed values, its free ones the links
+    pinned = np.zeros(system.stiffness.shape[0])
+    pinned[system.pinned] = system.pinned_values
     local, k = np.nonzero(transfer.matrix)
-    target = column[master_map[k]]
-    linked = target >= 0
-    rows = np.concatenate([free, n_master + slave_map[local[linked]]])
-    cols = np.concatenate([np.arange(n_free), target[linked]])
-    vals = np.concatenate([np.ones(n_free), transfer.matrix[local, k][linked]])
-
-    prolongation = sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(n_total, n_free)
-    ).tocsr()
-    block = sparse.block_diag(
-        [system.stiffness_master, system.stiffness_slave], format="csr"
+    full = _restricted_solve(
+        system.stiffness,
+        system.load,
+        np.concatenate([system.pinned, slave_dofs]),
+        np.concatenate(
+            [system.pinned_values, _transfer_field(transfer, pinned[master_dofs])]
+        ),
+        (slave_dofs[local], master_dofs[k], transfer.matrix[local, k]),
+        # minimum degree on the symmetric structure fills far less than COLAMD
+        permc_spec="MMD_AT_PLUS_A",
     )
-    load = np.concatenate([system.load_master, system.load_slave])
-    condensed = (prolongation.T @ block @ prolongation).tocsr()
-    rhs = prolongation.T @ (load - block @ shift)
-    # minimum degree on the symmetric structure fills far less than COLAMD
-    solution = _checked_solve(condensed, rhs, permc_spec="MMD_AT_PLUS_A")
-
-    full = prolongation @ solution + shift
-    u_master = full[:n_master]
-    u_slave = full[n_master:]
 
     # slave interface equilibrium: the transposed slave mass applied to
-    # the multipliers balances the residual of the slave block row
-    residual = (system.load_slave - system.stiffness_slave @ u_slave)[slave_map]
+    # the multipliers balances the residual of the slave block rows
+    residual = (system.load - system.stiffness @ full)[slave_dofs]
     multipliers = transfer.factor.solve(residual, trans="T")
-
-    return SolutionFields(
-        master_values=u_master,
-        slave_values=u_slave,
-        multipliers=multipliers,
-        master_trace=u_master[master_map],
-        slave_trace=u_slave[slave_map],
-        constraint_residual=_constraint_residual(system, u_master, u_slave),
-        path="condensed",
-    )
+    return _solution_fields(system, full, multipliers)
 
 
 def solve(problem: PoissonProblem, config: MortarConfig | None = None) -> SolutionFields:
@@ -444,12 +407,11 @@ def solve_single_domain(
     dirichlet: Callable | None = None,
 ) -> np.ndarray:
     """Conforming single-mesh Poisson solve, used as the merged-mesh oracle."""
-    stiffness = assemble_stiffness(mesh)
-    load = assemble_load(mesh, source)
     pinned = mesh.tagged_nodes("dirichlet")
-    values = _dirichlet_values(dirichlet, mesh, pinned)
-    matrix, rhs = _apply_dirichlet(stiffness, load, pinned, values)
-    return _checked_solve(matrix, rhs)
+    values = _dirichlet_values(dirichlet, mesh.nodes[pinned])
+    return _restricted_solve(
+        assemble_stiffness(mesh), assemble_load(mesh, source), pinned, values
+    )
 
 
 # --- error norms -----------------------------------------------------------

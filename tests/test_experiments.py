@@ -76,7 +76,6 @@ def test_config_default_text_is_canonical():
         "epsilon = default\n"
         "newton_tol = 1e-10\n"
         "newton_max_iter = 20\n"
-        "function = default\n"
         "warp_amplitude = 0.15\n"
         "seed = 0\n"
     )
@@ -111,6 +110,7 @@ def test_kernel_aliases_are_accepted():
         "experiment = interp_1d\nn_m = 50\n",
         "experiment = interp_1d\nrefinements = 12\n",
         "experiment = interp_1d\nwarp_variant = flat\n",
+        "experiment = interp_1d\nfunction = default\n",
     ],
 )
 def test_config_parse_errors(text):

@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from mortar_rbf import mortar
 from mortar_rbf.elements import ElementKind
-from mortar_rbf.errors import InvalidGeometryError, SingularOperatorError
+from mortar_rbf.errors import (
+    DegenerateElementError,
+    InvalidGeometryError,
+    SingularOperatorError,
+)
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
@@ -366,6 +370,28 @@ def test_every_scheme_refuses_a_folded_element(name, side):
             assemble(InterfacePair(*meshes), MortarConfig(scheme=scheme))
         messages.add(str(info.value))
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("side", [Side.MASTER, Side.SLAVE])
+@pytest.mark.parametrize("scheme", [Scheme.RB, Scheme.EB])
+def test_a_zero_length_element_is_refused_by_name(scheme, side):
+    # Element 2 collapses onto one node.  Left to assembly, a zero-length
+    # master wins points at depth 0.5 under eb and breaks the rb kernel
+    # fit with a misleading condition number; mesh validation names it.
+    xs = np.array([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
+    meshes = dict(zip(Side, segment_pair(4, 3, span=(0.0, 1.0))))
+    expected = f"{side.value} element 2 has a degenerate surface metric"
+    with pytest.raises(DegenerateElementError, match=expected):
+        meshes[side] = InterfaceMesh(
+            np.column_stack([xs, np.zeros_like(xs)]),
+            np.column_stack([np.arange(5), np.arange(1, 6)]),
+            ElementKind.SEG2,
+            side,
+        )
+        assemble(
+            InterfacePair(meshes[Side.MASTER], meshes[Side.SLAVE]),
+            MortarConfig(scheme=scheme),
+        )
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
