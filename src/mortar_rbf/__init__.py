@@ -41,7 +41,6 @@ from .mortar import (
     InterfacePair,
     MortarConfig,
     MortarMatrices,
-    NewtonSettings,
     Scheme,
     TransferOperator,
     assemble,
@@ -79,7 +78,6 @@ __all__ = [
     "LayoutKind",
     "MortarConfig",
     "MortarMatrices",
-    "NewtonSettings",
     "PointLayout",
     "PoissonProblem",
     "QuadratureRule",

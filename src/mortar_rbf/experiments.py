@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -87,14 +87,6 @@ _KERNEL_ALIASES = {
     "wendland": KernelFamily.WENDLAND_C2,
 }
 
-def _parse_kernel(key: str, token: str) -> KernelFamily:
-    try:
-        return _KERNEL_ALIASES[token.strip().lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown kernel {token!r}; expected one of " + ", ".join(_KERNEL_ALIASES)
-        ) from None
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -146,28 +138,14 @@ class ExperimentConfig:
         )
 
 
-# Column order of sweep.csv.  The header names are part of the output
-# contract, so they stay fixed even where the Python attribute is named
-# differently (n_M <-> n_colloc).
-SWEEP_COLUMNS = (
-    "level",
-    "h_master",
-    "h_slave",
-    "scheme",
-    "kernel",
-    "n_M",
-    "n_gauss",
-    "l2_error",
-    "h1_error",
-    "rmse",
-    "cond_estimate",
-    "assembly_seconds",
-    "dropped_fraction",
-)
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """One row of sweep.csv: its fields in order, then the ``extra`` cells.
+
+    A cell reads empty for None, ``repr`` for a float and ``str`` for
+    anything else.
+    """
+
     level: int
     h_master: float
     h_slave: float
@@ -186,21 +164,26 @@ class SweepRow:
     extra: tuple[tuple[str, str], ...] = ()
 
     def record(self) -> list[str]:
-        cells = [
-            str(self.level),
-            repr(float(self.h_master)),
-            repr(float(self.h_slave)),
-            self.scheme,
-            self.kernel,
-            str(self.n_colloc),
-            str(self.n_gauss),
-        ]
-        for value in (self.l2_error, self.h1_error, self.rmse, self.cond_estimate):
-            cells.append("" if value is None else repr(float(value)))
-        cells.append(repr(float(self.assembly_seconds)))
-        cells.append(repr(float(self.dropped_fraction)))
+        cells = [_cell(getattr(self, f.name)) for f in _SWEEP_FIELDS]
         cells.extend(value for _, value in self.extra)
         return cells
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+_SWEEP_FIELDS = [f for f in fields(SweepRow) if f.name != "extra"]
+
+#: Column order of sweep.csv.  The header names are part of the output
+#: contract, so ``n_colloc`` keeps its column name ``n_M``.
+SWEEP_COLUMNS = tuple(
+    "n_M" if f.name == "n_colloc" else f.name for f in _SWEEP_FIELDS
+)
 
 
 @dataclass
@@ -297,6 +280,17 @@ def _bubble_gradient(x, y):
     gx = 16.0 * y * (1.0 - y) * (1.0 - 2.0 * x)
     gy = 16.0 * x * (1.0 - x) * (1.0 - 2.0 * y)
     return np.stack([gx, gy], axis=-1)
+
+
+def _bubble_problem(master, slave) -> PoissonProblem:
+    """The manufactured bubble problem on a split square."""
+    return PoissonProblem(
+        master,
+        slave,
+        _bubble_source,
+        exact=_bubble_exact,
+        exact_gradient=_bubble_gradient,
+    )
 
 
 def _transfer_l2_error(slave: InterfaceMesh, values: np.ndarray, fn: Callable) -> float:
@@ -615,13 +609,7 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
             master, slave = split_unit_square(
                 base_scale * n_master, base_scale * n_slave
             )
-            problem = PoissonProblem(
-                master,
-                slave,
-                _bubble_source,
-                exact=_bubble_exact,
-                exact_gradient=_bubble_gradient,
-            )
+            problem = _bubble_problem(master, slave)
             system, seconds = _timed(build_system, problem, mortar)
             fields = solve_condensed(system)
             report = broken_norms(problem, fields)
@@ -664,13 +652,7 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
     master, slave = split_unit_square(
         base_scale * n_master, base_scale * n_slave, interface_offset=curve
     )
-    problem = PoissonProblem(
-        master,
-        slave,
-        _bubble_source,
-        exact=_bubble_exact,
-        exact_gradient=_bubble_gradient,
-    )
+    problem = _bubble_problem(master, slave)
     fields = solve(problem, config.mortar)
     report = broken_norms(problem, fields)
     metrics["curved/constraint_residual"] = fields.constraint_residual
@@ -779,40 +761,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 # Config files
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}") from None
+def _parser(convert: Callable[[str], object], message: str):
+    """Parser ``parse(key, text)`` of a key's text: ``convert(text)``, or a
+    :class:`ConfigError` with ``message`` formatted by ``key`` and
+    ``value``, the text, when ``convert`` refuses it."""
 
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}") from None
-
-
-def _parse_ratio(key: str, value: str) -> Fraction:
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(
-            f"{key} expects a rational like 2/3, got {value!r}"
-        ) from None
-
-
-def _parse_choice(kind: type[Enum]) -> Callable[[str, str], Enum]:
-    def parse(key: str, value: str) -> Enum:
+    def parse(key: str, value: str):
         try:
-            return kind(value)
-        except ValueError:
-            raise ConfigError(
-                f"unknown {key} {value!r}; expected one of "
-                + ", ".join(member.value for member in kind)
-            ) from None
+            return convert(value)
+        except (ValueError, KeyError, ZeroDivisionError):
+            raise ConfigError(message.format(key=key, value=value)) from None
 
     return parse
+
+
+def _one_of(names) -> str:
+    """Message of a key whose text must be one of ``names``."""
+    return "unknown {key} {value!r}; expected one of " + ", ".join(names)
+
+
+_INT = _parser(int, "{key} expects an integer, got {value!r}")
+_FLOAT = _parser(float, "{key} expects a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -834,20 +803,40 @@ class _ConfigKey:
 #: Every config key in canonical order: parsing, serializing and the
 #: unknown-key check all read this table.
 _CONFIG_KEYS = (
-    _ConfigKey("experiment", ("experiment",), _parse_choice(ExperimentKind)),
-    _ConfigKey("refinements", ("refinements",), _parse_int),
-    _ConfigKey("ratio", ("ratio",), _parse_ratio),
-    _ConfigKey("scheme", ("mortar", "scheme"), _parse_choice(Scheme)),
-    _ConfigKey("kernel", ("mortar", "kernel_family"), _parse_kernel),
-    _ConfigKey("layout", ("mortar", "layout", "variant"), _parse_choice(LayoutKind)),
-    _ConfigKey("n_m", ("mortar", "layout", "n_per_edge"), _parse_int),
-    _ConfigKey("n_gauss", ("mortar", "n_gauss"), _parse_int, optional=True),
-    _ConfigKey("support_tol", ("mortar", "support_tol"), _parse_float),
-    _ConfigKey("epsilon", ("mortar", "epsilon"), _parse_float, optional=True),
-    _ConfigKey("newton_tol", ("mortar", "newton", "tol"), _parse_float),
-    _ConfigKey("newton_max_iter", ("mortar", "newton", "max_iter"), _parse_int),
-    _ConfigKey("warp_amplitude", ("warp_amplitude",), _parse_float),
-    _ConfigKey("seed", ("seed",), _parse_int),
+    _ConfigKey(
+        "experiment",
+        ("experiment",),
+        _parser(ExperimentKind, _one_of(kind.value for kind in ExperimentKind)),
+    ),
+    _ConfigKey("refinements", ("refinements",), _INT),
+    _ConfigKey(
+        "ratio",
+        ("ratio",),
+        _parser(Fraction, "{key} expects a rational like 2/3, got {value!r}"),
+    ),
+    _ConfigKey(
+        "scheme",
+        ("mortar", "scheme"),
+        _parser(Scheme, _one_of(scheme.value for scheme in Scheme)),
+    ),
+    _ConfigKey(
+        "kernel",
+        ("mortar", "kernel_family"),
+        _parser(
+            lambda text: _KERNEL_ALIASES[text.strip().lower()],
+            _one_of(_KERNEL_ALIASES),
+        ),
+    ),
+    _ConfigKey(
+        "layout",
+        ("mortar", "layout", "variant"),
+        _parser(LayoutKind, _one_of(layout.value for layout in LayoutKind)),
+    ),
+    _ConfigKey("n_m", ("mortar", "layout", "n_per_edge"), _INT),
+    _ConfigKey("n_gauss", ("mortar", "n_gauss"), _INT, optional=True),
+    _ConfigKey("epsilon", ("mortar", "epsilon"), _FLOAT, optional=True),
+    _ConfigKey("warp_amplitude", ("warp_amplitude",), _FLOAT),
+    _ConfigKey("seed", ("seed",), _INT),
     _ConfigKey("out", ("out",), lambda key, value: Path(value)),
 )
 

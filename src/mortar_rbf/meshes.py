@@ -43,7 +43,6 @@ __all__ = [
     "surface_pair",
     "sine_bump",
     "rectangle_mesh",
-    "rectangle_grid_mesh",
     "split_unit_square",
     "extract_interface",
 ]
@@ -271,9 +270,8 @@ def segment_mesh(
     kind: ElementKind = ElementKind.SEG2,
     span: tuple[float, float] = (-1.0, 1.0),
     side: Side = Side.MASTER,
-    height: float = 0.0,
 ) -> InterfaceMesh:
-    """Uniform segment mesh along the x-axis, embedded in R^2 at ``height``."""
+    """Uniform segment mesh on the x-axis of R^2; :func:`translate` moves it."""
     kind = ElementKind(kind)
     if kind not in (ElementKind.SEG2, ElementKind.SEG3):
         raise ValueError("segment meshes require seg2 or seg3 elements")
@@ -284,7 +282,7 @@ def segment_mesh(
         raise ValueError("span must be increasing")
     per_elem = kind.degree
     xs = np.linspace(a, b, per_elem * n_elems + 1)
-    nodes = np.column_stack([xs, np.full_like(xs, height)])
+    nodes = np.column_stack([xs, np.zeros_like(xs)])
     first = per_elem * np.arange(n_elems)[:, None]
     conn = first + np.arange(per_elem + 1)[None, :]
     return InterfaceMesh(nodes, conn, kind, side)
@@ -302,18 +300,17 @@ def segment_pair(
     return master, slave
 
 
-def sine_bump(amplitude: float, span: tuple[float, float] = (-1.0, 1.0)) -> Callable:
-    """Out-of-plane warp z(x, y) = a sin(pi x') sin(pi y').
+def sine_bump(amplitude: float) -> Callable:
+    """Out-of-plane warp z(x, y) = a sin(pi (x + 1)) sin(pi (y + 1)).
 
-    Coordinates x', y' are rescaled so that the bump vanishes on the border
-    of the given square span.  With the default span the peak value is
-    ``amplitude``, attained at the four points (+-1/2, +-1/2).
+    The bump vanishes on the border of the square [-1, 1]^2, the default
+    span of :func:`square_surface_mesh`, and |z| reaches ``amplitude`` at
+    the four points (+-1/2, +-1/2).
     """
-    a, b = span
 
     def warp(x, y):
-        sx = np.sin(np.pi * (x - a) / (b - a) * 2.0)
-        sy = np.sin(np.pi * (y - a) / (b - a) * 2.0)
+        sx = np.sin(np.pi * (x + 1.0))
+        sy = np.sin(np.pi * (y + 1.0))
         return amplitude * sx * sy
 
     return warp
@@ -379,13 +376,15 @@ def surface_pair(
     return master, slave
 
 
-def rectangle_grid_mesh(
-    x_nodes,
-    y_nodes,
+def rectangle_mesh(
+    nx: int,
+    ny: int,
+    x_span: tuple[float, float] = (0.0, 1.0),
+    y_span: tuple[float, float] = (0.0, 1.0),
     interface_edge: str | None = None,
     interface_offset: Callable | None = None,
 ) -> VolumeMesh:
-    """Triangulate a logically rectangular grid of nodes.
+    """Uniform triangulation of a rectangle with ``nx`` by ``ny`` cells.
 
     Every grid cell is split along its lower-left to upper-right diagonal,
     so that two meshes generated on nested grids share their triangles.
@@ -396,14 +395,13 @@ def rectangle_grid_mesh(
     linearly to zero at the opposite edge.  A shift large enough to tangle
     the grid raises :class:`DegenerateElementError`.
     """
-    xs = np.asarray(x_nodes, float)
-    ys = np.asarray(y_nodes, float)
-    nx, ny = xs.size - 1, ys.size - 1
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell in each direction")
     if interface_edge not in (None, "bottom", "top"):
         raise ValueError("interface_edge must be 'bottom', 'top' or None")
 
+    xs = np.linspace(*x_span, nx + 1)
+    ys = np.linspace(*y_span, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     if interface_offset is not None:
         if interface_edge is None:
@@ -443,42 +441,27 @@ def rectangle_grid_mesh(
     return mesh
 
 
-def rectangle_mesh(
-    nx: int,
-    ny: int,
-    x_span: tuple[float, float] = (0.0, 1.0),
-    y_span: tuple[float, float] = (0.0, 1.0),
-    interface_edge: str | None = None,
-    interface_offset: Callable | None = None,
-) -> VolumeMesh:
-    """Uniform rectangle triangulation, see :func:`rectangle_grid_mesh`."""
-    xs = np.linspace(*x_span, nx + 1)
-    ys = np.linspace(*y_span, ny + 1)
-    return rectangle_grid_mesh(xs, ys, interface_edge, interface_offset)
-
-
 def split_unit_square(
     n_master_x: int,
     n_slave_x: int,
-    split: float = 0.5,
     interface_offset: Callable | None = None,
 ) -> tuple[VolumeMesh, VolumeMesh]:
-    """Two stacked subdomain meshes of the unit square.
+    """Two stacked subdomain meshes of the unit square, split at y = 1/2.
 
-    The master subdomain is the upper part [0,1] x [split,1], the slave the
-    lower part.  Cell counts in y keep cells near-square for each side's
+    The master subdomain is the upper half [0,1] x [1/2,1], the slave the
+    lower half.  Cell counts in y keep cells near-square for each side's
     own resolution, so different ``n_master_x`` / ``n_slave_x`` produce a
-    non-conforming interface at y = split.  ``interface_offset`` bends the
+    non-conforming interface at y = 1/2.  ``interface_offset`` bends the
     interface row of both meshes onto the same curve, each side sampling it
     with its own nodes (a geometrically non-conforming pairing).
     """
-    ny_m = max(1, round(n_master_x * (1.0 - split)))
-    ny_s = max(1, round(n_slave_x * split))
+    ny_m = max(1, round(n_master_x * 0.5))
+    ny_s = max(1, round(n_slave_x * 0.5))
     master = rectangle_mesh(
-        n_master_x, ny_m, (0.0, 1.0), (split, 1.0), "bottom", interface_offset
+        n_master_x, ny_m, (0.0, 1.0), (0.5, 1.0), "bottom", interface_offset
     )
     slave = rectangle_mesh(
-        n_slave_x, ny_s, (0.0, 1.0), (0.0, split), "top", interface_offset
+        n_slave_x, ny_s, (0.0, 1.0), (0.0, 0.5), "top", interface_offset
     )
     return master, slave
 

@@ -67,6 +67,22 @@ from .rbf import (  # bench/tracer.py wraps the one-element faces here
     fit_master_interpolant,
 )
 
+#: Support detection accepts values up to this far outside [0, 1], so a
+#: slave point on a master element's boundary is not lost to the rounding
+#: of the interpolated ramps or the Newton foot point.  Master boxes grow
+#: to match (see :func:`_master_boxes`).
+_SUPPORT_TOL = 1e-6
+
+#: ``eb`` Newton stops when the tangential residual falls below this
+#: fraction of the element's squared circumdiameter: the residual scales
+#: as length squared, and 1e-10 puts the foot point far below the mortar
+#: quadrature error.
+_NEWTON_TOL = 1e-10
+
+#: Newton steps per (point, master) pair.  A pair that converges needs a
+#: handful; the budget only bounds the pairs that never do.
+_NEWTON_MAX_ITER = 20
+
 #: Newton iterates are clamped inside the widest reference box the shape
 #: routines accept, so evaluation never fails mid-iteration.  An ``eb``
 #: pair whose Newton step reaches it twice in a row retires as not
@@ -104,22 +120,6 @@ class Scheme(str, Enum):
 
 
 @dataclass(frozen=True)
-class NewtonSettings:
-    """Stopping rule for point projection onto master elements."""
-
-    tol: float = 1e-10
-    max_iter: int = 20
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(
-                f"newton tolerance must be finite and positive, got {self.tol}"
-            )
-        if self.max_iter < 1:
-            raise ValueError("newton iteration budget must be at least 1")
-
-
-@dataclass(frozen=True)
 class MortarConfig:
     """Assembly options shared by every scheme.
 
@@ -127,24 +127,19 @@ class MortarConfig:
     rules on quadrilaterals take 4, 9, 16, ...).  ``None`` picks the
     minimum admissible for the slave element degree.  ``epsilon`` forces a
     kernel shape parameter; by default each master element uses its own
-    circumdiameter.
+    circumdiameter.  The support tolerance and the ``eb`` Newton stopping
+    rule are fixed (``_SUPPORT_TOL``, ``_NEWTON_TOL``, ``_NEWTON_MAX_ITER``).
     """
 
     scheme: Scheme = Scheme.RB
     n_gauss: int | None = None
     kernel_family: KernelFamily = KernelFamily.GAUSSIAN
     layout: PointLayout = field(default_factory=PointLayout)
-    support_tol: float = 1e-6
-    newton: NewtonSettings = field(default_factory=NewtonSettings)
     epsilon: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "kernel_family", KernelFamily(self.kernel_family))
-        if not 0.0 <= self.support_tol <= 0.1:
-            raise ValueError(
-                f"support_tol must lie in [0, 0.1], got {self.support_tol}"
-            )
         if self.n_gauss is not None and self.n_gauss < 1:
             raise ValueError("n_gauss must be positive")
         if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
@@ -291,6 +286,7 @@ class TransferOperator:
         return matrix
 
     def row_sums(self) -> np.ndarray:
+        # bench/tracer.py wraps interface_transfer and fails outside its operations
         return _transfer_field(self, np.ones(self.n_master_nodes))
 
 
@@ -450,7 +446,6 @@ def _project_points(
     coords: np.ndarray,
     targets: np.ndarray,
     scale: np.ndarray,
-    settings: NewtonSettings,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Newton projection of each target point onto its own element.
 
@@ -478,18 +473,18 @@ def _project_points(
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
     updates = 0
-    for step in range(settings.max_iter + 1):
+    for step in range(_NEWTON_MAX_ITER + 1):
         nodes, current = coords[active], xi[active]
         jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
         gap = targets[active] - np.einsum(
             "pn,pnd->pd", shape_values(kind, current), nodes
         )
         resid = np.einsum("pdr,pd->pr", jac, gap)
-        done = np.max(np.abs(resid), axis=1) <= settings.tol * scale[active]
+        done = np.max(np.abs(resid), axis=1) <= _NEWTON_TOL * scale[active]
         converged[active[done]] = True
         go = ~done
         active = active[go]
-        if step == settings.max_iter or active.size == 0:
+        if step == _NEWTON_MAX_ITER or active.size == 0:
             break
         nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
         curv = np.einsum(
@@ -519,7 +514,7 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     )
     values, ok = evaluate_interpolants(interp, owner, points)
     probes = values @ _box_coordinate_data(mesh.kind)
-    inside = ok & support_detect(probes, config.support_tol)
+    inside = ok & support_detect(probes, _SUPPORT_TOL)
     return values, inside, _containment_depth(probes)
 
 
@@ -532,10 +527,9 @@ def _projection_values(pair: InterfacePair, config: MortarConfig, masters, point
         mesh.nodes[mesh.connectivity[masters]],
         points,
         scale[masters],
-        config.newton,
     )
     box = (1.0 + xi) / 2.0
-    inside = converged & support_detect(box, config.support_tol)
+    inside = converged & support_detect(box, _SUPPORT_TOL)
     return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
 
 
@@ -598,7 +592,7 @@ def _assemble_pointwise(
     pair_point = (cand_slave[:, None] * n_gauss + np.arange(n_gauss)).ravel()
     pair_master = np.repeat(cand_master, n_gauss)
     points = phys.reshape(-1, phys.shape[-1])[pair_point]
-    lo, hi = _master_boxes(pair, config.support_tol)
+    lo, hi = _master_boxes(pair, _SUPPORT_TOL)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
     pair_point, pair_master = pair_point[held], pair_master[held]
     values, inside, depth, *newton_updates = evaluate(

@@ -32,9 +32,9 @@ from .mortar import (
     InterfacePair,
     MortarConfig,
     MortarMatrices,
-    _transfer_field,
     assemble,
     compute_transfer,
+    interface_transfer,
 )
 
 #: Bound on the normwise backward error |Ax - b| / (|A| |x| + |b|), in the
@@ -378,7 +378,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
         system.load,
         np.concatenate([system.pinned, slave_dofs]),
         np.concatenate(
-            [system.pinned_values, _transfer_field(transfer, pinned[master_dofs])]
+            [system.pinned_values, interface_transfer(transfer, pinned[master_dofs])]
         ),
         (slave_dofs[local], master_dofs[k], transfer.matrix[local, k]),
         # minimum degree on the symmetric structure fills far less than COLAMD

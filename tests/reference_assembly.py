@@ -50,7 +50,10 @@ from mortar_rbf.mortar import (
     MortarMatrices,
     Scheme,
     _BOX_ROUNDING,
+    _NEWTON_MAX_ITER,
+    _NEWTON_TOL,
     _SLIVER_REL,
+    _SUPPORT_TOL,
     _box_coordinate_data,
     _collinearity_residual,
     _containment_depth,
@@ -123,7 +126,7 @@ def reference_master_box(pair, elem, tol):
     return lo - grow, hi + grow
 
 
-def reference_project_batch(mesh, elem, targets, settings):
+def reference_project_batch(mesh, elem, targets):
     """Newton projection onto one element, stopping when all points converge.
 
     Returns the reference coordinates, the convergence flags and the number
@@ -143,9 +146,9 @@ def reference_project_batch(mesh, elem, targets, settings):
         return jac, gap, np.einsum("gdr,gd->gr", jac, gap)
 
     updates = 0
-    for _ in range(settings.max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         jac, gap, resid = tangent_residual(xi)
-        if np.max(np.abs(resid)) <= settings.tol * scale:
+        if np.max(np.abs(resid)) <= _NEWTON_TOL * scale:
             break
         updates += targets.shape[0]
         curv = np.einsum(
@@ -158,11 +161,11 @@ def reference_project_batch(mesh, elem, targets, settings):
             xi + _solve_newton_step(hess, -resid), -_NEWTON_CLAMP, _NEWTON_CLAMP
         )
     _, _, resid = tangent_residual(xi)
-    converged = np.max(np.abs(resid), axis=1) <= settings.tol * scale
+    converged = np.max(np.abs(resid), axis=1) <= _NEWTON_TOL * scale
     return xi, converged, updates
 
 
-def reference_project_points(kind, coords, targets, scale, settings):
+def reference_project_points(kind, coords, targets, scale):
     """``mortar._project_points`` with the full iteration budget.
 
     Every point iterates until its own residual converges or the budget
@@ -175,18 +178,18 @@ def reference_project_points(kind, coords, targets, scale, settings):
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
     updates = 0
-    for step in range(settings.max_iter + 1):
+    for step in range(_NEWTON_MAX_ITER + 1):
         nodes, current = coords[active], xi[active]
         jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
         gap = targets[active] - np.einsum(
             "pn,pnd->pd", shape_values(kind, current), nodes
         )
         resid = np.einsum("pdr,pd->pr", jac, gap)
-        done = np.max(np.abs(resid), axis=1) <= settings.tol * scale[active]
+        done = np.max(np.abs(resid), axis=1) <= _NEWTON_TOL * scale[active]
         converged[active[done]] = True
         go = ~done
         active = active[go]
-        if step == settings.max_iter or active.size == 0:
+        if step == _NEWTON_MAX_ITER or active.size == 0:
             break
         nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
         curv = np.einsum(
@@ -255,7 +258,7 @@ def _kernel_evaluator(pair, config):
             )
         vals, ok = reference_evaluate(cache[elem], phys)
         probes = vals @ box_data
-        inside = ok & support_detect(probes, config.support_tol)
+        inside = ok & support_detect(probes, _SUPPORT_TOL)
         return vals, inside, _containment_depth(probes)
 
     return evaluate
@@ -265,11 +268,9 @@ def _projection_evaluator(pair, config):
     mesh = pair.master
 
     def evaluate(elem, phys):
-        xi, converged, updates = reference_project_batch(
-            mesh, elem, phys, config.newton
-        )
+        xi, converged, updates = reference_project_batch(mesh, elem, phys)
         box = (1.0 + xi) / 2.0
-        inside = converged & support_detect(box, config.support_tol)
+        inside = converged & support_detect(box, _SUPPORT_TOL)
         return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
 
     return evaluate
@@ -324,7 +325,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
         best_vals = np.zeros((rule.n_points, master.kind.n_nodes))
         for m_elem in cands:
             pairs_visited += 1
-            lo, hi = reference_master_box(pair, m_elem, config.support_tol)
+            lo, hi = reference_master_box(pair, m_elem, _SUPPORT_TOL)
             held = np.flatnonzero(((phys >= lo) & (phys <= hi)).all(axis=1))
             if held.size == 0:
                 continue

@@ -52,7 +52,6 @@ from mortar_rbf.errors import DegenerateElementError, IllConditionedKernelError
 from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
-    NewtonSettings,
     Scheme,
     _project_points,
     assemble,
@@ -317,7 +316,7 @@ def test_every_winning_master_box_holds_its_point(monkeypatch, name):
     points = np.einsum(
         "pn,pnd->pd", slave_vals, slave.nodes[slave.connectivity[s_elem]]
     )
-    boxes = [reference_master_box(pair, m, config.support_tol) for m in m_elem]
+    boxes = [reference_master_box(pair, m, mortar._SUPPORT_TOL) for m in m_elem]
     outside = [
         (int(s), int(m))
         for s, m, point, (lo, hi) in zip(s_elem, m_elem, points, boxes)
@@ -402,14 +401,13 @@ def test_newton_mask_keeps_each_point_independent_of_its_batch():
     curved = InterfaceMesh(nodes, mesh.connectivity, mesh.kind)
     elem = 1
     targets = np.array([[0.45, 0.03], [0.5, -0.01], [0.6, 0.1], [5.0, 2.0]])
-    settings = NewtonSettings()
     coords = np.repeat(curved.nodes[curved.connectivity[elem]][None], len(targets), 0)
     scale = np.full(len(targets), element_circumdiameters(curved)[elem] ** 2)
-    xi, converged, _ = _project_points(curved.kind, coords, targets, scale, settings)
+    xi, converged, _ = _project_points(curved.kind, coords, targets, scale)
     for k in range(len(targets)):
         solo = slice(k, k + 1)
         solo_xi, solo_converged, _ = _project_points(
-            curved.kind, coords[solo], targets[solo], scale[solo], settings
+            curved.kind, coords[solo], targets[solo], scale[solo]
         )
         np.testing.assert_allclose(xi[k], solo_xi[0], rtol=0.0, atol=1e-12)
         assert converged[k] == solo_converged[0]
@@ -481,12 +479,9 @@ def test_newton_retirement_leaves_eb_unchanged(monkeypatch, name):
     s_idx, m_idx = np.divmod(np.arange(points.shape[0] * master.n_elems), master.n_elems)
     coords = master.nodes[master.connectivity[m_idx]]
     scale = element_circumdiameters(master)[m_idx] ** 2
-    settings = NewtonSettings()
-    xi, converged, updates = _project_points(
-        master.kind, coords, points[s_idx], scale, settings
-    )
+    xi, converged, updates = _project_points(master.kind, coords, points[s_idx], scale)
     ref_xi, ref_converged, ref_updates = reference_project_points(
-        master.kind, coords, points[s_idx], scale, settings
+        master.kind, coords, points[s_idx], scale
     )
     assert 0 < converged.sum() < converged.size
     np.testing.assert_array_equal(converged, ref_converged)

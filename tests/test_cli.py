@@ -49,8 +49,6 @@ def test_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("newton_tol", "nan"),
-        ("newton_tol", "inf"),
         ("epsilon", "nan"),
         ("epsilon", "inf"),
         ("warp_amplitude", "nan"),

@@ -72,10 +72,7 @@ def test_config_default_text_is_canonical():
         "layout = uniform\n"
         "n_m = 6\n"
         "n_gauss = default\n"
-        "support_tol = 1e-06\n"
         "epsilon = default\n"
-        "newton_tol = 1e-10\n"
-        "newton_max_iter = 20\n"
         "warp_amplitude = 0.15\n"
         "seed = 0\n"
     )
@@ -111,6 +108,9 @@ def test_kernel_aliases_are_accepted():
         "experiment = interp_1d\nrefinements = 12\n",
         "experiment = interp_1d\nwarp_variant = flat\n",
         "experiment = interp_1d\nfunction = default\n",
+        "experiment = interp_1d\nsupport_tol = 1e-06\n",
+        "experiment = interp_1d\nnewton_tol = 1e-10\n",
+        "experiment = interp_1d\nnewton_max_iter = 20\n",
     ],
 )
 def test_config_parse_errors(text):
@@ -294,7 +294,10 @@ def test_write_outputs_layout(tmp_path):
     result = run_poisson_2d(ExperimentConfig(ExperimentKind.POISSON_2D, refinements=1))
     paths = write_outputs(result, tmp_path / "out")
     sweep = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert sweep[0] == ",".join(SWEEP_COLUMNS)
+    assert sweep[0] == ",".join(SWEEP_COLUMNS) == (
+        "level,h_master,h_slave,scheme,kernel,n_M,n_gauss,l2_error,h1_error,"
+        "rmse,cond_estimate,assembly_seconds,dropped_fraction"
+    )
     assert len(sweep) == 1 + len(result.rows)
     report = (tmp_path / "out" / "report.txt").read_text()
     assert report.startswith(result.report)

@@ -19,11 +19,11 @@ from mortar_rbf.meshes import (
     segment_pair,
     sine_bump,
     surface_pair,
+    translate,
 )
 from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
-    NewtonSettings,
     Scheme,
     _project_points,
     assemble,
@@ -179,7 +179,8 @@ def test_dense_transfer_is_flushed_block_by_block(jittered_long_pair):
 def test_projection_scheme_ignores_normal_offset():
     reference = assemble(unit_pair(3, 4), MortarConfig(scheme=Scheme.EB))
     master = segment_mesh(3, span=(0.0, 1.0))
-    lifted = segment_mesh(4, span=(0.0, 1.0), side=Side.SLAVE, height=0.05)
+    slave = segment_mesh(4, span=(0.0, 1.0), side=Side.SLAVE)
+    lifted = translate(slave, [0.0, 0.05])
     offset = assemble(InterfacePair(master, lifted), MortarConfig(scheme=Scheme.EB))
     np.testing.assert_allclose(
         offset.coupling.toarray(), reference.coupling.toarray(), atol=1e-9
@@ -318,7 +319,6 @@ def test_point_projection_on_affine_segment():
         mesh.nodes[mesh.connectivity[[0, 0]]],
         targets,
         np.full(2, element_circumdiameters(mesh)[0] ** 2),
-        NewtonSettings(),
     )
     assert converged.all()
     assert xi[0, 0] == pytest.approx(0.0, abs=1e-10)
@@ -453,18 +453,20 @@ def test_array_holding_results_compare_by_identity():
         assert (first == first) is True
 
 
+def test_tolerances_are_fixed_not_configured():
+    for retired in ("support_tol", "newton"):
+        with pytest.raises(TypeError):
+            MortarConfig(**{retired: None})
+    with pytest.raises(ImportError):
+        from mortar_rbf import NewtonSettings  # noqa: F401
+
+
 def test_pair_and_config_validation():
     seg = segment_mesh(2)
-    with pytest.raises(ValueError):
-        MortarConfig(support_tol=0.5)
     with pytest.raises(ValueError):
         MortarConfig(n_gauss=0)
     with pytest.raises(ValueError):
         MortarConfig(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonSettings(max_iter=0)
     for gap in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="gap_tolerance"):
             InterfacePair(seg, seg, gap_tolerance=gap)
