@@ -8,7 +8,8 @@ the ``--config`` file's settings and everything is parsed once, by the
 same key table that reads config files.
 
 Exit codes: 0 on success, 2 for configuration problems (unknown keys,
-malformed values, unreadable files), 3 when the numerics fail (singular
+malformed values, unreadable or undecodable config files, an output
+directory that cannot be written), 3 when the numerics fail (singular
 operators, ill-conditioned kernel fits, solver breakdowns).
 """
 
@@ -109,11 +110,17 @@ def main(argv=None) -> int:
     if args.print_config:
         sys.stdout.write(serialize_config(config))
 
+    out_dir = config.out or Path(f"{config.experiment.value}_out")
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = run_experiment(config)
+        written = write_outputs(result, out_dir)
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # Config errors and parameter combinations rejected deep in the
         # library (for example a Gauss count below the admissible minimum)
@@ -121,8 +128,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = config.out or Path(f"{config.experiment.value}_out")
-    written = write_outputs(result, out_dir)
     sys.stdout.write(result.report)
     for stem in sorted(written):
         print(f"wrote {written[stem]}")

@@ -194,7 +194,6 @@ class ExperimentResult:
     metrics: dict[str, float] = field(default_factory=dict)
     #: Optional point-wise error samples, columns (x, y[, z], abs_error).
     field_points: np.ndarray | None = None
-    extra_columns: tuple[str, ...] = ()
 
 
 def observed_order(h_values, errors) -> float:
@@ -514,7 +513,6 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
     rows: list[SweepRow] = []
     metrics: dict[str, float] = {}
     lines = ["kernel and layout study", ""]
-    extra_columns = ("element", "layout", "epsilon_policy", "stability")
 
     meshes = (
         ("seg3", segment_pair(2, 3, ElementKind.SEG3)[0]),
@@ -579,12 +577,7 @@ def run_kernel_study(config: ExperimentConfig) -> ExperimentResult:
                 f"clustered {ranges[1]}"
             )
         lines.append("")
-    return ExperimentResult(
-        rows,
-        "\n".join(lines).strip() + "\n",
-        metrics=metrics,
-        extra_columns=extra_columns,
-    )
+    return ExperimentResult(rows, "\n".join(lines).strip() + "\n", metrics=metrics)
 
 
 def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
@@ -922,7 +915,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def _load_settings(path) -> dict[str, str]:
     try:
         return _parse_settings(Path(path).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
@@ -937,7 +930,9 @@ def load_config(path) -> ExperimentConfig:
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     """Write sweep.csv, report.txt and (when present) field.csv.
 
-    Returns the paths that were written, keyed by file stem.
+    The sweep header appends the names of the rows' ``extra`` cells to
+    :data:`SWEEP_COLUMNS`.  Returns the paths that were written, keyed by
+    file stem.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -946,7 +941,8 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     sweep_path = out / "sweep.csv"
     with sweep_path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(list(SWEEP_COLUMNS) + list(result.extra_columns))
+        extra = result.rows[0].extra if result.rows else ()
+        writer.writerow(list(SWEEP_COLUMNS) + [name for name, _ in extra])
         for row in result.rows:
             writer.writerow(row.record())
     written["sweep"] = sweep_path

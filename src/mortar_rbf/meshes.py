@@ -8,14 +8,15 @@ Two mesh flavours are used throughout:
   boundary edges ("dirichlet", "interface", ...).
 
 Meshes are immutable after construction; node and connectivity arrays are
-marked read-only.
+marked read-only.  Each mesh refuses its bad elements when it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from functools import cached_property
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -147,25 +148,30 @@ class VolumeMesh:
     """Linear triangulation of a planar subdomain.
 
     ``boundary_tags`` maps sorted boundary edge node pairs to tag strings.
-    The conventional tags are "dirichlet" and "interface".
+    The conventional tags are "dirichlet" and "interface".  Every triangle
+    must run counterclockwise: the first whose signed area is not positive
+    raises :class:`DegenerateElementError` naming it by number.
     """
 
+    kind: ClassVar[ElementKind] = ElementKind.TRI3
     nodes: np.ndarray
     connectivity: np.ndarray
     boundary_tags: dict[tuple[int, int], str] = field(default_factory=dict)
-    kind: ElementKind = ElementKind.TRI3
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
         object.__setattr__(
             self, "connectivity", _freeze(np.asarray(self.connectivity, np.int64))
         )
-        object.__setattr__(self, "kind", ElementKind(self.kind))
-        if self.kind is not ElementKind.TRI3:
-            raise ValueError("volume meshes are built from tri3 elements")
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("volume mesh nodes must live in R^2")
         _validate_connectivity(self.nodes, self.connectivity, self.kind)
+        bad = np.flatnonzero(self.double_areas <= 0.0)
+        if bad.size:
+            area = self.double_areas[bad[0]] / 2.0
+            raise DegenerateElementError(
+                f"triangle {bad[0]} has non-positive area {area:.3e}"
+            )
         tags = {
             (int(min(a, b)), int(max(a, b))): str(t)
             for (a, b), t in self.boundary_tags.items()
@@ -186,6 +192,14 @@ class VolumeMesh:
     def n_elems(self) -> int:
         return self.connectivity.shape[0]
 
+    @cached_property
+    def double_areas(self) -> np.ndarray:
+        """Twice the signed area of every triangle, shape (n_elems,),
+        positive when its vertices run counterclockwise; read-only."""
+        conn = self.connectivity.T
+        x, y = self.nodes[:, 0][conn], self.nodes[:, 1][conn]
+        return _freeze((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+
     def tagged_edges(self, tag: str) -> list[tuple[int, int]]:
         return [e for e, t in self.boundary_tags.items() if t == tag]
 
@@ -201,13 +215,13 @@ Mesh = InterfaceMesh | VolumeMesh
 
 
 def element_geometry(
-    mesh: Mesh, xi, elems=slice(None)
+    mesh: InterfaceMesh, xi, elems=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Physical points and squared measures of elements at reference points.
+    """Physical points and squared measures of interface elements.
 
-    Returns x(xi), shape (n_elems, n_points, dim), and det(J^T J) of the
-    isoparametric map for curves and surfaces or det J for volume
-    triangles, shape (n_elems, n_points), for every element or for those
+    Returns x(xi), shape (n_elems, n_points, dim), and the metric
+    determinant det(J^T J) of the isoparametric map, shape (n_elems,
+    n_points), at the reference points ``xi`` of every element or of those
     ``elems`` selects.  Nothing is checked: a degenerate element shows as
     a non-positive value.
     """
@@ -215,14 +229,11 @@ def element_geometry(
     vals = shape_values(mesh.kind, xi)
     grads = shape_gradients(mesh.kind, xi)
     J = np.einsum("gnr,end->egdr", grads, coords)
-    if isinstance(mesh, VolumeMesh):
-        det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    G = np.einsum("egdr,egds->egrs", J, J)
+    if G.shape[-1] == 1:
+        det = G[..., 0, 0]
     else:
-        G = np.einsum("egdr,egds->egrs", J, J)
-        if G.shape[-1] == 1:
-            det = G[..., 0, 0]
-        else:
-            det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+        det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
     return vals @ coords, det
 
 
@@ -238,25 +249,18 @@ def mesh_size(mesh: Mesh) -> float:
     return float(element_circumdiameters(mesh).max())
 
 
-def translate(mesh: Mesh, vector) -> Mesh:
-    """Rigidly translate a mesh by ``vector``."""
-    vector = np.asarray(vector, float)
-    nodes = mesh.nodes + vector
-    if isinstance(mesh, VolumeMesh):
-        return VolumeMesh(nodes, mesh.connectivity, dict(mesh.boundary_tags))
+def translate(mesh: InterfaceMesh, vector) -> InterfaceMesh:
+    """Rigidly translate an interface mesh by ``vector``."""
+    nodes = mesh.nodes + np.asarray(vector, float)
     return InterfaceMesh(nodes, mesh.connectivity, mesh.kind, mesh.side)
 
 
-def _validate_measures(mesh: Mesh, probe) -> None:
+def _validate_measures(mesh: InterfaceMesh, probe) -> None:
     """Raise :class:`DegenerateElementError` naming the first element with
     a non-positive measure at any of the reference points ``probe``."""
     _, det = element_geometry(mesh, probe)
     bad = np.flatnonzero(np.any(det <= 0.0, axis=1))
     if bad.size:
-        if isinstance(mesh, VolumeMesh):
-            raise DegenerateElementError(
-                f"element {bad[0]} has non-positive Jacobian determinant"
-            )
         raise DegenerateElementError(
             f"{mesh.side.value} element {bad[0]} has a degenerate surface metric"
         )
@@ -303,8 +307,8 @@ def segment_pair(
 def sine_bump(amplitude: float) -> Callable:
     """Out-of-plane warp z(x, y) = a sin(pi (x + 1)) sin(pi (y + 1)).
 
-    The bump vanishes on the border of the square [-1, 1]^2, the default
-    span of :func:`square_surface_mesh`, and |z| reaches ``amplitude`` at
+    The bump vanishes on the border of the square [-1, 1]^2 that
+    :func:`square_surface_mesh` covers, and |z| reaches ``amplitude`` at
     the four points (+-1/2, +-1/2).
     """
 
@@ -320,14 +324,14 @@ def square_surface_mesh(
     n_per_side: int,
     kind: ElementKind = ElementKind.QUAD4,
     side: Side = Side.MASTER,
-    span: tuple[float, float] = (-1.0, 1.0),
     warp: Callable | None = None,
 ) -> InterfaceMesh:
-    """Structured quadrilateral surface mesh over a square, embedded in R^3.
+    """Structured quadrilateral surface mesh over [-1, 1]^2, embedded in R^3.
 
     ``warp`` is an optional out-of-plane displacement z = warp(x, y)
     applied to every node (corner and mid-side alike).  A warp that
-    degenerates the surface metric raises :class:`DegenerateElementError`.
+    degenerates the surface metric raises :class:`DegenerateElementError`;
+    :func:`translate` moves the mesh.
     """
     kind = ElementKind(kind)
     if kind not in (ElementKind.QUAD4, ElementKind.QUAD8):
@@ -335,7 +339,7 @@ def square_surface_mesh(
     if n_per_side < 1:
         raise ValueError("n_per_side must be positive")
     n = n_per_side
-    xs = np.linspace(*span, n + 1)
+    xs = np.linspace(-1.0, 1.0, n + 1)
     cx, cy = np.meshgrid(xs, xs, indexing="xy")
     xy = np.column_stack([cx.ravel(), cy.ravel()])
     # element j * n + i covers cell i in x and cell j in y; corner nodes
@@ -364,27 +368,25 @@ def surface_pair(
     kind: ElementKind = ElementKind.QUAD4,
     warp_master: Callable | None = None,
     warp_slave: Callable | None = None,
-    span: tuple[float, float] = (-1.0, 1.0),
 ) -> tuple[InterfaceMesh, InterfaceMesh]:
-    """Master/slave surface meshes over the same square.
+    """Master/slave surface meshes over the square [-1, 1]^2.
 
     Distinct warps yield geometrically non-conforming interfaces with gaps
     that grow away from the (flat) boundary ring.
     """
-    master = square_surface_mesh(n_master, kind, Side.MASTER, span, warp_master)
-    slave = square_surface_mesh(n_slave, kind, Side.SLAVE, span, warp_slave)
+    master = square_surface_mesh(n_master, kind, Side.MASTER, warp_master)
+    slave = square_surface_mesh(n_slave, kind, Side.SLAVE, warp_slave)
     return master, slave
 
 
 def rectangle_mesh(
     nx: int,
     ny: int,
-    x_span: tuple[float, float] = (0.0, 1.0),
     y_span: tuple[float, float] = (0.0, 1.0),
     interface_edge: str | None = None,
     interface_offset: Callable | None = None,
 ) -> VolumeMesh:
-    """Uniform triangulation of a rectangle with ``nx`` by ``ny`` cells.
+    """Uniform triangulation of [0, 1] x ``y_span`` with ``nx`` by ``ny`` cells.
 
     Every grid cell is split along its lower-left to upper-right diagonal,
     so that two meshes generated on nested grids share their triangles.
@@ -393,14 +395,15 @@ def rectangle_mesh(
 
     ``interface_offset`` shifts the interface row by offset(x), blending
     linearly to zero at the opposite edge.  A shift large enough to tangle
-    the grid raises :class:`DegenerateElementError`.
+    the grid turns a triangle clockwise, which :class:`VolumeMesh` refuses
+    with :class:`DegenerateElementError`.
     """
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell in each direction")
     if interface_edge not in (None, "bottom", "top"):
         raise ValueError("interface_edge must be 'bottom', 'top' or None")
 
-    xs = np.linspace(*x_span, nx + 1)
+    xs = np.linspace(0.0, 1.0, nx + 1)
     ys = np.linspace(*y_span, ny + 1)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     if interface_offset is not None:
@@ -435,10 +438,7 @@ def rectangle_mesh(
         tag_edge(grid[j, 0], grid[j + 1, 0], "dirichlet")
         tag_edge(grid[j, nx], grid[j + 1, nx], "dirichlet")
 
-    mesh = VolumeMesh(nodes, conn, tags)
-    centroid = np.array([[1.0 / 3.0, 1.0 / 3.0]])
-    _validate_measures(mesh, centroid)
-    return mesh
+    return VolumeMesh(nodes, conn, tags)
 
 
 def split_unit_square(
@@ -457,12 +457,8 @@ def split_unit_square(
     """
     ny_m = max(1, round(n_master_x * 0.5))
     ny_s = max(1, round(n_slave_x * 0.5))
-    master = rectangle_mesh(
-        n_master_x, ny_m, (0.0, 1.0), (0.5, 1.0), "bottom", interface_offset
-    )
-    slave = rectangle_mesh(
-        n_slave_x, ny_s, (0.0, 1.0), (0.0, 0.5), "top", interface_offset
-    )
+    master = rectangle_mesh(n_master_x, ny_m, (0.5, 1.0), "bottom", interface_offset)
+    slave = rectangle_mesh(n_slave_x, ny_s, (0.0, 0.5), "top", interface_offset)
     return master, slave
 
 

@@ -50,6 +50,7 @@ from .elements import (
 )
 from .errors import (
     DegenerateElementError,
+    IllConditionedKernelError,
     InvalidGeometryError,
     SingularOperatorError,
 )
@@ -59,6 +60,7 @@ from .meshes import (
     element_geometry,
 )
 from .rbf import (  # bench/tracer.py wraps the one-element faces here
+    COND_LIMIT,
     KernelFamily,
     PointLayout,
     evaluate_interpolants,
@@ -505,13 +507,22 @@ def _project_points(
 
 
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
-    """Kernel-interpolated master bases; each candidate master is fitted once."""
+    """Kernel-interpolated master bases; each candidate master is fitted once,
+    and the lowest whose condition exceeds :data:`~.rbf.COND_LIMIT` raises."""
     mesh = pair.master
     used = np.bincount(masters, minlength=mesh.n_elems) > 0
     elems, owner = np.flatnonzero(used), (np.cumsum(used) - 1)[masters]
     interp = fit_interpolants(
         mesh, elems, config.layout, config.kernel_family, epsilon=config.epsilon
     )
+    bad = np.flatnonzero(interp.condition > COND_LIMIT)
+    if bad.size:
+        condition = float(interp.condition[bad[0]])
+        raise IllConditionedKernelError(
+            f"master element {elems[bad[0]]}: kernel collocation matrix is "
+            f"numerically singular (condition {condition:.3e})",
+            condition=condition,
+        )
     values, ok = evaluate_interpolants(interp, owner, points)
     probes = values @ _box_coordinate_data(mesh.kind)
     inside = ok & support_detect(probes, _SUPPORT_TOL)

@@ -26,7 +26,7 @@ from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from .elements import shape_values, triangle_rule_for_degree
-from .errors import DegenerateElementError, SolverFailureError
+from .errors import SolverFailureError
 from .meshes import InterfaceMesh, Side, VolumeMesh, extract_interface
 from .mortar import (
     InterfacePair,
@@ -141,16 +141,12 @@ def _triangle_geometry(mesh: VolumeMesh):
     Arrays are vertex-major: the vertex x and y coordinates and the x and
     y components of the three barycentric gradients are each (3, n_elems),
     the double areas (n_elems,).  Every per-vertex row is then contiguous,
-    so products over all elements stream through memory.
+    so products over all elements stream through memory.  The areas are
+    the mesh's own, positive since the mesh refuses clockwise triangles.
     """
     conn = mesh.connectivity.T
     x, y = mesh.nodes[:, 0][conn], mesh.nodes[:, 1][conn]
-    double_area = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
-    if np.any(double_area <= 0.0):
-        bad = int(np.argmax(double_area <= 0.0))
-        raise DegenerateElementError(
-            f"triangle {bad} has non-positive area {double_area[bad] / 2.0:.3e}"
-        )
+    double_area = mesh.double_areas
     # gradient of barycentric function i: perpendicular of the opposite
     # edge (vertex i+1 to vertex i+2) over twice the area, with vertices
     # ordered counterclockwise
@@ -249,12 +245,16 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
 def _checked_solve(
     matrix: sparse.csr_matrix, rhs: np.ndarray, **ordering
 ) -> np.ndarray:
-    """LU solve checked by its backward error; ``ordering`` goes to ``splu``."""
+    """LU solve checked by its backward error; ``ordering`` goes to ``splu``.
+    A NaN or infinite entry would pass the residual test, so it is refused
+    first."""
     try:
         factor = splu(matrix.tocsc(), **ordering)
     except RuntimeError as exc:
         raise SolverFailureError(f"factorization failed: {exc}") from exc
     solution = factor.solve(rhs)
+    if not np.all(np.isfinite(solution)):
+        raise SolverFailureError("linear solve returned non-finite values")
     residual = np.max(np.abs(matrix @ solution - rhs), initial=0.0)
     scale = max(
         sparse_norm(matrix, np.inf) * np.max(np.abs(solution), initial=0.0)

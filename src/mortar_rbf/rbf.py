@@ -32,7 +32,6 @@ import numpy as np
 from scipy import sparse
 
 from .elements import ElementKind, shape_values
-from .errors import IllConditionedKernelError
 from .meshes import Mesh, element_circumdiameters, element_geometry
 
 __all__ = [
@@ -59,7 +58,8 @@ __all__ = [
 BREAKDOWN_TOL = 1e-12
 
 #: Collocation matrices with a 1-norm condition number beyond this are
-#: rejected as numerically singular (about 4.5e17 in double precision).
+#: numerically singular (about 4.5e17 in double precision): assembly
+#: refuses such fits, and :func:`basis_diagnostics` flags them unstable.
 #: The bar is deliberately high: a Gaussian fit on a planar quadrilateral
 #: with six points per edge already runs its gram matrix near 1e16, yet
 #: the rescaled basis it produces is still accurate to coupling tolerances
@@ -190,17 +190,16 @@ def fit_interpolants(
     layout: PointLayout,
     family: KernelFamily,
     epsilon: float | None = None,
-    cond_limit: float | None = COND_LIMIT,
 ) -> RbfInterpolant:
     """Fit the rescaled kernel interpolants of elements ``elems``, in chunks.
 
     Element k of the returned batch is ``elems[k]``.  One LU factorization
     per fit gives both the weights and the inverse the condition number is
     read from.  ``epsilon`` overrides the default shape parameter, each
-    element's circumdiameter.  Raises :class:`IllConditionedKernelError`
-    naming the first element whose condition exceeds ``cond_limit``; with
-    ``cond_limit=None`` an exactly singular fit gets NaN weights, so its
-    queries are flagged.  Raises ``ValueError`` for a ``tri3`` mesh.
+    element's circumdiameter.  No fit is refused here: each reports its
+    ``condition``, and an exactly singular one gets NaN weights and an
+    infinite condition, so its queries are flagged.  Raises ``ValueError``
+    for a ``tri3`` mesh.
     """
     kind, family = ElementKind(mesh.kind), KernelFamily(family)
     elems = np.asarray(elems, dtype=np.int64).reshape(-1)
@@ -224,13 +223,6 @@ def fit_interpolants(
         cond = _norm_1(gram) * _norm_1(solved[:, :, n_basis:])
         cond[np.isnan(cond)] = np.inf
         condition[chunk] = cond
-        if cond_limit is not None and (cond > cond_limit).any():
-            k = int(np.argmax(cond > cond_limit))
-            raise IllConditionedKernelError(
-                f"master element {elems[start + k]}: kernel collocation matrix is "
-                f"numerically singular (condition {cond[k]:.3e})",
-                condition=float(cond[k]),
-            )
         weights[chunk] = solved[:, :, :n_basis]
     return RbfInterpolant(family, points, eps, weights, condition)
 
@@ -261,12 +253,9 @@ def fit_master_interpolant(
     layout: PointLayout,
     family: KernelFamily,
     epsilon: float | None = None,
-    cond_limit: float | None = COND_LIMIT,
 ) -> RbfInterpolant:
     """Fit one element's interpolant: :func:`fit_interpolants` of ``[elem]``."""
-    return fit_interpolants(
-        mesh, [elem], layout, family, epsilon=epsilon, cond_limit=cond_limit
-    )
+    return fit_interpolants(mesh, [elem], layout, family, epsilon=epsilon)
 
 
 def evaluate_interpolants(
@@ -342,11 +331,10 @@ def basis_diagnostics(
 
     The RMSE compares rescaled interpolated basis values against the exact
     shape functions at :data:`_DIAGNOSTIC_PROBES` Halton points of the
-    reference element.  The fit is never rejected here; a condition number
-    beyond :data:`COND_LIMIT`, where assembly refuses the fit, is only
-    flagged.
+    reference element.  A condition number beyond :data:`COND_LIMIT`,
+    where assembly refuses the fit, is flagged ``unstable``.
     """
-    interp = fit_interpolants(mesh, [elem], layout, family, epsilon=epsilon, cond_limit=None)
+    interp = fit_interpolants(mesh, [elem], layout, family, epsilon=epsilon)
     ref = halton_reference_points(mesh.kind, _DIAGNOSTIC_PROBES)
     phys = element_geometry(mesh, ref, [elem])[0][0]
     exact = shape_values(mesh.kind, ref)

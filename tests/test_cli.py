@@ -39,6 +39,24 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config file" in capsys.readouterr().err
 
 
+def test_undecodable_config_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# r\xe9glage\nexperiment = interp_1d\n".encode("latin-1"))
+    code = run_cli("interp_1d", "--config", str(path))
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def test_output_path_naming_a_file_is_refused_before_the_run(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    code = run_cli("interp_1d", "--levels", "2", "--out", str(out))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: cannot write to {out}:" in captured.err
+    assert "1D interpolation transfer study" not in captured.out
+
+
 def test_unknown_config_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("experiment = interp_1d\ncolor = red\n")

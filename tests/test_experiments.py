@@ -233,7 +233,9 @@ def test_scheme_compare_is_deterministic_but_seed_sensitive():
 def test_kernel_study_directionals():
     result = run_kernel_study(ExperimentConfig(ExperimentKind.KERNEL_STUDY))
     assert len(result.rows) == 192
-    assert result.extra_columns == ("element", "layout", "epsilon_policy", "stability")
+    for row in result.rows:
+        names = tuple(name for name, _ in row.extra)
+        assert names == ("element", "layout", "epsilon_policy", "stability")
     for element in ("seg3", "quad4"):
         for n in range(6, 11):
             clustered = result.metrics[f"{element}/wendland/sine/{n}/h_elem"]

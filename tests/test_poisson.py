@@ -238,3 +238,21 @@ def test_checked_solve_rejects_a_wrong_solution(monkeypatch):
         poisson._checked_solve(NEAR_SINGULAR, SMALL_RHS)
     with pytest.raises(SolverFailureError):
         poisson._checked_solve(sparse.csr_matrix(np.eye(3)), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checked_solve_rejects_a_non_finite_solution(monkeypatch, bad):
+    # a NaN residual, or an infinite one against an infinite scale, fails
+    # no comparison with the bound
+    class SpoiledFactor:
+        def __init__(self, matrix):
+            self.exact = splu(matrix)
+
+        def solve(self, rhs):
+            solution = self.exact.solve(rhs)
+            solution[0] = bad
+            return solution
+
+    monkeypatch.setattr(poisson, "splu", SpoiledFactor)
+    with pytest.raises(SolverFailureError, match="non-finite"):
+        poisson._checked_solve(sparse.csr_matrix(np.eye(3)), np.ones(3))

@@ -18,6 +18,7 @@ from mortar_rbf.meshes import (
 )
 from mortar_rbf.mortar import InterfacePair, MortarConfig, assemble
 from mortar_rbf.rbf import (
+    COND_LIMIT,
     KernelFamily,
     LayoutKind,
     PointLayout,
@@ -173,16 +174,15 @@ def test_cancelling_denominator_is_masked():
 
 
 def test_overly_flat_kernel_is_refused():
-    mesh = segment_mesh(1, span=(0.0, 1.0))
-    with pytest.raises(IllConditionedKernelError) as info:
-        fit_master_interpolant(
-            mesh,
-            0,
-            PointLayout(n_per_edge=10),
-            KernelFamily.GAUSSIAN,
-            epsilon=5000.0,
-        )
-    assert info.value.condition is None or info.value.condition > 1e17
+    master, slave = segment_pair(1, 2, span=(0.0, 1.0))
+    config = MortarConfig(layout=PointLayout(n_per_edge=10), epsilon=5000.0)
+    fit = fit_master_interpolant(
+        master, 0, config.layout, config.kernel_family, epsilon=config.epsilon
+    )
+    assert fit.condition[0] > COND_LIMIT
+    with pytest.raises(IllConditionedKernelError, match="^master element 0:") as info:
+        assemble(InterfacePair(master, slave), config)
+    assert info.value.condition == fit.condition[0]
 
 
 def test_diagnostics_flag_instability_without_raising():
@@ -222,9 +222,7 @@ def test_exactly_singular_fit_is_refused_naming_the_lowest_master():
 
 def test_exactly_singular_fit_leaves_the_rest_of_its_batch_alone():
     mesh, layout = far_apart_segments(), PointLayout()
-    batch = fit_interpolants(
-        mesh, np.arange(5), layout, KernelFamily.GAUSSIAN, epsilon=1e12, cond_limit=None
-    )
+    batch = fit_interpolants(mesh, np.arange(5), layout, KernelFamily.GAUSSIAN, epsilon=1e12)
     np.testing.assert_array_equal(np.isinf(batch.condition), [0, 0, 1, 0, 1])
     assert np.isnan(batch.weights[[2, 4]]).all()
     for elem in (0, 1, 3):
