@@ -31,6 +31,7 @@ both matrices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -98,6 +99,15 @@ _SLIVER_REL = 1e-14
 #: Coupling columns densified per slave-mass solve (no full-size dense copy).
 _SOLVE_COLUMNS = 64
 
+#: A batch transfer multiplies by the dense ``matrix`` while the operator
+#: has at most this many entries (1 MiB of float64), and goes through the
+#: slave-mass factor above it.  For 64 fields the two paths cost the same
+#: near 6e4 entries on seg2 pairs and near 3e5 on quad4 pairs (the factor
+#: is denser on surfaces), so the constant sits between the two: the worst
+#: measured loss is 1.5x, on seg2 pairs just below it and quad4 pairs just
+#: above it.  ``scripts/transfer_crossover.py`` prints the timings.
+_DENSE_BATCH_ENTRIES = 2**17
+
 #: Entries of the dense transfer smaller in magnitude than the smallest
 #: normal double are stored as exact zeros (see :class:`TransferOperator`).
 _TRANSFER_FLOOR = np.finfo(float).tiny
@@ -142,8 +152,15 @@ class MortarConfig:
     def __post_init__(self):
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "kernel_family", KernelFamily(self.kernel_family))
-        if self.n_gauss is not None and self.n_gauss < 1:
-            raise ValueError("n_gauss must be positive")
+        if self.n_gauss is not None:
+            try:
+                object.__setattr__(self, "n_gauss", operator.index(self.n_gauss))
+            except TypeError:
+                raise ValueError(
+                    f"n_gauss must be an integer, got {self.n_gauss!r}"
+                ) from None
+            if self.n_gauss < 1:
+                raise ValueError("n_gauss must be positive")
         if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
             raise ValueError(
                 f"epsilon override must be finite and positive, got {self.epsilon}"
@@ -251,11 +268,13 @@ class TransferOperator:
     """Maps master interface nodal values to slave interface nodal values.
 
     M^-1 D is kept as the slave mass LU ``factor`` and the CSC ``coupling``
-    D, which transfer one field by a sparse product and a solve.  The
-    inverse couples every slave node, so ``matrix``, M^-1 D as a dense
-    (n_slave_nodes, n_master_nodes) array, costs an n_slave x n_master
-    solve: it is built on first read, by batch transfers and the condensed
-    prolongation, and kept.  The factor also serves multiplier recovery.
+    D, which transfer one field, or a batch on a long interface, by a
+    sparse product and a solve.  The inverse couples every slave node, so
+    ``matrix``, M^-1 D as a dense (n_slave_nodes, n_master_nodes) array,
+    costs an n_slave x n_master solve: it is built on first read, by batch
+    transfers on short interfaces (see :func:`interface_transfer`) and the
+    condensed prolongation, and kept.  The factor also serves multiplier
+    recovery.
 
     The entries of the inverse of a banded mass matrix decay exponentially
     with the distance between nodes, so on long interfaces far entries of
@@ -787,12 +806,22 @@ def _transfer_field(transfer: TransferOperator, values: np.ndarray) -> np.ndarra
 def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
     """Apply the transfer operator to master interface nodal values.
 
-    A field (n_master,) goes through the factor, a batch (n_master, k)
-    through the dense ``matrix``.  That matrix stores its subnormal
-    entries as zeros, which moves each batch entry by less than 2.23e-308
-    times the 1-norm of its master values.
+    A field (n_master,) goes through the factor.  A batch (n_master, k)
+    goes through the factor too when the operator has more than
+    ``_DENSE_BATCH_ENTRIES`` entries, and each column then equals its
+    single-field transfer bit for bit.  A smaller operator's batch is one
+    product with the dense ``matrix``, which stores its subnormal entries
+    as zeros; that moves each batch entry by less than 2.23e-308 times the
+    1-norm of its master values.  The path depends only on the shape, so
+    a batch's result does not depend on whether ``matrix`` was read.
+    Complex values are refused rather than cut to their real part.
     """
-    values = np.asarray(master_values, float)
+    values = np.asarray(master_values)
+    if np.iscomplexobj(values):
+        raise ValueError(
+            "master values must be real; transfer the real and imaginary parts apart"
+        )
+    values = values.astype(float, copy=False)
     if values.ndim not in (1, 2):
         raise ValueError(f"master_values must be 1-d or 2-d, got shape {values.shape}")
     if values.shape[0] != transfer.n_master_nodes:
@@ -800,6 +829,8 @@ def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
             f"expected {transfer.n_master_nodes} master nodal values, "
             f"got {values.shape[0]}"
         )
-    if values.ndim == 1:
+    if values.ndim == 1 or (
+        transfer.n_slave_nodes * transfer.n_master_nodes > _DENSE_BATCH_ENTRIES
+    ):
         return _transfer_field(transfer, values)
     return transfer.matrix @ values

@@ -25,6 +25,7 @@ evaluation invariant under translations normal to the element plane.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,6 +124,12 @@ class PointLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", LayoutKind(self.variant))
+        try:
+            object.__setattr__(self, "n_per_edge", operator.index(self.n_per_edge))
+        except TypeError:
+            raise ValueError(
+                f"n_per_edge must be an integer, got {self.n_per_edge!r}"
+            ) from None
         if not 2 <= self.n_per_edge <= MAX_POINTS_PER_EDGE:
             raise ValueError(
                 f"n_per_edge must lie in [2, {MAX_POINTS_PER_EDGE}], "

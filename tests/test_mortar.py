@@ -110,13 +110,28 @@ def test_large_transfer_forms_the_dense_array_only_when_read():
     np.testing.assert_allclose(transfer.row_sums(), 1.0, atol=1e-12)
     assert "matrix" not in vars(transfer)
 
-    # a batch is one product with the dense matrix, built once and kept
-    np.testing.assert_allclose(
-        interface_transfer(transfer, batch), np.column_stack(columns), atol=1e-13
-    )
+    # so does a batch on an operator this large, column for column
+    first = interface_transfer(transfer, batch)
+    assert "matrix" not in vars(transfer)
+    assert np.array_equal(first, np.column_stack(columns))
+
+    # reading the dense matrix builds it once and keeps it, and a batch
+    # still takes the same path afterwards
+    assert transfer.matrix.shape == (901, 1201)
     assert type(vars(transfer)["matrix"]) is np.ndarray
     assert transfer.matrix is vars(transfer)["matrix"]
-    assert transfer.matrix.shape == (901, 1201)
+    assert np.array_equal(interface_transfer(transfer, batch), first)
+
+
+def test_small_transfer_batches_multiply_by_the_dense_matrix():
+    # 81 x 169 entries, below the size at which batches take the factor
+    warp = sine_bump(0.1)
+    pair = InterfacePair(*surface_pair(12, 8, warp_master=warp, warp_slave=warp))
+    transfer = compute_transfer(assemble(pair, MortarConfig(scheme=Scheme.RB)))
+    batch = np.random.default_rng(3).standard_normal((transfer.n_master_nodes, 64))
+    out = interface_transfer(transfer, batch)
+    assert "matrix" in vars(transfer)
+    assert np.array_equal(out, transfer.matrix @ batch)
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +166,7 @@ def test_dense_transfer_stores_subnormal_entries_as_zeros(jittered_long_pair):
     assert not np.any(transfer.matrix[~normal])
 
     batch = np.random.default_rng(7).standard_normal((transfer.n_master_nodes, 64))
-    assert np.array_equal(interface_transfer(transfer, batch), unflushed @ batch)
+    assert np.array_equal(transfer.matrix @ batch, unflushed @ batch)
 
 
 def test_dense_transfer_without_subnormals_is_the_plain_solve():
@@ -174,6 +189,23 @@ def test_dense_transfer_is_flushed_block_by_block(jittered_long_pair):
         tracemalloc.stop()
     # a pass over the whole matrix would hold a second full-size array
     assert peak < matrix.nbytes + 4 * 2**20
+
+
+def test_long_transfer_batch_never_holds_the_dense_matrix(jittered_long_pair):
+    transfer = compute_transfer(
+        assemble(jittered_long_pair, MortarConfig(scheme=Scheme.RB))
+    )
+    batch = np.random.default_rng(7).standard_normal((transfer.n_master_nodes, 64))
+    tracemalloc.start()
+    try:
+        out = interface_transfer(transfer, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the coupling product and the solve each hold one batch-sized array
+    # (about 1 MiB together); the dense matrix alone is 11.5 MiB
+    assert peak < 4 * out.nbytes
+    assert 4 * out.nbytes < transfer.n_slave_nodes * transfer.n_master_nodes * 8 / 5
 
 
 def test_projection_scheme_ignores_normal_offset():
@@ -476,6 +508,25 @@ def test_pair_and_config_validation():
     for values in (np.float64(1.0), np.ones((transfer.n_master_nodes, 2, 3))):
         with pytest.raises(ValueError, match="master_values must be 1-d or 2-d"):
             interface_transfer(transfer, values)
+
+
+@pytest.mark.parametrize(
+    "config, name", [(MortarConfig, "n_gauss"), (PointLayout, "n_per_edge")]
+)
+def test_config_counts_must_be_integers(config, name):
+    for count in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config(**{name: count})
+    assert type(getattr(config(**{name: np.int64(4)}), name)) is int
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_complex_master_values_are_refused(shape):
+    # a field takes the factor and a batch on this small operator the matrix
+    transfer = compute_transfer(assemble(unit_pair(3, 2), MortarConfig()))
+    values = 1j * np.ones((transfer.n_master_nodes, *shape))
+    with pytest.raises(ValueError, match="master values must be real"):
+        interface_transfer(transfer, values)
 
 
 @settings(deadline=None, max_examples=15)

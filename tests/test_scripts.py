@@ -79,3 +79,11 @@ def test_readme_python_examples_run():
     for block in blocks:
         done = run_python("-c", block)
         assert done.returncode == 0, done.stderr
+
+
+def test_transfer_crossover_reports_both_batch_paths():
+    done = run_script("transfer_crossover.py", "--quick", "--repeats", "1")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:]]
+    # a short pair keeps the dense product, a long one takes the factor
+    assert [(row[0], row[-1]) for row in rows] == [("seg2", "dense"), ("seg2", "factor")]
