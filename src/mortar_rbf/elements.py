@@ -10,8 +10,10 @@ deliberately query beyond element boundaries.  Anything further out raises
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -24,6 +26,7 @@ __all__ = [
     "shape_gradients",
     "shape_second_derivatives",
     "gauss_rule",
+    "tensor_points",
 ]
 
 #: Evaluation is rejected beyond this reference coordinate magnitude.
@@ -41,64 +44,27 @@ class ElementKind(str, Enum):
 
     @property
     def n_nodes(self) -> int:
-        return _N_NODES[self]
+        return _ELEMENTS[self].nodes.shape[0]
 
     @property
     def ref_dim(self) -> int:
         """Dimension of the reference domain (1 for segments, 2 otherwise)."""
-        return 1 if self in (ElementKind.SEG2, ElementKind.SEG3) else 2
+        return _ELEMENTS[self].nodes.shape[1]
 
     @property
     def degree(self) -> int:
         """Polynomial degree of the nodal basis."""
-        return _DEGREE[self]
+        return _ELEMENTS[self].degree
 
-
-_N_NODES = {
-    ElementKind.SEG2: 2,
-    ElementKind.SEG3: 3,
-    ElementKind.TRI3: 3,
-    ElementKind.QUAD4: 4,
-    ElementKind.QUAD8: 8,
-}
-
-_DEGREE = {
-    ElementKind.SEG2: 1,
-    ElementKind.SEG3: 2,
-    ElementKind.TRI3: 1,
-    ElementKind.QUAD4: 1,
-    ElementKind.QUAD8: 2,
-}
-
-# Node ordering conventions.  Segments run left to right with the mid node
-# (if any) second in coordinate order; quadrilaterals list the four corners
-# counter-clockwise and then the four edge midpoints, bottom, right, top,
-# left.
-_NODE_COORDS = {
-    ElementKind.SEG2: np.array([[-1.0], [1.0]]),
-    ElementKind.SEG3: np.array([[-1.0], [0.0], [1.0]]),
-    ElementKind.TRI3: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-    ElementKind.QUAD4: np.array(
-        [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
-    ),
-    ElementKind.QUAD8: np.array(
-        [
-            [-1.0, -1.0],
-            [1.0, -1.0],
-            [1.0, 1.0],
-            [-1.0, 1.0],
-            [0.0, -1.0],
-            [1.0, 0.0],
-            [0.0, 1.0],
-            [-1.0, 0.0],
-        ]
-    ),
-}
+    @property
+    def mid_nodes(self) -> tuple[tuple[int, int, int], ...]:
+        """(mid node, corner, corner) of each quadratic edge, mid node halfway."""
+        return _ELEMENTS[self].mid_nodes
 
 
 def node_reference_coords(kind: ElementKind) -> np.ndarray:
     """Reference coordinates of the element nodes, shape (n_nodes, ref_dim)."""
-    return _NODE_COORDS[ElementKind(kind)].copy()
+    return _ELEMENTS[ElementKind(kind)].nodes.copy()
 
 
 def _prepare_points(kind: ElementKind, xi) -> np.ndarray:
@@ -119,14 +85,14 @@ def shape_values(kind: ElementKind, xi) -> np.ndarray:
     """Nodal shape function values at reference points ``xi``, shape
     (n_pts, ref_dim); returns shape (n_pts, n_nodes)."""
     kind = ElementKind(kind)
-    return _VALUE_FUNCS[kind](_prepare_points(kind, xi))
+    return _ELEMENTS[kind].values(_prepare_points(kind, xi))
 
 
 def shape_gradients(kind: ElementKind, xi) -> np.ndarray:
     """Shape function gradients with respect to reference coordinates,
     shape (n_pts, n_nodes, ref_dim)."""
     kind = ElementKind(kind)
-    return _GRAD_FUNCS[kind](_prepare_points(kind, xi))
+    return _ELEMENTS[kind].gradients(_prepare_points(kind, xi))
 
 
 def shape_second_derivatives(kind: ElementKind, xi) -> np.ndarray:
@@ -135,7 +101,7 @@ def shape_second_derivatives(kind: ElementKind, xi) -> np.ndarray:
     Needed by the Newton closest-point projection on curved elements.
     """
     kind = ElementKind(kind)
-    return _HESS_FUNCS[kind](_prepare_points(kind, xi))
+    return _ELEMENTS[kind].hessians(_prepare_points(kind, xi))
 
 
 # --- shape function tables -------------------------------------------------
@@ -284,28 +250,49 @@ def _quad8_hess(p):
     return h
 
 
-_VALUE_FUNCS = {
-    ElementKind.SEG2: _seg2_values,
-    ElementKind.SEG3: _seg3_values,
-    ElementKind.TRI3: _tri3_values,
-    ElementKind.QUAD4: _quad4_values,
-    ElementKind.QUAD8: _quad8_values,
-}
+@dataclass(frozen=True)
+class _Element:
+    """Reference facts of one element kind: node coordinates, basis degree,
+    minimum mortar Gauss count, basis evaluators and quadratic edges."""
 
-_GRAD_FUNCS = {
-    ElementKind.SEG2: _seg2_grads,
-    ElementKind.SEG3: _seg3_grads,
-    ElementKind.TRI3: _tri3_grads,
-    ElementKind.QUAD4: _quad4_grads,
-    ElementKind.QUAD8: _quad8_grads,
-}
+    nodes: np.ndarray
+    degree: int
+    min_gauss: int
+    values: Callable
+    gradients: Callable
+    hessians: Callable
+    mid_nodes: tuple[tuple[int, int, int], ...] = ()
 
-_HESS_FUNCS = {
-    ElementKind.SEG2: _seg2_hess,
-    ElementKind.SEG3: _seg3_hess,
-    ElementKind.TRI3: _tri3_hess,
-    ElementKind.QUAD4: _quad4_hess,
-    ElementKind.QUAD8: _quad8_hess,
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", np.array(self.nodes, dtype=float))
+
+
+# Segments run left to right with the mid node (if any) second; quadrilaterals
+# list the four corners counter-clockwise and then the four edge midpoints,
+# bottom, right, top, left.  ``min_gauss`` is the smallest rule that
+# integrates every product of two basis functions exactly.
+_ELEMENTS = {
+    ElementKind.SEG2: _Element(
+        [[-1], [1]], 1, 2, _seg2_values, _seg2_grads, _seg2_hess
+    ),
+    ElementKind.SEG3: _Element(
+        [[-1], [0], [1]], 2, 3, _seg3_values, _seg3_grads, _seg3_hess, ((1, 0, 2),)
+    ),
+    ElementKind.TRI3: _Element(
+        [[0, 0], [1, 0], [0, 1]], 1, 3, _tri3_values, _tri3_grads, _tri3_hess
+    ),
+    ElementKind.QUAD4: _Element(
+        _QUAD4_SIGNS, 1, 4, _quad4_values, _quad4_grads, _quad4_hess
+    ),
+    ElementKind.QUAD8: _Element(
+        np.vstack([_QUAD4_SIGNS, [[0, -1], [1, 0], [0, 1], [-1, 0]]]),
+        2,
+        9,
+        _quad8_values,
+        _quad8_grads,
+        _quad8_hess,
+        ((4, 0, 1), (5, 1, 2), (6, 2, 3), (7, 3, 0)),
+    ),
 }
 
 
@@ -390,6 +377,12 @@ _TRI_RULES = _build_tri_rules()
 _MAX_1D_POINTS = 64
 
 
+def tensor_points(t, ref_dim: int) -> np.ndarray:
+    """Every ``ref_dim``-tuple of the entries of ``t``, shape
+    (len(t) ** ref_dim, ref_dim), the first coordinate varying slowest."""
+    return np.stack(np.meshgrid(*[t] * ref_dim, indexing="ij"), -1).reshape(-1, ref_dim)
+
+
 def gauss_rule(kind: ElementKind, n_points: int) -> QuadratureRule:
     """Gauss rule with ``n_points`` points on the reference domain of ``kind``.
 
@@ -399,25 +392,10 @@ def gauss_rule(kind: ElementKind, n_points: int) -> QuadratureRule:
     degree 1, 2, 4, 5 and 6 respectively.
     """
     kind = ElementKind(kind)
-    if kind in (ElementKind.SEG2, ElementKind.SEG3):
-        if not 1 <= n_points <= _MAX_1D_POINTS:
-            raise ValueError(
-                f"segment rules support 1..{_MAX_1D_POINTS} points, got {n_points}"
-            )
-        x, w = leggauss(n_points)
-        return QuadratureRule(x.reshape(-1, 1), w, 2 * n_points - 1)
-    if kind in (ElementKind.QUAD4, ElementKind.QUAD8):
-        root = round(np.sqrt(n_points))
-        if root * root != n_points or not 1 <= root <= _MAX_1D_POINTS:
-            raise ValueError(
-                "quadrilateral rules are tensor products; n_points must be "
-                f"k^2 with 1 <= k <= {_MAX_1D_POINTS}, got {n_points}"
-            )
-        x, w = leggauss(root)
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        wts = np.outer(w, w).ravel()
-        return QuadratureRule(pts, wts, 2 * root - 1)
+    try:
+        n_points = operator.index(n_points)
+    except TypeError:
+        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
     if kind is ElementKind.TRI3:
         if n_points not in _TRI_RULES:
             raise ValueError(
@@ -425,7 +403,17 @@ def gauss_rule(kind: ElementKind, n_points: int) -> QuadratureRule:
             )
         pts, wts, deg = _TRI_RULES[n_points]
         return QuadratureRule(pts.copy(), wts.copy(), deg)
-    raise ValueError(f"unknown element kind {kind!r}")
+    dim = kind.ref_dim
+    in_range = 1 <= n_points <= _MAX_1D_POINTS**dim
+    per_axis = round(n_points ** (1.0 / dim)) if in_range else 0
+    if not in_range or per_axis**dim != n_points:
+        raise ValueError(
+            f"{kind.value} rules are Gauss-Legendre rules with k^{dim} points, "
+            f"1 <= k <= {_MAX_1D_POINTS}; got {n_points}"
+        )
+    x, w = leggauss(per_axis)
+    weights = tensor_points(w, dim).prod(axis=1)
+    return QuadratureRule(tensor_points(x, dim), weights, 2 * per_axis - 1)
 
 
 def triangle_rule_for_degree(degree: int) -> QuadratureRule:
@@ -437,11 +425,7 @@ def triangle_rule_for_degree(degree: int) -> QuadratureRule:
 
 
 def min_gauss_points(kind: ElementKind) -> int:
-    """Minimum admissible Gauss point count for mortar integrals on ``kind``.
-
-    Two points for linear segments, three for quadratic ones, and their
-    tensor squares for quadrilaterals.
-    """
-    kind = ElementKind(kind)
-    per_dir = kind.degree + 1
-    return per_dir if kind.ref_dim == 1 else per_dir * per_dir
+    """Smallest Gauss point count for mortar integrals on ``kind``: the
+    smallest rule that integrates every product of two basis functions
+    exactly on the reference element."""
+    return _ELEMENTS[ElementKind(kind)].min_gauss

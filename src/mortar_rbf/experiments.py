@@ -11,6 +11,7 @@ emits.  Everything is deterministic for a fixed config and seed; only the
 from __future__ import annotations
 
 import csv
+import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -111,6 +112,12 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "experiment", ExperimentKind(self.experiment))
         object.__setattr__(self, "ratio", Fraction(self.ratio))
+        for key in ("refinements", "seed"):
+            value = getattr(self, key)
+            try:
+                object.__setattr__(self, key, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
         if not 1 <= self.refinements <= 8:
             raise ConfigError(
                 f"refinements must lie in [1, 8], got {self.refinements}"
@@ -294,10 +301,7 @@ def _bubble_problem(master, slave) -> PoissonProblem:
 
 def _transfer_l2_error(slave: InterfaceMesh, values: np.ndarray, fn: Callable) -> float:
     """L2 norm of (transferred FE field - exact) over the slave interface."""
-    n_1d = 10
-    rule = gauss_rule(
-        slave.kind, n_1d if slave.kind.ref_dim == 1 else n_1d * n_1d
-    )
+    rule = gauss_rule(slave.kind, 10**slave.kind.ref_dim)
     phys, metric = element_geometry(slave, rule.points)
     approx = values[slave.connectivity] @ shape_values(slave.kind, rule.points).T
     squared = rule.weights * np.sqrt(metric) * (approx - fn(phys)) ** 2

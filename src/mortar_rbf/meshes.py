@@ -104,7 +104,7 @@ class InterfaceMesh:
         object.__setattr__(self, "side", Side(self.side))
         if self.kind is ElementKind.TRI3:
             raise ValueError("triangles are volume elements, not interface elements")
-        expected_dim = 2 if self.kind.ref_dim == 1 else 3
+        expected_dim = self.kind.ref_dim + 1
         if self.nodes.ndim != 2 or self.nodes.shape[1] != expected_dim:
             raise ValueError(
                 f"{self.kind.value} interface nodes must live in R^{expected_dim}"
@@ -182,6 +182,7 @@ class VolumeMesh:
                     f"boundary tag edge {edge} names a node outside the mesh "
                     f"of {self.n_nodes} nodes"
                 )
+        _validate_boundary_edges(self, sorted(tags))
         object.__setattr__(self, "boundary_tags", tags)
 
     @property
@@ -206,6 +207,27 @@ class VolumeMesh:
     def tagged_nodes(self, tag: str) -> np.ndarray:
         """Sorted unique node ids lying on edges carrying ``tag``."""
         return np.unique(np.array(self.tagged_edges(tag), dtype=np.int64))
+
+
+def _validate_boundary_edges(mesh: VolumeMesh, edges: list[tuple[int, int]]) -> None:
+    """Raise naming the first node pair of ``edges`` that is not an edge of
+    exactly one triangle; the pair (a, b) with a <= b has the key a n + b."""
+    n = mesh.n_nodes
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    on_tags = np.zeros(n, dtype=bool)
+    on_tags[pairs] = True
+    tail, head = mesh.connectivity.ravel(), mesh.connectivity[:, [1, 2, 0]].ravel()
+    both = on_tags[tail] & on_tags[head]
+    tail, head = tail[both], head[both]
+    keys, counts = np.unique(
+        np.minimum(tail, head) * n + np.maximum(tail, head), return_counts=True
+    )
+    bad = np.flatnonzero(~np.isin(pairs @ np.array([n, 1]), keys[counts == 1]))
+    if bad.size:
+        raise ValueError(
+            f"boundary tag edge {edges[bad[0]]} is not an edge of exactly one "
+            "triangle"
+        )
 
 
 Mesh = InterfaceMesh | VolumeMesh

@@ -112,12 +112,6 @@ _DENSE_BATCH_ENTRIES = 2**17
 #: normal double are stored as exact zeros (see :class:`TransferOperator`).
 _TRANSFER_FLOOR = np.finfo(float).tiny
 
-#: (mid node, corner, corner) of each quadratic element edge.
-_MID_NODES = {
-    ElementKind.SEG3: ((1, 0, 2),),
-    ElementKind.QUAD8: ((4, 0, 1), (5, 1, 2), (6, 2, 3), (7, 3, 0)),
-}
-
 #: Master boxes also grow by this fraction of their coordinate size, so a
 #: slave point lying on the master surface is never dropped by rounding.
 _BOX_ROUNDING = 1e-12
@@ -194,11 +188,6 @@ class InterfacePair:
                 "master and slave interfaces must both be curves or both "
                 f"be surfaces, got {self.master.kind.value} and "
                 f"{self.slave.kind.value}"
-            )
-        if self.master.nodes.shape[1] != self.slave.nodes.shape[1]:
-            raise InvalidGeometryError(
-                "master and slave interfaces live in different ambient "
-                "dimensions"
             )
         if self.gap_tolerance is not None and not 0.0 <= self.gap_tolerance < np.inf:
             raise ValueError(
@@ -401,7 +390,7 @@ def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarr
     lo, hi = nodes.min(axis=1), nodes.max(axis=1)
     bulge = sum(
         np.abs(nodes[:, mid] - 0.5 * (nodes[:, a] + nodes[:, b]))
-        for mid, a, b in _MID_NODES.get(mesh.kind, ())
+        for mid, a, b in mesh.kind.mid_nodes
     )
     grow = (
         (1.0 + tol) * (2.0 * tol * (hi - lo) + bulge)

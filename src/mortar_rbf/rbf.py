@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy import sparse
 
-from .elements import ElementKind, shape_values
+from .elements import ElementKind, shape_values, tensor_points
 from .meshes import Mesh, element_circumdiameters, element_geometry
 
 __all__ = [
@@ -152,10 +152,7 @@ def interpolation_points(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     t = np.linspace(-1.0, 1.0, layout.n_per_edge)
     if layout.variant is LayoutKind.SINE:
         t = np.sin(0.5 * np.pi * t)
-    if kind.ref_dim == 1:
-        return t.reshape(-1, 1)
-    xx, yy = np.meshgrid(t, t, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return tensor_points(t, kind.ref_dim)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,6 +32,7 @@ def reference_samples(kind, n=40, seed=0):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_shape_values_are_nodal(kind):
     coords = node_reference_coords(kind)
+    assert coords.shape == (kind.n_nodes, kind.ref_dim)
     values = shape_values(kind, coords)
     np.testing.assert_allclose(values, np.eye(kind.n_nodes), atol=1e-14)
 
@@ -152,13 +153,49 @@ def test_gauss_rule_rejects_bad_counts():
         gauss_rule(ElementKind.QUAD4, 5)
     with pytest.raises(ValueError):
         gauss_rule(ElementKind.TRI3, 4)
+    with pytest.raises(ValueError):
+        gauss_rule(ElementKind.QUAD4, 0)
+    with pytest.raises(ValueError, match="2.5"):
+        gauss_rule(ElementKind.SEG2, 2.5)
+    with pytest.raises(ValueError, match="3.0"):
+        gauss_rule(ElementKind.TRI3, 3.0)
+    with pytest.raises(ValueError, match="4.0"):
+        gauss_rule(ElementKind.QUAD4, 4.0)
 
 
 def test_min_gauss_points():
     assert min_gauss_points(ElementKind.SEG2) == 2
     assert min_gauss_points(ElementKind.SEG3) == 3
+    assert min_gauss_points(ElementKind.TRI3) == 3
     assert min_gauss_points(ElementKind.QUAD4) == 4
     assert min_gauss_points(ElementKind.QUAD8) == 9
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_min_gauss_rule_integrates_basis_products_exactly(kind):
+    """The minimum rule integrates every N_i N_j on the reference element
+    exactly, checked against a 64-point (12 on triangles) rule."""
+    reference = gauss_rule(kind, 12 if kind is ElementKind.TRI3 else 64)
+    rule = gauss_rule(kind, min_gauss_points(kind))
+
+    def products(rule):
+        values = shape_values(kind, rule.points)
+        return np.einsum("q,qi,qj->ij", rule.weights, values, values)
+
+    np.testing.assert_allclose(products(rule), products(reference), atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mid_nodes_sit_halfway_between_their_corners(kind):
+    coords = node_reference_coords(kind)
+    for mid, a, b in kind.mid_nodes:
+        np.testing.assert_array_equal(coords[mid], (coords[a] + coords[b]) / 2.0)
+    mids = [mid for mid, _, _ in kind.mid_nodes]
+    corners = {c for _, a, b in kind.mid_nodes for c in (a, b)}
+    if kind.degree == 1:
+        assert mids == []
+    else:
+        assert sorted(mids + list(corners)) == list(range(kind.n_nodes))
 
 
 @given(n=st.integers(min_value=1, max_value=64))

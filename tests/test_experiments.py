@@ -55,6 +55,15 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.INTERP_1D, warp_amplitude=-0.1)
 
 
+@pytest.mark.parametrize("key", ["refinements", "seed"])
+def test_experiment_config_counts_must_be_integers(key):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer, got 2.5"):
+        ExperimentConfig(**{key: 2.5})
+    config = ExperimentConfig(**{key: np.int64(2)})
+    assert type(getattr(config, key)) is int
+    assert parse_config(serialize_config(config)) == config
+
+
 def test_config_round_trips_through_the_text_format():
     config = ExperimentConfig(ExperimentKind.POISSON_2D, refinements=3, seed=7)
     text = serialize_config(config)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,10 +190,23 @@ def test_volume_mesh_array_round_trip(tmp_path):
     np.testing.assert_array_equal(volume_nodes, expected_volume_nodes)
 
 
-def test_tags_naming_nodes_outside_the_mesh_are_rejected():
-    mesh = split_unit_square(3, 2)[1]
-    with pytest.raises(ValueError, match=r"edge \(0, 999\)"):
-        VolumeMesh(mesh.nodes, mesh.connectivity, {(0, 999): "interface"})
+@pytest.mark.parametrize(
+    "edge, reason",
+    [
+        ((0, 999), "names a node outside the mesh"),
+        ((0, 2), "is not an edge of exactly one triangle"),
+        ((1, 3), "is not an edge of exactly one triangle"),
+        ((1, 1), "is not an edge of exactly one triangle"),
+    ],
+    ids=["outside", "diagonal", "non-edge", "loop"],
+)
+def test_tags_naming_nodes_outside_the_mesh_are_rejected(edge, reason):
+    """Every tagged pair must be a boundary edge; (0, 2) is the interior
+    diagonal of the two-triangle square, (1, 3) and (1, 1) no edge at all."""
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    connectivity = np.array([[0, 1, 2], [0, 2, 3]])
+    with pytest.raises(ValueError, match=re.escape(f"edge {edge} {reason}")):
+        VolumeMesh(nodes, connectivity, {edge: "interface"})
 
 
 def test_interface_mesh_validates_connectivity():
