@@ -21,6 +21,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "ElementKind",
     "QuadratureRule",
+    "as_count",
     "node_reference_coords",
     "shape_values",
     "shape_gradients",
@@ -60,6 +61,15 @@ class ElementKind(str, Enum):
     def mid_nodes(self) -> tuple[tuple[int, int, int], ...]:
         """(mid node, corner, corner) of each quadratic edge, mid node halfway."""
         return _ELEMENTS[self].mid_nodes
+
+
+def as_count(value, name: str, error: type[Exception] = ValueError) -> int:
+    """``value`` as an int by :func:`operator.index`, so NumPy integers pass
+    and 2.5, 4.0 or "4" raise ``error`` naming the parameter ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def node_reference_coords(kind: ElementKind) -> np.ndarray:
@@ -392,10 +402,7 @@ def gauss_rule(kind: ElementKind, n_points: int) -> QuadratureRule:
     degree 1, 2, 4, 5 and 6 respectively.
     """
     kind = ElementKind(kind)
-    try:
-        n_points = operator.index(n_points)
-    except TypeError:
-        raise ValueError(f"n_points must be an integer, got {n_points!r}") from None
+    n_points = as_count(n_points, "n_points")
     if kind is ElementKind.TRI3:
         if n_points not in _TRI_RULES:
             raise ValueError(

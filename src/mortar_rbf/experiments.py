@@ -11,7 +11,6 @@ emits.  Everything is deterministic for a fixed config and seed; only the
 from __future__ import annotations
 
 import csv
-import operator
 import time
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -22,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import ElementKind, gauss_rule, min_gauss_points, shape_values
+from .elements import ElementKind, as_count, gauss_rule, shape_values
 from .errors import ConfigError
 from .meshes import (
     InterfaceMesh,
@@ -113,11 +112,7 @@ class ExperimentConfig:
         object.__setattr__(self, "experiment", ExperimentKind(self.experiment))
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         for key in ("refinements", "seed"):
-            value = getattr(self, key)
-            try:
-                object.__setattr__(self, key, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
+            object.__setattr__(self, key, as_count(getattr(self, key), key, ConfigError))
         if not 1 <= self.refinements <= 8:
             raise ConfigError(
                 f"refinements must lie in [1, 8], got {self.refinements}"
@@ -247,9 +242,7 @@ def _sweep_row(
         scheme=mortar.scheme.value,
         kernel=mortar.kernel_family.value if rb else "",
         n_colloc=mortar.layout.n_per_edge if rb else 0,
-        n_gauss=(
-            mortar.n_gauss if mortar.n_gauss is not None else min_gauss_points(kind)
-        ),
+        n_gauss=mortar.slave_rule(kind).n_points,
         assembly_seconds=seconds,
         dropped_fraction=stats.dropped_fraction,
         **errors,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .elements import (
     ElementKind,
+    as_count,
     gauss_rule,
     min_gauss_points,
     node_reference_coords,
@@ -62,7 +63,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _validate_connectivity(nodes, connectivity, kind):
+def _validate_connectivity(mesh) -> np.ndarray:
+    """The mesh's connectivity as read-only int64 node indices, checked
+    against its element kind and nodes; an int64 array is not copied, and
+    a float array (say, as ``np.load`` returns) must hold whole numbers."""
+    nodes, kind = mesh.nodes, mesh.kind
+    index = np.asarray(mesh.connectivity)
+    if index.dtype.kind == "f":
+        fractional = ~(np.isfinite(index) & (index == np.trunc(index)))
+        if fractional.any():
+            raise ValueError(
+                f"{kind.value} connectivity holds the non-integral node index "
+                f"{index[fractional][0]}"
+            )
+    connectivity = _freeze(index.astype(np.int64, copy=False))
     if connectivity.ndim != 2 or connectivity.shape[1] != kind.n_nodes:
         raise ValueError(
             f"{kind.value} connectivity must have {kind.n_nodes} columns, "
@@ -74,6 +88,7 @@ def _validate_connectivity(nodes, connectivity, kind):
         raise ValueError("connectivity refers to nodes outside the mesh")
     if not np.all(np.isfinite(nodes)):
         raise ValueError("mesh nodes contain non-finite coordinates")
+    return connectivity
 
 
 @dataclass(frozen=True)
@@ -97,9 +112,6 @@ class InterfaceMesh:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
-        object.__setattr__(
-            self, "connectivity", _freeze(np.asarray(self.connectivity, np.int64))
-        )
         object.__setattr__(self, "kind", ElementKind(self.kind))
         object.__setattr__(self, "side", Side(self.side))
         if self.kind is ElementKind.TRI3:
@@ -109,7 +121,7 @@ class InterfaceMesh:
             raise ValueError(
                 f"{self.kind.value} interface nodes must live in R^{expected_dim}"
             )
-        _validate_connectivity(self.nodes, self.connectivity, self.kind)
+        object.__setattr__(self, "connectivity", _validate_connectivity(self))
         if self.kind is ElementKind.SEG3:
             _validate_unfolded(self)
         probe = gauss_rule(self.kind, min_gauss_points(self.kind)).points
@@ -160,22 +172,22 @@ class VolumeMesh:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
-        object.__setattr__(
-            self, "connectivity", _freeze(np.asarray(self.connectivity, np.int64))
-        )
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("volume mesh nodes must live in R^2")
-        _validate_connectivity(self.nodes, self.connectivity, self.kind)
+        object.__setattr__(self, "connectivity", _validate_connectivity(self))
         bad = np.flatnonzero(self.double_areas <= 0.0)
         if bad.size:
             area = self.double_areas[bad[0]] / 2.0
             raise DegenerateElementError(
                 f"triangle {bad[0]} has non-positive area {area:.3e}"
             )
-        tags = {
-            (int(min(a, b)), int(max(a, b))): str(t)
-            for (a, b), t in self.boundary_tags.items()
-        }
+        tags = {}
+        for (a, b), tag in self.boundary_tags.items():
+            if a != int(a) or b != int(b):
+                raise ValueError(
+                    f"boundary tag edge {(a, b)} names a non-integral node index"
+                )
+            tags[(int(min(a, b)), int(max(a, b)))] = str(tag)
         for edge in tags:
             if edge[0] < 0 or edge[1] >= self.n_nodes:
                 raise ValueError(
@@ -301,6 +313,7 @@ def segment_mesh(
     kind = ElementKind(kind)
     if kind not in (ElementKind.SEG2, ElementKind.SEG3):
         raise ValueError("segment meshes require seg2 or seg3 elements")
+    n_elems = as_count(n_elems, "n_elems")
     if n_elems < 1:
         raise ValueError("n_elems must be positive")
     a, b = span
@@ -358,9 +371,9 @@ def square_surface_mesh(
     kind = ElementKind(kind)
     if kind not in (ElementKind.QUAD4, ElementKind.QUAD8):
         raise ValueError("surface meshes require quad4 or quad8 elements")
-    if n_per_side < 1:
+    n = as_count(n_per_side, "n_per_side")
+    if n < 1:
         raise ValueError("n_per_side must be positive")
-    n = n_per_side
     xs = np.linspace(-1.0, 1.0, n + 1)
     cx, cy = np.meshgrid(xs, xs, indexing="xy")
     xy = np.column_stack([cx.ravel(), cy.ravel()])
@@ -420,6 +433,7 @@ def rectangle_mesh(
     the grid turns a triangle clockwise, which :class:`VolumeMesh` refuses
     with :class:`DegenerateElementError`.
     """
+    nx, ny = as_count(nx, "nx"), as_count(ny, "ny")
     if nx < 1 or ny < 1:
         raise ValueError("need at least one cell in each direction")
     if interface_edge not in (None, "bottom", "top"):
@@ -477,6 +491,8 @@ def split_unit_square(
     interface row of both meshes onto the same curve, each side sampling it
     with its own nodes (a geometrically non-conforming pairing).
     """
+    n_master_x = as_count(n_master_x, "n_master_x")
+    n_slave_x = as_count(n_slave_x, "n_slave_x")
     ny_m = max(1, round(n_master_x * 0.5))
     ny_s = max(1, round(n_slave_x * 0.5))
     master = rectangle_mesh(n_master_x, ny_m, (0.5, 1.0), "bottom", interface_offset)

@@ -8,7 +8,7 @@ multiplier mass matrix and the master-slave coupling matrix:
 * ``eb``: slave Gauss points are Newton-projected onto candidate master
   elements and points landing outside every master are sorted out;
 * ``sb``: exact interval intersection for 1D interfaces only, found by a
-  sort-and-sweep and inverted in one batch per side; the reference oracle.
+  sort-and-sweep and mapped back in closed form; the reference oracle.
 
 Whatever the scheme, both matrices integrate over the identical set of
 surviving Gauss points with identical weights.  That shared-point rule is
@@ -31,7 +31,6 @@ both matrices.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -42,6 +41,8 @@ from scipy.sparse.linalg import SuperLU, splu
 
 from .elements import (
     ElementKind,
+    QuadratureRule,
+    as_count,
     gauss_rule,
     min_gauss_points,
     node_reference_coords,
@@ -147,18 +148,25 @@ class MortarConfig:
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         object.__setattr__(self, "kernel_family", KernelFamily(self.kernel_family))
         if self.n_gauss is not None:
-            try:
-                object.__setattr__(self, "n_gauss", operator.index(self.n_gauss))
-            except TypeError:
-                raise ValueError(
-                    f"n_gauss must be an integer, got {self.n_gauss!r}"
-                ) from None
+            object.__setattr__(self, "n_gauss", as_count(self.n_gauss, "n_gauss"))
             if self.n_gauss < 1:
                 raise ValueError("n_gauss must be positive")
         if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
             raise ValueError(
                 f"epsilon override must be finite and positive, got {self.epsilon}"
             )
+
+    def slave_rule(self, kind: ElementKind) -> QuadratureRule:
+        """The Gauss rule on each slave element of ``kind``: ``n_gauss``
+        points, or the minimum for the element degree when it is None."""
+        minimum = min_gauss_points(kind)
+        n = self.n_gauss if self.n_gauss is not None else minimum
+        if n < minimum:
+            raise ValueError(
+                f"{kind.value} mortar integrals need at least {minimum} Gauss "
+                f"points per slave element, got {n}"
+            )
+        return gauss_rule(kind, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,17 +306,6 @@ class TransferOperator:
     def row_sums(self) -> np.ndarray:
         # bench/tracer.py wraps interface_transfer and fails outside its operations
         return _transfer_field(self, np.ones(self.n_master_nodes))
-
-
-def _resolve_rule(config: MortarConfig, kind: ElementKind):
-    minimum = min_gauss_points(kind)
-    n = config.n_gauss if config.n_gauss is not None else minimum
-    if n < minimum:
-        raise ValueError(
-            f"{kind.value} mortar integrals need at least {minimum} Gauss "
-            f"points per slave element, got {n}"
-        )
-    return gauss_rule(kind, n)
 
 
 def _sweep_overlaps(master, slave, gap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -595,7 +592,7 @@ def _assemble_pointwise(
     quadrature sets of the two matrices identical.
     """
     slave = pair.slave
-    rule = _resolve_rule(config, slave.kind)
+    rule = config.slave_rule(slave.kind)
     n_gauss = rule.n_points
     cand_slave, cand_master = _candidate_pairs(pair)
     n_cands = np.bincount(cand_slave, minlength=slave.n_elems)
@@ -658,35 +655,24 @@ def _collinearity_residual(nodes: np.ndarray, direction: np.ndarray) -> float:
     return float(np.max(np.abs(centered - np.outer(along, direction)), initial=0.0))
 
 
-def _line_parameter_inverse(side, kind, elem_params, elems, targets, span):
+def _line_reference(kind, elem_params, elems, targets):
     """Reference coordinates where each point's element reaches its target.
 
-    Point k lies on element ``elems[k]`` of the ``side`` mesh, whose nodes
-    sit at line parameters ``elem_params[elems[k]]``; mesh validation
-    rules out folded elements.  Raises :class:`InvalidGeometryError`
-    naming the lowest element where the inversion does not converge.
+    Point k lies on element ``elems[k]``, whose nodes sit at line
+    parameters ``elem_params[elems[k]]``.  A ``seg3`` map is t = p_mid +
+    b xi + a xi^2 with b = (p_hi - p_lo) / 2, a = (p_lo + p_hi) / 2 - p_mid;
+    mesh validation rules out folded elements, so it is monotone and its
+    root is the quadratic formula's branch free of cancellation.
     """
     node_params = elem_params[elems]
     # segment nodes run from xi = -1 to xi = 1, any mid node in between
     p_lo, p_hi = node_params[:, 0], node_params[:, -1]
-    xi = (2.0 * (targets - p_lo) / (p_hi - p_lo) - 1.0)[:, None]
-    active = np.arange(targets.size)
-    for _ in range(30):
-        x, params = xi[active], node_params[active]
-        resid = np.einsum("pn,pn->p", shape_values(kind, x), params) - targets[active]
-        go = np.abs(resid) > 1e-14 * span
-        active, x, params, resid = active[go], x[go], params[go], resid[go]
-        if active.size == 0:
-            break
-        slope = np.einsum("pn,pn->p", shape_gradients(kind, x)[:, :, 0], params)
-        step = x - (resid / slope)[:, None]
-        xi[active] = np.clip(step, -_NEWTON_CLAMP, _NEWTON_CLAMP)
-    if active.size:
-        raise InvalidGeometryError(
-            f"could not invert the line parameterization of {side} element "
-            f"{int(np.min(elems[active]))}; it is badly distorted"
-        )
-    return xi
+    if kind is ElementKind.SEG2:
+        return (2.0 * (targets - p_lo) / (p_hi - p_lo) - 1.0)[:, None]
+    a, b = 0.5 * (p_lo + p_hi) - node_params[:, 1], 0.5 * (p_hi - p_lo)
+    rise = targets - node_params[:, 1]
+    root = np.sqrt(np.maximum(b * b + 4.0 * a * rise, 0.0))
+    return (2.0 * rise / (b + np.copysign(root, b)))[:, None]
 
 
 def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
@@ -698,14 +684,14 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     integrates the polynomial integrands exactly, so the result serves as
     the reference the other schemes are compared against.  A sort-and-sweep
     over the element intervals finds the intersections (slivers dropped);
-    one batched inversion per side places all their Gauss points.
+    the closed-form root of each element's line map places their points.
     """
     master, slave = pair.master, pair.slave
     if master.kind.ref_dim != 1:
         raise InvalidGeometryError(
             "exact intersection assembly handles 1D interfaces only"
         )
-    rule = _resolve_rule(config, slave.kind)
+    rule = config.slave_rule(slave.kind)
 
     direction = _principal_direction(master.nodes)
     t_master = (master.nodes - master.nodes.mean(axis=0)) @ direction
@@ -733,8 +719,8 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     half = 0.5 * (hi - lo)
     t_g = ((0.5 * (lo + hi))[:, None] + half[:, None] * rule.points[:, 0]).ravel()
     s_point, m_point = np.repeat(s_elem, n_points), np.repeat(m_elem, n_points)
-    xi_s = _line_parameter_inverse("slave", slave.kind, s_params, s_point, t_g, span)
-    xi_m = _line_parameter_inverse("master", master.kind, m_params, m_point, t_g, span)
+    xi_s = _line_reference(slave.kind, s_params, s_point, t_g)
+    xi_m = _line_reference(master.kind, m_params, m_point, t_g)
     weights = (half[:, None] * rule.weights).ravel()
     slave_vals = shape_values(slave.kind, xi_s)
     master_vals = shape_values(master.kind, xi_m)

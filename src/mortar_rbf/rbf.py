@@ -25,14 +25,13 @@ evaluation invariant under translations normal to the element plane.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy import sparse
 
-from .elements import ElementKind, shape_values, tensor_points
+from .elements import ElementKind, as_count, shape_values, tensor_points
 from .meshes import Mesh, element_circumdiameters, element_geometry
 
 __all__ = [
@@ -124,12 +123,7 @@ class PointLayout:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", LayoutKind(self.variant))
-        try:
-            object.__setattr__(self, "n_per_edge", operator.index(self.n_per_edge))
-        except TypeError:
-            raise ValueError(
-                f"n_per_edge must be an integer, got {self.n_per_edge!r}"
-            ) from None
+        object.__setattr__(self, "n_per_edge", as_count(self.n_per_edge, "n_per_edge"))
         if not 2 <= self.n_per_edge <= MAX_POINTS_PER_EDGE:
             raise ValueError(
                 f"n_per_edge must lie in [2, {MAX_POINTS_PER_EDGE}], "

@@ -58,7 +58,6 @@ from mortar_rbf.mortar import (
     _collinearity_residual,
     _containment_depth,
     _principal_direction,
-    _resolve_rule,
     _solve_newton_step,
     support_detect,
 )
@@ -304,7 +303,7 @@ def reference_assemble(pair, config) -> MortarMatrices:
         evaluator = _kernel_evaluator(pair, config)
     else:
         evaluator = _projection_evaluator(pair, config)
-    rule = _resolve_rule(config, slave.kind)
+    rule = config.slave_rule(slave.kind)
     slave_basis = shape_values(slave.kind, rule.points)
     candidates = reference_contact_search(pair)
 
@@ -402,7 +401,7 @@ def reference_assemble_sb(pair, config) -> MortarMatrices:
     intersection longer than a sliver gets its own Gauss rule.
     """
     master, slave = pair.master, pair.slave
-    rule = _resolve_rule(config, slave.kind)
+    rule = config.slave_rule(slave.kind)
     direction = _principal_direction(master.nodes)
     t_master = (master.nodes - master.nodes.mean(axis=0)) @ direction
     t_slave = (slave.nodes - master.nodes.mean(axis=0)) @ direction

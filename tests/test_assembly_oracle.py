@@ -30,7 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from mortar_rbf import experiments, poisson
 from mortar_rbf.elements import ElementKind, gauss_rule, min_gauss_points
@@ -644,6 +644,16 @@ def test_sb_matches_per_pair_scan(name):
     offset=st.floats(-0.2, 0.2),
     shift=st.floats(-2.5, 2.5),
     draw_seed=st.integers(0, 2**32 - 1),
+)
+@example(  # mid nodes up to 0.49 half-lengths off centre
+    kind=ElementKind.SEG3,
+    n_master=12,
+    n_slave=11,
+    jitter=0.35,
+    mid_shift=0.49,
+    offset=0.1,
+    shift=0.3,
+    draw_seed=0,
 )
 def test_sb_matches_per_pair_scan_on_random_pairs(
     kind, n_master, n_slave, jitter, mid_shift, offset, shift, draw_seed

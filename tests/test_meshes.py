@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -197,22 +198,53 @@ def test_volume_mesh_array_round_trip(tmp_path):
         ((0, 2), "is not an edge of exactly one triangle"),
         ((1, 3), "is not an edge of exactly one triangle"),
         ((1, 1), "is not an edge of exactly one triangle"),
+        ((0.5, 1.2), "names a non-integral node index"),
     ],
-    ids=["outside", "diagonal", "non-edge", "loop"],
+    ids=["outside", "diagonal", "non-edge", "loop", "fractional"],
 )
 def test_tags_naming_nodes_outside_the_mesh_are_rejected(edge, reason):
     """Every tagged pair must be a boundary edge; (0, 2) is the interior
-    diagonal of the two-triangle square, (1, 3) and (1, 1) no edge at all."""
+    diagonal of the two-triangle square, (1, 3) and (1, 1) no edge at all,
+    and (0.5, 1.2) no pair of node indices."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     connectivity = np.array([[0, 1, 2], [0, 2, 3]])
     with pytest.raises(ValueError, match=re.escape(f"edge {edge} {reason}")):
         VolumeMesh(nodes, connectivity, {edge: "interface"})
 
 
-def test_interface_mesh_validates_connectivity():
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(ValueError):
-        InterfaceMesh(nodes, np.array([[0, 5]]), ElementKind.SEG2, Side.MASTER)
+@pytest.mark.parametrize(
+    "mesh, connectivity, whole, message",
+    [
+        (
+            partial(InterfaceMesh, kind=ElementKind.SEG2),
+            [[0, 5]],
+            [[0.0, 1.0]],
+            "connectivity refers to nodes outside the mesh",
+        ),
+        (
+            partial(InterfaceMesh, kind=ElementKind.SEG2),
+            [[0.9, 1.9], [1.9, 2.9]],
+            [[0.0, 1.0], [1.0, 2.0]],
+            "seg2 connectivity holds the non-integral node index 0.9",
+        ),
+        (
+            VolumeMesh,
+            [[0, 1, 2.9]],
+            [[0.0, 1.0, 2.0]],
+            "tri3 connectivity holds the non-integral node index 2.9",
+        ),
+    ],
+    ids=["outside", "fractional", "fractional-triangle"],
+)
+def test_interface_mesh_validates_connectivity(mesh, connectivity, whole, message):
+    """Indices must name nodes of the mesh and be whole numbers, which a
+    float array (as ``np.load`` may return) can hold."""
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mesh(nodes, connectivity)
+    built = mesh(nodes, np.array(whole))
+    assert built.connectivity.dtype == np.int64
+    np.testing.assert_array_equal(built.connectivity, whole)
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,11 +1,13 @@
+import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mortar_rbf import mortar
-from mortar_rbf.elements import ElementKind
+from mortar_rbf.elements import ElementKind, gauss_rule
 from mortar_rbf.errors import (
     DegenerateElementError,
     InvalidGeometryError,
@@ -15,9 +17,12 @@ from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
     element_circumdiameters,
+    rectangle_mesh,
     segment_mesh,
     segment_pair,
     sine_bump,
+    split_unit_square,
+    square_surface_mesh,
     surface_pair,
     translate,
 )
@@ -25,6 +30,7 @@ from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
     Scheme,
+    _line_reference,
     _project_points,
     assemble,
     compute_transfer,
@@ -369,6 +375,30 @@ def test_exact_scheme_requires_straight_meshes():
         assemble(InterfacePair(master, kinked), MortarConfig(scheme=Scheme.SB1D))
 
 
+def test_exact_scheme_inverts_off_centre_seg3_maps_to_rounding():
+    # 4000 seg3 elements on [-1, 1], every second one reversed, mid nodes
+    # up to 0.49 half-lengths off centre; the targets are each element's
+    # Gauss points, and the map back is evaluated in extended precision
+    kind, n = ElementKind.SEG3, 4000
+    rng = np.random.default_rng(4)
+    ends = np.linspace(-1.0, 1.0, n + 1)
+    centres, halves = 0.5 * (ends[:-1] + ends[1:]), 0.5 * np.diff(ends)
+    params = np.column_stack(
+        [ends[:-1], centres + halves * rng.uniform(-0.49, 0.49, n), ends[1:]]
+    )
+    params[1::2] = params[1::2, ::-1]
+    gauss = gauss_rule(ElementKind.SEG2, 5).points[:, 0]
+    targets = (centres[:, None] + halves[:, None] * gauss).ravel()
+    elems = np.repeat(np.arange(n), gauss.size)
+    xi = _line_reference(kind, params, elems, targets)[:, 0]
+    assert np.all(np.abs(xi) <= 1.0)
+    p, x = params[elems].astype(np.longdouble), xi.astype(np.longdouble)
+    basis = np.stack([x * (x - 1.0) / 2.0, 1.0 - x * x, x * (x + 1.0) / 2.0], axis=1)
+    t = (basis * p).sum(axis=1)
+    ulp = np.spacing(np.max(np.abs(targets)))
+    assert np.max(np.abs(t - targets)) <= 4.0 * ulp
+
+
 FOLDED_SEG3 = {
     # the mid node of element 1 lies past its right end node
     "mid_past_end": (
@@ -511,13 +541,27 @@ def test_pair_and_config_validation():
 
 
 @pytest.mark.parametrize(
-    "config, name", [(MortarConfig, "n_gauss"), (PointLayout, "n_per_edge")]
+    "config, name",
+    [
+        (MortarConfig, "n_gauss"),
+        (PointLayout, "n_per_edge"),
+        (segment_mesh, "n_elems"),
+        (square_surface_mesh, "n_per_side"),
+        (partial(rectangle_mesh, ny=2), "nx"),
+        (partial(rectangle_mesh, 2), "ny"),
+        (partial(split_unit_square, n_slave_x=3), "n_master_x"),
+        (partial(split_unit_square, 4), "n_slave_x"),
+    ],
 )
 def test_config_counts_must_be_integers(config, name):
+    # configs and mesh builders alike name the count they refuse
     for count in (2.5, 4.0, "4"):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        message = f"{name} must be an integer, got {count!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             config(**{name: count})
-    assert type(getattr(config(**{name: np.int64(4)}), name)) is int
+    built = config(**{name: np.int64(4)})
+    if hasattr(built, name):
+        assert type(getattr(built, name)) is int
 
 
 @pytest.mark.parametrize("shape", [(), (2,)])
