@@ -13,6 +13,7 @@ marked read-only.  Each mesh refuses its bad elements when it is built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -57,16 +58,18 @@ class Side(str, Enum):
     SLAVE = "slave"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _freeze(arr, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``arr``, so the caller's array stays
+    writeable and later writes to it do not reach the mesh."""
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
 
 def _validate_connectivity(mesh) -> np.ndarray:
     """The mesh's connectivity as read-only int64 node indices, checked
-    against its element kind and nodes; an int64 array is not copied, and
-    a float array (say, as ``np.load`` returns) must hold whole numbers."""
+    against its element kind and nodes; a float array (say, as ``np.load``
+    returns) must hold whole numbers."""
     nodes, kind = mesh.nodes, mesh.kind
     index = np.asarray(mesh.connectivity)
     if index.dtype.kind == "f":
@@ -76,7 +79,7 @@ def _validate_connectivity(mesh) -> np.ndarray:
                 f"{kind.value} connectivity holds the non-integral node index "
                 f"{index[fractional][0]}"
             )
-    connectivity = _freeze(index.astype(np.int64, copy=False))
+    connectivity = _freeze(index, np.int64)
     if connectivity.ndim != 2 or connectivity.shape[1] != kind.n_nodes:
         raise ValueError(
             f"{kind.value} connectivity must have {kind.n_nodes} columns, "
@@ -111,7 +114,7 @@ class InterfaceMesh:
     side: Side = Side.MASTER
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
+        object.__setattr__(self, "nodes", _freeze(self.nodes, float))
         object.__setattr__(self, "kind", ElementKind(self.kind))
         object.__setattr__(self, "side", Side(self.side))
         if self.kind is ElementKind.TRI3:
@@ -171,7 +174,7 @@ class VolumeMesh:
     boundary_tags: dict[tuple[int, int], str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _freeze(np.asarray(self.nodes, float)))
+        object.__setattr__(self, "nodes", _freeze(self.nodes, float))
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise ValueError("volume mesh nodes must live in R^2")
         object.__setattr__(self, "connectivity", _validate_connectivity(self))
@@ -181,13 +184,7 @@ class VolumeMesh:
             raise DegenerateElementError(
                 f"triangle {bad[0]} has non-positive area {area:.3e}"
             )
-        tags = {}
-        for (a, b), tag in self.boundary_tags.items():
-            if a != int(a) or b != int(b):
-                raise ValueError(
-                    f"boundary tag edge {(a, b)} names a non-integral node index"
-                )
-            tags[(int(min(a, b)), int(max(a, b)))] = str(tag)
+        tags = {_tag_edge(edge): str(tag) for edge, tag in self.boundary_tags.items()}
         for edge in tags:
             if edge[0] < 0 or edge[1] >= self.n_nodes:
                 raise ValueError(
@@ -219,6 +216,23 @@ class VolumeMesh:
     def tagged_nodes(self, tag: str) -> np.ndarray:
         """Sorted unique node ids lying on edges carrying ``tag``."""
         return np.unique(np.array(self.tagged_edges(tag), dtype=np.int64))
+
+
+def _tag_edge(edge) -> tuple[int, int]:
+    """A boundary tag key as its sorted node pair; a key that is not a pair
+    of finite, integral node indices raises naming it."""
+    if not isinstance(edge, tuple) or len(edge) != 2:
+        raise ValueError(f"boundary tag edge {edge!r} is not a pair of node indices")
+    for end in edge:
+        whole = isinstance(end, numbers.Integral) or (
+            isinstance(end, numbers.Real) and float(end).is_integer()
+        )
+        if not whole:
+            raise ValueError(
+                f"boundary tag edge {edge} names a non-integral node index"
+            )
+    a, b = sorted(int(end) for end in edge)
+    return a, b
 
 
 def _validate_boundary_edges(mesh: VolumeMesh, edges: list[tuple[int, int]]) -> None:

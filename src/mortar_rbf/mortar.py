@@ -25,8 +25,8 @@ box holds it (see :func:`_master_boxes`).  ``rb`` fits and evaluates
 those masters in chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs
 one Newton iteration over all pairs in which every pair retires as soon
 as its own residual converges or its step leaves the clamp box twice in
-a row, one sort picks each point's master, and one COO build scatters
-both matrices.
+a row; both yield box coordinates, one acceptance rule and one sort pick
+each point's master, and one COO build scatters both matrices.
 """
 
 from __future__ import annotations
@@ -71,10 +71,10 @@ from .rbf import (  # bench/tracer.py wraps the one-element faces here
     fit_master_interpolant,
 )
 
-#: Support detection accepts values up to this far outside [0, 1], so a
-#: slave point on a master element's boundary is not lost to the rounding
-#: of the interpolated ramps or the Newton foot point.  Master boxes grow
-#: to match (see :func:`_master_boxes`).
+#: Assembly accepts box coordinates up to this far outside [0, 1] (see
+#: :func:`_containment_depth`), so a slave point on a master element's
+#: boundary is not lost to the rounding of the interpolated ramps or the
+#: Newton foot point.  Master boxes grow to match (see :func:`_master_boxes`).
 _SUPPORT_TOL = 1e-6
 
 #: ``eb`` Newton stops when the tangential residual falls below this
@@ -397,38 +397,15 @@ def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarr
     return lo - grow, hi + grow
 
 
-def support_detect(values, tol: float):
-    """True for each probe row of ``values`` whose entries all lie within
-    [-tol, 1+tol]; ``values`` has shape (n_points, n_probes).
-
-    A probe row holds quantities that live in [0, 1] exactly when the
-    point sits over the master element: interpolated coordinate ramps for
-    the kernel scheme, normalized reference coordinates for the projection
-    scheme.
-    """
-    values = np.asarray(values, float)
-    return ((values >= -tol) & (values <= 1.0 + tol)).all(axis=1)
-
-
 def _containment_depth(box_coords: np.ndarray) -> np.ndarray:
     """Distance to the nearest face of the unit reference box, signed.
 
-    Positive inside, negative outside; the tie-break assigns boundary
-    points to the candidate they sit deepest in.
+    Positive inside, negative outside.  A valid (point, master) pair is
+    accepted when this is at least ``-_SUPPORT_TOL``, that is when every
+    box coordinate lies in [-_SUPPORT_TOL, 1 + _SUPPORT_TOL]; the point
+    goes to the accepting master it sits deepest in.
     """
     return np.minimum(box_coords, 1.0 - box_coords).min(axis=1)
-
-
-def _box_coordinate_data(kind: ElementKind) -> np.ndarray:
-    """Nodal values of the reference box coordinates (1 + xi) / 2.
-
-    Interpolating these ramps recovers the box coordinates of a query
-    point because the shape functions reproduce linear functions.  The
-    ramps and their complements are the positive corner-pair combinations
-    used for support detection; raw corner bases would not do, since they
-    dip below zero inside quadrilaterals.
-    """
-    return (1.0 + node_reference_coords(kind)) / 2.0
 
 
 def _solve_newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -512,8 +489,14 @@ def _project_points(
 
 
 def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
-    """Kernel-interpolated master bases; each candidate master is fitted once,
-    and the lowest whose condition exceeds :data:`~.rbf.COND_LIMIT` raises."""
+    """Kernel-interpolated master bases, validity flags, box coordinates
+    and 0 Newton updates of each (point, master) pair.
+
+    Each candidate master is fitted once, and the lowest whose condition
+    exceeds :data:`~.rbf.COND_LIMIT` raises.  Interpolating the ramps
+    (1 + xi) / 2 gives the box coordinates, since the rescaled interpolant
+    reproduces linear functions.
+    """
     mesh = pair.master
     used = np.bincount(masters, minlength=mesh.n_elems) > 0
     elems, owner = np.flatnonzero(used), (np.cumsum(used) - 1)[masters]
@@ -529,13 +512,13 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
             condition=condition,
         )
     values, ok = evaluate_interpolants(interp, owner, points)
-    probes = values @ _box_coordinate_data(mesh.kind)
-    inside = ok & support_detect(probes, _SUPPORT_TOL)
-    return values, inside, _containment_depth(probes)
+    ramps = (1.0 + node_reference_coords(mesh.kind)) / 2.0
+    return values, ok, values @ ramps, 0
 
 
 def _projection_values(pair: InterfacePair, config: MortarConfig, masters, points):
-    """Master bases at the Newton foot points of each (point, master) pair."""
+    """Master bases, convergence flags and box coordinates at the Newton
+    foot point of each (point, master) pair, and the Newton update count."""
     mesh = pair.master
     scale = element_circumdiameters(mesh) ** 2
     xi, converged, updates = _project_points(
@@ -544,9 +527,7 @@ def _projection_values(pair: InterfacePair, config: MortarConfig, masters, point
         points,
         scale[masters],
     )
-    box = (1.0 + xi) / 2.0
-    inside = converged & support_detect(box, _SUPPORT_TOL)
-    return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
+    return shape_values(mesh.kind, xi), converged, (1.0 + xi) / 2.0, updates
 
 
 def _scatter(
@@ -583,10 +564,10 @@ def _assemble_pointwise(
 
     Every slave Gauss point is paired with each candidate master element
     of its slave element whose box (see :func:`_master_boxes`) holds it;
-    ``evaluate`` returns the master basis values, an acceptance flag and a
-    containment depth for all those pairs at once; the projection also
-    returns its Newton update count.
-    Among the masters accepting a point, the point is assigned to the one
+    ``evaluate`` returns the master basis values, a validity flag and the
+    box coordinates of all those pairs at once, and its Newton update count.
+    A valid pair whose :func:`_containment_depth` is at least
+    ``-_SUPPORT_TOL`` accepts the point, which goes to the accepting master
     it sits deepest in, a tie going to the lowest master index.  Points
     accepted by nobody are dropped from both matrices, which keeps the
     quadrature sets of the two matrices identical.
@@ -611,11 +592,10 @@ def _assemble_pointwise(
     lo, hi = _master_boxes(pair, _SUPPORT_TOL)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
     pair_point, pair_master = pair_point[held], pair_master[held]
-    values, inside, depth, *newton_updates = evaluate(
-        pair, config, pair_master, points[held]
-    )
+    values, ok, box, newton_updates = evaluate(pair, config, pair_master, points[held])
+    depth = _containment_depth(box)
 
-    hit = np.flatnonzero(inside)
+    hit = np.flatnonzero(ok & (depth >= -_SUPPORT_TOL))
     hit = hit[np.lexsort((pair_master[hit], -depth[hit], pair_point[hit]))]
     first = np.ones(hit.size, dtype=bool)
     first[1:] = pair_point[hit[1:]] != pair_point[hit[:-1]]
@@ -631,7 +611,7 @@ def _assemble_pointwise(
     stats = AssemblyStats(
         pairs_visited=int(cand_slave.size),
         point_pairs=int(pair_point.size),
-        newton_updates=sum(newton_updates),
+        newton_updates=newton_updates,
         gauss_points_total=n_gauss * slave.n_elems,
         gauss_points_dropped=n_gauss * slave.n_elems - int(point.size),
         uncovered_slave_elements=_uncovered(s_elem, slave.n_elems),

@@ -54,12 +54,9 @@ from mortar_rbf.mortar import (
     _NEWTON_TOL,
     _SLIVER_REL,
     _SUPPORT_TOL,
-    _box_coordinate_data,
     _collinearity_residual,
-    _containment_depth,
     _principal_direction,
     _solve_newton_step,
-    support_detect,
 )
 from mortar_rbf.errors import (
     DegenerateElementError,
@@ -245,9 +242,17 @@ def reference_evaluate(fit, points):
     return values, ok
 
 
+def _support(box, tol=_SUPPORT_TOL):
+    """Acceptance flags and depths of the rows of box coordinates ``box``:
+    a row is accepted when each entry lies in [-tol, 1 + tol], and its
+    depth is the distance to the nearest face of the unit box."""
+    inside = ((box >= -tol) & (box <= 1.0 + tol)).all(axis=1)
+    return inside, np.min(np.minimum(box, 1.0 - box), axis=1)
+
+
 def _kernel_evaluator(pair, config):
     mesh = pair.master
-    box_data = _box_coordinate_data(mesh.kind)
+    ramps = (1.0 + node_reference_coords(mesh.kind)) / 2.0
     cache = {}
 
     def evaluate(elem, phys):
@@ -256,9 +261,8 @@ def _kernel_evaluator(pair, config):
                 mesh, elem, config.layout, config.kernel_family, config.epsilon
             )
         vals, ok = reference_evaluate(cache[elem], phys)
-        probes = vals @ box_data
-        inside = ok & support_detect(probes, _SUPPORT_TOL)
-        return vals, inside, _containment_depth(probes)
+        inside, depth = _support(vals @ ramps)
+        return vals, ok & inside, depth
 
     return evaluate
 
@@ -268,9 +272,8 @@ def _projection_evaluator(pair, config):
 
     def evaluate(elem, phys):
         xi, converged, updates = reference_project_batch(mesh, elem, phys)
-        box = (1.0 + xi) / 2.0
-        inside = converged & support_detect(box, _SUPPORT_TOL)
-        return shape_values(mesh.kind, xi), inside, _containment_depth(box), updates
+        inside, depth = _support((1.0 + xi) / 2.0)
+        return shape_values(mesh.kind, xi), converged & inside, depth, updates
 
     return evaluate
 
@@ -376,15 +379,16 @@ def reference_assemble(pair, config) -> MortarMatrices:
     )
 
 
-def _reference_line_inverse(kind, node_params, targets, span):
-    """Reference coordinates of one intersection's points on one element."""
+def _reference_line_inverse(kind, node_params, targets):
+    """Reference coordinates of one intersection's points on one element,
+    by Newton iteration to 1e-14 of the element's own parameter length."""
     ref = node_reference_coords(kind)[:, 0]
     lo, hi = np.argmin(ref), np.argmax(ref)
     denom = node_params[hi] - node_params[lo]
     xi = (2.0 * (targets - node_params[lo]) / denom - 1.0)[:, None]
     for _ in range(30):
         vals = shape_values(kind, xi) @ node_params - targets
-        if np.max(np.abs(vals)) <= 1e-14 * span:
+        if np.max(np.abs(vals)) <= 1e-14 * abs(denom):
             break
         slope = shape_gradients(kind, xi)[:, :, 0] @ node_params
         xi = np.clip(xi - (vals / slope)[:, None], -_NEWTON_CLAMP, _NEWTON_CLAMP)
@@ -434,13 +438,11 @@ def reference_assemble_sb(pair, config) -> MortarMatrices:
             t_g = 0.5 * (lo + hi) + 0.5 * (hi - lo) * base_points
             weights = 0.5 * (hi - lo) * base_weights
             s_vals = shape_values(
-                slave.kind, _reference_line_inverse(slave.kind, s_params, t_g, span)
+                slave.kind, _reference_line_inverse(slave.kind, s_params, t_g)
             )
             m_vals = shape_values(
                 master.kind,
-                _reference_line_inverse(
-                    master.kind, master_params[m_elem], t_g, span
-                ),
+                _reference_line_inverse(master.kind, master_params[m_elem], t_g),
             )
             mass.append(
                 _triplets(

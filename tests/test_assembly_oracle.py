@@ -640,7 +640,7 @@ def test_sb_matches_per_pair_scan(name):
     n_master=st.integers(1, 12),
     n_slave=st.integers(1, 12),
     jitter=st.floats(0.0, 0.35),
-    mid_shift=st.floats(0.0, 0.4),
+    mid_shift=st.floats(0.0, 0.49),
     offset=st.floats(-0.2, 0.2),
     shift=st.floats(-2.5, 2.5),
     draw_seed=st.integers(0, 2**32 - 1),
@@ -653,6 +653,26 @@ def test_sb_matches_per_pair_scan(name):
     mid_shift=0.49,
     offset=0.1,
     shift=0.3,
+    draw_seed=0,
+)
+@example(  # failed an oracle that stopped at 1e-14 of the interface span
+    kind=ElementKind.SEG3,
+    n_master=9,
+    n_slave=10,
+    jitter=0.0,
+    mid_shift=0.3671875,
+    offset=0.0,
+    shift=0.0,
+    draw_seed=4,
+)
+@example(  # the same, one master element and strongly off-centre mid nodes
+    kind=ElementKind.SEG3,
+    n_master=1,
+    n_slave=9,
+    jitter=0.0,
+    mid_shift=0.484375,
+    offset=0.0,
+    shift=0.0,
     draw_seed=0,
 )
 def test_sb_matches_per_pair_scan_on_random_pairs(

@@ -199,17 +199,42 @@ def test_volume_mesh_array_round_trip(tmp_path):
         ((1, 3), "is not an edge of exactly one triangle"),
         ((1, 1), "is not an edge of exactly one triangle"),
         ((0.5, 1.2), "names a non-integral node index"),
+        ((0, np.inf), "names a non-integral node index"),
+        ((0, np.nan), "names a non-integral node index"),
+        ((0, 1, 2), "is not a pair of node indices"),
     ],
-    ids=["outside", "diagonal", "non-edge", "loop", "fractional"],
+    ids=[
+        "outside", "diagonal", "non-edge", "loop", "fractional", "inf", "nan", "triple"
+    ],
 )
 def test_tags_naming_nodes_outside_the_mesh_are_rejected(edge, reason):
     """Every tagged pair must be a boundary edge; (0, 2) is the interior
     diagonal of the two-triangle square, (1, 3) and (1, 1) no edge at all,
-    and (0.5, 1.2) no pair of node indices."""
+    and (0.5, 1.2), (0, inf), (0, nan) and (0, 1, 2) no pair of node
+    indices."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     connectivity = np.array([[0, 1, 2], [0, 2, 3]])
     with pytest.raises(ValueError, match=re.escape(f"edge {edge} {reason}")):
         VolumeMesh(nodes, connectivity, {edge: "interface"})
+
+
+def test_meshes_keep_their_own_copy_of_the_callers_arrays():
+    """Building a mesh leaves the caller's arrays writeable, and writing to
+    them afterwards does not reach the mesh, whose arrays stay read-only."""
+    builds = [
+        (VolumeMesh, [[0, 1, 2], [0, 2, 3]]),
+        (partial(InterfaceMesh, kind=ElementKind.SEG2), [[0, 1], [1, 2]]),
+    ]
+    for build, whole in builds:
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        connectivity = np.array(whole, dtype=np.int64)
+        mesh = build(nodes, connectivity)
+        nodes += 5.0
+        connectivity[:] = 3
+        assert not mesh.nodes.flags.writeable
+        assert not mesh.connectivity.flags.writeable
+        np.testing.assert_array_equal(mesh.nodes, nodes - 5.0)
+        np.testing.assert_array_equal(mesh.connectivity, whole)
 
 
 @pytest.mark.parametrize(

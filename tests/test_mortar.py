@@ -30,13 +30,13 @@ from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
     Scheme,
+    _containment_depth,
     _line_reference,
     _project_points,
     assemble,
     compute_transfer,
     contact_search,
     interface_transfer,
-    support_detect,
 )
 from mortar_rbf.rbf import KernelFamily, PointLayout, fit_master_interpolant
 
@@ -342,11 +342,22 @@ def test_contact_search_finds_every_true_overlap():
                 assert m_elem in cands
 
 
-def test_support_detect_interval():
-    assert support_detect([[0.0, 0.5, 1.0]], tol=0.0).tolist() == [True]
+def _accepted(rows, tol):
+    return (_containment_depth(np.asarray(rows, float)) >= -tol).tolist()
+
+
+def test_acceptance_is_the_closed_tolerance_interval():
+    """A row of box coordinates is accepted exactly when every entry lies
+    in [-tol, 1 + tol]: the bounds themselves pass, the next double past
+    either bound and NaN do not."""
+    assert _accepted([[0.0, 0.5, 1.0]], tol=0.0) == [True]
     rows = [[-0.01, 0.5], [0.2, 0.8], [1.2, 0.5]]
-    assert support_detect(rows, tol=1e-6).tolist() == [False, True, False]
-    assert support_detect(rows, tol=0.05).tolist() == [True, True, False]
+    assert _accepted(rows, tol=1e-6) == [False, True, False]
+    assert _accepted(rows, tol=0.05) == [True, True, False]
+    low, high = -1e-6, 1.0 + 1e-6
+    bounds = [low, high, np.nextafter(low, -1.0), np.nextafter(high, 2.0)]
+    assert _accepted([[b, 0.5] for b in bounds], tol=1e-6) == [True, True, False, False]
+    assert _accepted([[np.nan, 0.5]], tol=1e-6) == [False]
 
 
 def test_point_projection_on_affine_segment():
