@@ -122,6 +122,10 @@ def test_linear_data_is_exact_on_pinned_boundaries():
         # non-zero Dirichlet data: the pinned master interface endpoints
         # enter the condensed reconstruction through its affine shift
         pytest.param(lambda: linear_problem(6, 4), id="linear"),
+        # every condensed dof is pinned or linked: the restriction has no
+        # free dof, while the saddle system keeps its multipliers
+        pytest.param(lambda: linear_problem(1, 1), id="tiny-1-1"),
+        pytest.param(lambda: linear_problem(1, 2), id="tiny-1-2"),
     ],
 )
 @pytest.mark.parametrize("scheme", ["rb", "eb", "sb"])
@@ -169,16 +173,61 @@ def test_conforming_coupling_matches_merged_mesh():
             assert value == pytest.approx(lookup[(round(x, 12), round(y, 12))], abs=1e-9)
 
 
-def test_single_domain_reproduces_linear_dirichlet_data():
+# on one square every node lies on the Dirichlet boundary: no dof is free
+@pytest.mark.parametrize("cells", [(5, 4), (1, 1)], ids=["5x4", "1x1"])
+def test_single_domain_reproduces_linear_dirichlet_data(cells):
     # a linear field is in the P1 space, so eliminating its non-zero
     # boundary values must give it back to roundoff
     def linear(x, y):
         return 1.0 + x + 2.0 * y
 
-    mesh = rectangle_mesh(5, 4)
+    mesh = rectangle_mesh(*cells)
     values = solve_single_domain(mesh, zero_source, linear)
     exact = linear(mesh.nodes[:, 0], mesh.nodes[:, 1])
     np.testing.assert_allclose(values, exact, rtol=0.0, atol=1e-12)
+
+
+SOLVES = {
+    "condensed": lambda problem: solve(problem),
+    "saddle": lambda problem: solve_saddle(build_system(problem, MortarConfig())),
+    "single": lambda problem: solve_single_domain(
+        rectangle_mesh(6, 6), problem.source, problem.dirichlet
+    ),
+}
+
+
+def solved_values(fields):
+    if isinstance(fields, np.ndarray):
+        return fields
+    return np.concatenate([fields.master_values, fields.slave_values])
+
+
+@pytest.mark.parametrize("path", SOLVES)
+def test_constant_dirichlet_callback_applies_to_every_node(path):
+    # a constant is reproduced by the P1 space and by the mortar transfer
+    problem = split_problem(8, 5, source=zero_source, dirichlet=lambda x, y: 1.0)
+    values = solved_values(SOLVES[path](problem))
+    np.testing.assert_allclose(values, 1.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("path", SOLVES)
+@pytest.mark.parametrize(
+    "dirichlet, message",
+    [
+        pytest.param(lambda x, y: np.ones(3), "shape", id="too-few"),
+        pytest.param(lambda x, y: np.ones((len(x), 1)), "shape", id="column"),
+        pytest.param(lambda x, y: np.full_like(x, np.nan), "non-finite", id="nan"),
+        pytest.param(
+            lambda x, y: np.where(x > 0.5, np.inf, 0.0), "non-finite", id="inf"
+        ),
+    ],
+)
+def test_dirichlet_callback_must_give_one_finite_value_per_node(
+    path, dirichlet, message
+):
+    problem = split_problem(8, 5, source=zero_source, dirichlet=dirichlet)
+    with pytest.raises(ValueError, match=f"dirichlet returned {message}"):
+        SOLVES[path](problem)
 
 
 def test_manufactured_solution_converges():
@@ -256,3 +305,17 @@ def test_checked_solve_rejects_a_non_finite_solution(monkeypatch, bad):
     monkeypatch.setattr(poisson, "splu", SpoiledFactor)
     with pytest.raises(SolverFailureError, match="non-finite"):
         poisson._checked_solve(sparse.csr_matrix(np.eye(3)), np.ones(3))
+
+
+# exactly singular: the first two rows are equal
+SINGULAR = sparse.csr_matrix(
+    np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+)
+
+
+@pytest.mark.parametrize(
+    "options", [{}, poisson._SPD_FACTOR], ids=["defaults", "spd-factor"]
+)
+def test_checked_solve_names_a_failed_factorization(options):
+    with pytest.raises(SolverFailureError, match="factorization failed"):
+        poisson._checked_solve(SINGULAR, np.ones(3), **options)
