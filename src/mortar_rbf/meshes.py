@@ -4,16 +4,16 @@ Two mesh flavours are used throughout:
 
 * ``InterfaceMesh``: a mesh of segments (in R^2) or quadrilateral surface
   elements (in R^3) describing one side of a coupling interface.
-* ``VolumeMesh``: a triangulation of a planar subdomain with string tags on
-  boundary edges ("dirichlet", "interface", ...).
+* ``VolumeMesh``: a triangulation of a planar subdomain whose boundary
+  edges carry string tags ("dirichlet", "interface", ...).
 
-Meshes are immutable after construction; node and connectivity arrays are
-marked read-only.  Each mesh refuses its bad elements when it is built.
+A mesh holds only read-only numpy arrays, so ``np.save`` and ``np.load``
+round-trip every one of them.  Each mesh refuses its bad elements, and
+every node index it holds passes one validator, when it is built.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -66,32 +66,33 @@ def _freeze(arr, dtype=None) -> np.ndarray:
     return arr
 
 
-def _validate_connectivity(mesh) -> np.ndarray:
-    """The mesh's connectivity as read-only int64 node indices, checked
-    against its element kind and nodes; a float array (say, as ``np.load``
-    returns) must hold whole numbers."""
-    nodes, kind = mesh.nodes, mesh.kind
-    index = np.asarray(mesh.connectivity)
+def _coordinates(nodes, dim: int, what: str) -> np.ndarray:
+    """``nodes`` as a read-only (n, dim) array of finite coordinates."""
+    nodes = _freeze(nodes, float)
+    if nodes.ndim != 2 or nodes.shape[1] != dim:
+        raise ValueError(f"{what} nodes must live in R^{dim}")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("mesh nodes contain non-finite coordinates")
+    return nodes
+
+
+def _node_indices(index, n_cols: int, n_nodes: int, what: str) -> np.ndarray:
+    """``index`` as a read-only (k, n_cols) int64 array of node indices
+    below ``n_nodes``; a float array (say, as ``np.load`` returns) must hold
+    whole numbers.  The messages name the array ``what``."""
+    index = np.asarray(index)
     if index.dtype.kind == "f":
         fractional = ~(np.isfinite(index) & (index == np.trunc(index)))
         if fractional.any():
             raise ValueError(
-                f"{kind.value} connectivity holds the non-integral node index "
-                f"{index[fractional][0]}"
+                f"{what} holds the non-integral node index {index[fractional][0]}"
             )
-    connectivity = _freeze(index, np.int64)
-    if connectivity.ndim != 2 or connectivity.shape[1] != kind.n_nodes:
-        raise ValueError(
-            f"{kind.value} connectivity must have {kind.n_nodes} columns, "
-            f"got shape {connectivity.shape}"
-        )
-    if connectivity.size and (
-        connectivity.min() < 0 or connectivity.max() >= nodes.shape[0]
-    ):
-        raise ValueError("connectivity refers to nodes outside the mesh")
-    if not np.all(np.isfinite(nodes)):
-        raise ValueError("mesh nodes contain non-finite coordinates")
-    return connectivity
+    index = _freeze(index, np.int64)
+    if index.ndim != 2 or index.shape[1] != n_cols:
+        raise ValueError(f"{what} must have {n_cols} columns, got shape {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= n_nodes):
+        raise ValueError(f"{what} refers to nodes outside the mesh")
+    return index
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,17 @@ class InterfaceMesh:
     side: Side = Side.MASTER
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _freeze(self.nodes, float))
-        object.__setattr__(self, "kind", ElementKind(self.kind))
+        kind = ElementKind(self.kind)
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "side", Side(self.side))
-        if self.kind is ElementKind.TRI3:
+        if kind is ElementKind.TRI3:
             raise ValueError("triangles are volume elements, not interface elements")
-        expected_dim = self.kind.ref_dim + 1
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != expected_dim:
-            raise ValueError(
-                f"{self.kind.value} interface nodes must live in R^{expected_dim}"
-            )
-        object.__setattr__(self, "connectivity", _validate_connectivity(self))
+        nodes = _coordinates(self.nodes, kind.ref_dim + 1, f"{kind.value} interface")
+        object.__setattr__(self, "nodes", nodes)
+        conn = _node_indices(
+            self.connectivity, kind.n_nodes, self.n_nodes, f"{kind.value} connectivity"
+        )
+        object.__setattr__(self, "connectivity", conn)
         if self.kind is ElementKind.SEG3:
             _validate_unfolded(self)
         probe = gauss_rule(self.kind, min_gauss_points(self.kind)).points
@@ -162,36 +163,38 @@ def _validate_unfolded(mesh: InterfaceMesh) -> None:
 class VolumeMesh:
     """Linear triangulation of a planar subdomain.
 
-    ``boundary_tags`` maps sorted boundary edge node pairs to tag strings.
-    The conventional tags are "dirichlet" and "interface".  Every triangle
-    must run counterclockwise: the first whose signed area is not positive
-    raises :class:`DegenerateElementError` naming it by number.
+    Every triangle must run counterclockwise: the first whose signed area
+    is not positive raises :class:`DegenerateElementError` naming it by
+    number.  ``boundary_edges`` (k, 2) lists node pairs, each an edge of
+    exactly one triangle and listed once, and stores every row sorted;
+    ``boundary_tags`` (k,) holds the string tag of each, conventionally
+    "dirichlet" or "interface".  Both are empty by default.
     """
 
     kind: ClassVar[ElementKind] = ElementKind.TRI3
     nodes: np.ndarray
     connectivity: np.ndarray
-    boundary_tags: dict[tuple[int, int], str] = field(default_factory=dict)
+    boundary_edges: np.ndarray = field(default_factory=lambda: np.empty((0, 2), int))
+    boundary_tags: np.ndarray = field(default_factory=lambda: np.empty(0, str))
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _freeze(self.nodes, float))
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise ValueError("volume mesh nodes must live in R^2")
-        object.__setattr__(self, "connectivity", _validate_connectivity(self))
+        object.__setattr__(self, "nodes", _coordinates(self.nodes, 2, "volume mesh"))
+        conn = _node_indices(self.connectivity, 3, self.n_nodes, "tri3 connectivity")
+        object.__setattr__(self, "connectivity", conn)
         bad = np.flatnonzero(self.double_areas <= 0.0)
         if bad.size:
             area = self.double_areas[bad[0]] / 2.0
             raise DegenerateElementError(
                 f"triangle {bad[0]} has non-positive area {area:.3e}"
             )
-        tags = {_tag_edge(edge): str(tag) for edge, tag in self.boundary_tags.items()}
-        for edge in tags:
-            if edge[0] < 0 or edge[1] >= self.n_nodes:
-                raise ValueError(
-                    f"boundary tag edge {edge} names a node outside the mesh "
-                    f"of {self.n_nodes} nodes"
-                )
-        _validate_boundary_edges(self, sorted(tags))
+        edges = _node_indices(self.boundary_edges, 2, self.n_nodes, "boundary_edges")
+        edges, tags = _freeze(np.sort(edges, axis=1)), _freeze(self.boundary_tags, str)
+        if tags.shape != (len(edges),):
+            raise ValueError(
+                f"boundary_tags has shape {tags.shape}, not one tag per boundary edge"
+            )
+        _validate_boundary_edges(self, edges)
+        object.__setattr__(self, "boundary_edges", edges)
         object.__setattr__(self, "boundary_tags", tags)
 
     @property
@@ -210,36 +213,20 @@ class VolumeMesh:
         x, y = self.nodes[:, 0][conn], self.nodes[:, 1][conn]
         return _freeze((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
 
-    def tagged_edges(self, tag: str) -> list[tuple[int, int]]:
-        return [e for e, t in self.boundary_tags.items() if t == tag]
+    def tagged_edges(self, tag: str) -> np.ndarray:
+        """The boundary edges carrying ``tag``, shape (m, 2)."""
+        return self.boundary_edges[self.boundary_tags == tag]
 
     def tagged_nodes(self, tag: str) -> np.ndarray:
         """Sorted unique node ids lying on edges carrying ``tag``."""
-        return np.unique(np.array(self.tagged_edges(tag), dtype=np.int64))
+        return np.unique(self.tagged_edges(tag))
 
 
-def _tag_edge(edge) -> tuple[int, int]:
-    """A boundary tag key as its sorted node pair; a key that is not a pair
-    of finite, integral node indices raises naming it."""
-    if not isinstance(edge, tuple) or len(edge) != 2:
-        raise ValueError(f"boundary tag edge {edge!r} is not a pair of node indices")
-    for end in edge:
-        whole = isinstance(end, numbers.Integral) or (
-            isinstance(end, numbers.Real) and float(end).is_integer()
-        )
-        if not whole:
-            raise ValueError(
-                f"boundary tag edge {edge} names a non-integral node index"
-            )
-    a, b = sorted(int(end) for end in edge)
-    return a, b
-
-
-def _validate_boundary_edges(mesh: VolumeMesh, edges: list[tuple[int, int]]) -> None:
-    """Raise naming the first node pair of ``edges`` that is not an edge of
-    exactly one triangle; the pair (a, b) with a <= b has the key a n + b."""
+def _validate_boundary_edges(mesh: VolumeMesh, pairs: np.ndarray) -> None:
+    """Raise naming the first of the sorted node ``pairs`` that is not an
+    edge of exactly one triangle, then the first that repeats an earlier
+    one; the pair (a, b) with a <= b has the key a n + b."""
     n = mesh.n_nodes
-    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
     on_tags = np.zeros(n, dtype=bool)
     on_tags[pairs] = True
     tail, head = mesh.connectivity.ravel(), mesh.connectivity[:, [1, 2, 0]].ravel()
@@ -248,12 +235,17 @@ def _validate_boundary_edges(mesh: VolumeMesh, edges: list[tuple[int, int]]) -> 
     keys, counts = np.unique(
         np.minimum(tail, head) * n + np.maximum(tail, head), return_counts=True
     )
-    bad = np.flatnonzero(~np.isin(pairs @ np.array([n, 1]), keys[counts == 1]))
-    if bad.size:
-        raise ValueError(
-            f"boundary tag edge {edges[bad[0]]} is not an edge of exactly one "
-            "triangle"
-        )
+    pair_keys = pairs @ np.array([n, 1])
+    repeats = np.ones(len(pairs), dtype=bool)
+    repeats[np.unique(pair_keys, return_index=True)[1]] = False
+    one_triangle = np.isin(pair_keys, keys[counts == 1])
+    for bad, reason in [
+        (~one_triangle, "is not an edge of exactly one triangle"),
+        (repeats, "is listed twice"),
+    ]:
+        if bad.any():
+            edge = tuple(pairs[bad.argmax()].tolist())
+            raise ValueError(f"boundary edge {edge} {reason}")
 
 
 Mesh = InterfaceMesh | VolumeMesh
@@ -474,21 +466,12 @@ def rectangle_mesh(
     n11, n01 = grid[1:, 1:].ravel(), grid[1:, :-1].ravel()
     conn = np.stack([n00, n10, n11, n00, n11, n01], axis=1).reshape(-1, 3)
 
-    tags: dict[tuple[int, int], str] = {}
-
-    def tag_edge(a, b, name):
-        tags[(min(a, b), max(a, b))] = name
-
+    lines = [grid[0], grid[-1], grid[:, 0], grid[:, -1]]
+    edges = np.concatenate([np.column_stack([g[:-1], g[1:]]) for g in lines])
     bottom_tag = "interface" if interface_edge == "bottom" else "dirichlet"
     top_tag = "interface" if interface_edge == "top" else "dirichlet"
-    for i in range(nx):
-        tag_edge(grid[0, i], grid[0, i + 1], bottom_tag)
-        tag_edge(grid[ny, i], grid[ny, i + 1], top_tag)
-    for j in range(ny):
-        tag_edge(grid[j, 0], grid[j + 1, 0], "dirichlet")
-        tag_edge(grid[j, nx], grid[j + 1, nx], "dirichlet")
-
-    return VolumeMesh(nodes, conn, tags)
+    tags = np.repeat([bottom_tag, top_tag, "dirichlet", "dirichlet"], [nx, nx, ny, ny])
+    return VolumeMesh(nodes, conn, edges, tags)
 
 
 def split_unit_square(
@@ -521,7 +504,7 @@ def extract_interface(mesh: VolumeMesh, side: Side) -> tuple[InterfaceMesh, np.n
     (nodes ordered along the chain, starting from the end with the smaller
     (x, y)) and the map from interface node index to volume node index.
     """
-    edges = mesh.tagged_edges("interface")
+    edges = mesh.tagged_edges("interface").tolist()
     if not edges:
         raise InvalidGeometryError("mesh has no edges tagged 'interface'")
     adjacency: dict[int, list[int]] = {}

@@ -769,13 +769,16 @@ def interface_transfer(transfer: TransferOperator, master_values) -> np.ndarray:
     as zeros; that moves each batch entry by less than 2.23e-308 times the
     1-norm of its master values.  The path depends only on the shape, so
     a batch's result does not depend on whether ``matrix`` was read.
-    Complex values are refused rather than cut to their real part.
+    Complex values are refused rather than cut to their real part, and
+    values that are not numbers (strings, objects) rather than parsed.
     """
     values = np.asarray(master_values)
     if np.iscomplexobj(values):
         raise ValueError(
             "master values must be real; transfer the real and imaginary parts apart"
         )
+    if values.dtype.kind not in "biuf":
+        raise ValueError(f"master values must be numbers, got dtype {values.dtype}")
     values = values.astype(float, copy=False)
     if values.ndim not in (1, 2):
         raise ValueError(f"master_values must be 1-d or 2-d, got shape {values.shape}")

@@ -123,8 +123,9 @@ class SolutionFields:
 
     ``multipliers`` live on the slave interface nodes.
     ``constraint_residual`` is the max-norm mortar constraint defect
-    relative to the coupling scale.  A side's interface trace is its
-    values at ``binding.volume_nodes``.
+    relative to the coupling scale max|D u_master|, or the defect itself
+    where that scale is zero.  A side's interface trace is its values at
+    ``binding.volume_nodes``.
     """
 
     master_values: np.ndarray
@@ -346,7 +347,9 @@ def _solution_fields(system: CoupledSystem, values, multipliers) -> SolutionFiel
     master_dofs, slave_dofs = _interface_dofs(system)
     coupled = system.mortar.coupling @ values[master_dofs]
     defect = system.mortar.slave_mass @ values[slave_dofs] - coupled
-    scale = max(np.max(np.abs(coupled), initial=0.0), np.finfo(float).tiny)
+    peak = np.max(np.abs(coupled), initial=0.0)
+    # a zero master trace sets no scale, so its defect is reported unscaled
+    scale = max(peak, np.finfo(float).tiny) if peak > 0.0 else 1.0
     return SolutionFields(
         master_values=values[:n_master],
         slave_values=values[n_master:],

@@ -705,9 +705,11 @@ def jittered_split_square():
     meshes = []
     for mesh, n_x in zip(split_unit_square(24, 17), (24, 17)):
         nodes = mesh.nodes.copy()
-        interior = np.setdiff1d(np.arange(mesh.n_nodes), list(mesh.boundary_tags))
+        interior = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_edges)
         nodes[interior] += rng.uniform(-0.3, 0.3, (interior.size, 2)) / n_x
-        meshes.append(VolumeMesh(nodes, mesh.connectivity, mesh.boundary_tags))
+        meshes.append(
+            VolumeMesh(nodes, mesh.connectivity, mesh.boundary_edges, mesh.boundary_tags)
+        )
     return tuple(meshes)
 
 

@@ -171,51 +171,84 @@ def test_empty_interface_mesh_array_round_trip(tmp_path):
 
 def test_volume_mesh_array_round_trip(tmp_path):
     mesh, _ = split_unit_square(3, 2)
-    edges = np.array(list(mesh.boundary_tags), dtype=np.int64)
-    names = np.array(list(mesh.boundary_tags.values()))
-    tags = zip(
-        map(tuple, _saved_and_loaded(tmp_path, "edges", edges)),
-        _saved_and_loaded(tmp_path, "names", names),
-    )
+    names = ["nodes", "connectivity", "boundary_edges", "boundary_tags"]
     again = VolumeMesh(
-        _saved_and_loaded(tmp_path, "nodes", mesh.nodes),
-        _saved_and_loaded(tmp_path, "connectivity", mesh.connectivity),
-        dict(tags),
+        *(_saved_and_loaded(tmp_path, name, getattr(mesh, name)) for name in names)
     )
-    np.testing.assert_array_equal(again.nodes, mesh.nodes)
-    np.testing.assert_array_equal(again.connectivity, mesh.connectivity)
-    assert again.boundary_tags == mesh.boundary_tags
+    for name in names:
+        np.testing.assert_array_equal(getattr(again, name), getattr(mesh, name))
+        assert not getattr(again, name).flags.writeable
     interface, volume_nodes = extract_interface(again, Side.SLAVE)
     expected, expected_volume_nodes = extract_interface(mesh, Side.SLAVE)
     np.testing.assert_array_equal(interface.nodes, expected.nodes)
     np.testing.assert_array_equal(volume_nodes, expected_volume_nodes)
 
 
+@settings(deadline=None, max_examples=25)
+@given(
+    n_x=st.integers(min_value=1, max_value=7),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_boundary_row_order_and_pair_order_do_not_matter(n_x, seed):
+    mesh = split_unit_square(n_x, 3, interface_offset=lambda x: 0.1 * x)[0]
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(mesh.boundary_edges))
+    edges = mesh.boundary_edges[order]
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    again = VolumeMesh(mesh.nodes, mesh.connectivity, edges, mesh.boundary_tags[order])
+    np.testing.assert_array_equal(again.boundary_edges, np.sort(edges, axis=1))
+    for tag in ("interface", "dirichlet"):
+        np.testing.assert_array_equal(again.tagged_nodes(tag), mesh.tagged_nodes(tag))
+    chain, node_map = extract_interface(again, Side.MASTER)
+    want_chain, want_map = extract_interface(mesh, Side.MASTER)
+    np.testing.assert_array_equal(chain.nodes, want_chain.nodes)
+    np.testing.assert_array_equal(node_map, want_map)
+
+
+SQUARE_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+SQUARE_CONNECTIVITY = np.array([[0, 1, 2], [0, 2, 3]])
+NOT_AN_EDGE = "is not an edge of exactly one triangle"
+
+
 @pytest.mark.parametrize(
-    "edge, reason",
+    "edges, message",
     [
-        ((0, 999), "names a node outside the mesh"),
-        ((0, 2), "is not an edge of exactly one triangle"),
-        ((1, 3), "is not an edge of exactly one triangle"),
-        ((1, 1), "is not an edge of exactly one triangle"),
-        ((0.5, 1.2), "names a non-integral node index"),
-        ((0, np.inf), "names a non-integral node index"),
-        ((0, np.nan), "names a non-integral node index"),
-        ((0, 1, 2), "is not a pair of node indices"),
+        ([[0, 999]], "boundary_edges refers to nodes outside the mesh"),
+        ([[0, 2]], f"boundary edge (0, 2) {NOT_AN_EDGE}"),
+        ([[1, 3]], f"boundary edge (1, 3) {NOT_AN_EDGE}"),
+        ([[1, 1]], f"boundary edge (1, 1) {NOT_AN_EDGE}"),
+        ([[0.5, 1.2]], "boundary_edges holds the non-integral node index 0.5"),
+        ([[0, np.inf]], "boundary_edges holds the non-integral node index inf"),
+        ([[0, np.nan]], "boundary_edges holds the non-integral node index nan"),
+        ([[0, 1, 2]], "boundary_edges must have 2 columns, got shape (1, 3)"),
+        ([[0, 1], [1, 2], [1, 0]], "boundary edge (0, 1) is listed twice"),
     ],
     ids=[
-        "outside", "diagonal", "non-edge", "loop", "fractional", "inf", "nan", "triple"
+        "outside", "diagonal", "non-edge", "loop", "fractional", "inf", "nan", "triple",
+        "duplicate",
     ],
 )
-def test_tags_naming_nodes_outside_the_mesh_are_rejected(edge, reason):
-    """Every tagged pair must be a boundary edge; (0, 2) is the interior
-    diagonal of the two-triangle square, (1, 3) and (1, 1) no edge at all,
-    and (0.5, 1.2), (0, inf), (0, nan) and (0, 1, 2) no pair of node
-    indices."""
-    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    connectivity = np.array([[0, 1, 2], [0, 2, 3]])
-    with pytest.raises(ValueError, match=re.escape(f"edge {edge} {reason}")):
-        VolumeMesh(nodes, connectivity, {edge: "interface"})
+def test_tags_naming_nodes_outside_the_mesh_are_rejected(edges, message):
+    """Every tagged pair must be a boundary edge, listed once; (0, 2) is the
+    interior diagonal of the two-triangle square, (1, 3) and (1, 1) no edge
+    at all, (0.5, 1.2), (0, inf), (0, nan) and (0, 1, 2) no pair of node
+    indices, and (1, 0) repeats (0, 1)."""
+    tags = np.full(len(edges), "interface")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VolumeMesh(SQUARE_NODES, SQUARE_CONNECTIVITY, np.array(edges), tags)
+
+
+@pytest.mark.parametrize(
+    "tags, shape",
+    [(["dirichlet"], (1,)), (["dirichlet"] * 3, (3,)), ("dirichlet", ())],
+    ids=["short", "long", "scalar"],
+)
+def test_boundary_tags_need_one_tag_per_edge(tags, shape):
+    edges = np.array([[0, 1], [1, 2]])
+    message = f"boundary_tags has shape {shape}, not one tag per boundary edge"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VolumeMesh(SQUARE_NODES, SQUARE_CONNECTIVITY, edges, tags)
 
 
 def test_meshes_keep_their_own_copy_of_the_callers_arrays():

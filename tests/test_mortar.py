@@ -584,6 +584,20 @@ def test_complex_master_values_are_refused(shape):
         interface_transfer(transfer, values)
 
 
+@pytest.mark.parametrize("dtype", [str, object, "S1", "datetime64[s]"])
+def test_master_values_that_are_not_numbers_are_refused(dtype):
+    # astype(float) would parse the strings "1" as ones
+    transfer = compute_transfer(assemble(unit_pair(3, 2), MortarConfig()))
+    values = np.array(["1"] * transfer.n_master_nodes).astype(dtype)
+    with pytest.raises(ValueError, match="master values must be numbers, got dtype"):
+        interface_transfer(transfer, values)
+    ones = np.ones(transfer.n_master_nodes)
+    for numbers in (ones.astype(bool), ones.astype(np.uint8), ones.astype(np.float32)):
+        np.testing.assert_array_equal(
+            interface_transfer(transfer, numbers), interface_transfer(transfer, ones)
+        )
+
+
 @settings(deadline=None, max_examples=15)
 @given(
     n_master=st.integers(min_value=1, max_value=6),

@@ -142,6 +142,20 @@ def test_saddle_and_condensed_paths_agree(scheme, problem):
     assert condensed.constraint_residual < 1e-10
 
 
+@pytest.mark.parametrize("n_slave", [1, 2])
+@pytest.mark.parametrize("scheme", ["rb", "eb", "sb"])
+def test_zero_master_trace_reports_the_unscaled_defect(scheme, n_slave):
+    # one master cell pins its whole interface row to the zero Dirichlet
+    # data, so D u_master = 0 and the saddle defect is pure roundoff
+    system = build_system(
+        split_problem(1, n_slave, source=bubble_source), MortarConfig(scheme=scheme)
+    )
+    saddle, condensed = solve_saddle(system), solve_condensed(system)
+    assert np.abs(saddle.master_values[system.master_binding.volume_nodes]).max() == 0.0
+    assert saddle.constraint_residual < 1e-15
+    assert condensed.constraint_residual == 0.0
+
+
 def test_traces_satisfy_the_mortar_constraint():
     system = build_system(split_problem(5, 3, source=bubble_source), MortarConfig())
     fields = solve_condensed(system)
