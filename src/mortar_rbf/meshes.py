@@ -9,7 +9,9 @@ Two mesh flavours are used throughout:
 
 A mesh holds only read-only numpy arrays, so ``np.save`` and ``np.load``
 round-trip every one of them.  Each mesh refuses its bad elements, and
-every node index it holds passes one validator, when it is built.
+every node index it holds passes one validator, when it is built.  Meshes
+compare and hash by identity: two meshes built from equal arrays are two
+distinct meshes.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _node_indices(index, n_cols: int, n_nodes: int, what: str) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterfaceMesh:
     """One side of a coupling interface.
 
@@ -115,6 +117,12 @@ class InterfaceMesh:
     side: Side = Side.MASTER
 
     def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError(
+                "kind must be an element kind name such as 'seg2', got type "
+                f"{type(self.kind).__name__}; the fields are (nodes, "
+                "connectivity, kind, side)"
+            )
         kind = ElementKind(self.kind)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "side", Side(self.side))
@@ -159,7 +167,7 @@ def _validate_unfolded(mesh: InterfaceMesh) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolumeMesh:
     """Linear triangulation of a planar subdomain.
 

@@ -26,11 +26,13 @@ loop (1e-13 relative).
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
+from scipy import sparse
 
 from mortar_rbf import experiments, poisson
 from mortar_rbf.elements import ElementKind, gauss_rule, min_gauss_points
@@ -751,6 +753,36 @@ def test_p1_assembly_matches_einsum_oracle(name):
         got = poisson._domain_errors(mesh, values, _volume_exact, _volume_gradient)
         ref = reference_domain_errors(mesh, values, _volume_exact, _volume_gradient)
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n_master, n_slave", [(64, 43), (128, 85)])
+def test_p1_stiffness_assembly_peak_memory(n_master, n_slave):
+    """numpy's peak while assembling stays within 9x the CSR arrays it
+    returns (11.6x with broadcast int64 row and column copies), and the
+    int32 indices give the matrix those copies give, bit for bit."""
+    for mesh in split_unit_square(n_master, n_slave, interface_offset=_curve):
+        tracemalloc.start()
+        try:
+            stiffness = poisson.assemble_stiffness(mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = (stiffness.indptr, stiffness.indices, stiffness.data)
+        assert peak <= 9 * sum(array.nbytes for array in arrays)
+
+        want = reference_stiffness(mesh)
+        np.testing.assert_array_equal(stiffness.indptr, want.indptr)
+        np.testing.assert_array_equal(stiffness.indices, want.indices)
+        _, _, double_area, gx, gy = poisson._triangle_geometry(mesh)
+        blocks = gx[:, None] * gx[None, :] + gy[:, None] * gy[None, :]
+        blocks *= 0.5 * double_area
+        conn = mesh.connectivity.T
+        rows, cols = np.broadcast_arrays(conn[:, None], conn[None, :])
+        wide = sparse.coo_matrix(
+            (blocks.ravel(), (rows.ravel(), cols.ravel())), shape=stiffness.shape
+        ).tocsr()
+        for array, wanted in zip(arrays, (wide.indptr, wide.indices, wide.data)):
+            np.testing.assert_array_equal(array, wanted)
 
 
 def test_degenerate_triangle_message_matches_oracle():

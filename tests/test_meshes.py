@@ -271,6 +271,26 @@ def test_meshes_keep_their_own_copy_of_the_callers_arrays():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [lambda: segment_mesh(2), lambda: split_unit_square(2, 2)[0]],
+    ids=["interface", "volume"],
+)
+def test_meshes_compare_and_hash_by_identity(build):
+    mesh, twin = build(), build()
+    np.testing.assert_array_equal(mesh.nodes, twin.nodes)
+    assert mesh == mesh and not mesh != mesh
+    assert mesh != twin and not mesh == twin
+    assert hash(mesh) == hash(mesh)
+    assert len({mesh, twin, mesh}) == 2
+
+
+def test_interface_mesh_names_a_misplaced_kind():
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="kind must be an element kind name"):
+        InterfaceMesh("seg2", nodes, np.array([[0, 1]]))
+
+
+@pytest.mark.parametrize(
     "mesh, connectivity, whole, message",
     [
         (

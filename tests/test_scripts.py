@@ -87,3 +87,22 @@ def test_transfer_crossover_reports_both_batch_paths():
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     # a short pair keeps the dense product, a long one takes the factor
     assert [(row[0], row[-1]) for row in rows] == [("seg2", "dense"), ("seg2", "factor")]
+
+
+def test_solve_memory_reports_both_solvers_at_the_quick_sizes():
+    done = run_script("solve_memory.py", "--quick")
+    assert done.returncode == 0, done.stderr
+    header, *lines = done.stdout.splitlines()
+    assert header.split() == [
+        "solver", "n_m", "n_s", "free", "L+U", "factor_s", "peak_mb", "residual"
+    ]
+    rows = [line.split() for line in lines]
+    assert [row[:3] for row in rows] == [
+        [solver, n_master, n_slave]
+        for n_master, n_slave in (("128", "85"), ("256", "171"))
+        for solver in ("solve_condensed", "solve_saddle")
+    ]
+    for _, _, _, free, fill, seconds, peak, residual in rows:
+        assert int(fill) > int(free) > 0
+        assert float(seconds) > 0.0 and float(peak) > 0.0
+        assert float(residual) < 1e-10
