@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -325,32 +326,51 @@ def _transfer_row(
 
 
 def _level_sweep(
-    config: ExperimentConfig,
     n_levels: int,
-    make_pair: Callable,
-    fn: Callable,
-    mortar: MortarConfig,
-    label: str,
+    row_at: Callable[[int], SweepRow],
     rows: list[SweepRow],
     orders: dict[str, float],
-) -> tuple[list[float], str]:
-    """Transfer errors of one scheme over ``n_levels`` refinement levels.
+    norms: dict[str, str],
+) -> list[SweepRow]:
+    """Run ``row_at(level)`` for each of ``n_levels`` levels, append the
+    rows to ``rows`` and return them.
 
-    Appends one row per level to ``rows`` and, from two levels on, the
-    observed order under ``label`` to ``orders``.  Returns the errors and
-    the report line.
+    From two levels on, ``orders[label]`` receives the observed order of
+    the error field that ``norms[label]`` names.
     """
-    sweep = [
-        _transfer_row(level, *make_pair(*config.element_counts(level)), mortar, fn)
-        for level in range(n_levels)
-    ]
+    sweep = [row_at(level) for level in range(n_levels)]
     rows.extend(sweep)
-    errors = [row.l2_error for row in sweep]
     if n_levels >= 2:
-        orders[label] = observed_order([row.h_slave for row in sweep], errors)
-    formatted = ", ".join(f"{e:.4e}" for e in errors)
-    order_text = f"{orders[label]:.3f}" if label in orders else "n/a"
-    return errors, f"{label}: errors [{formatted}], order {order_text}"
+        h_slave = [row.h_slave for row in sweep]
+        for label, name in norms.items():
+            errors = [getattr(row, name) for row in sweep]
+            orders[label] = observed_order(h_slave, errors)
+    return sweep
+
+
+def _transfer_sweeps(
+    config: ExperimentConfig, n_levels: int, kinds: tuple[ElementKind, ...],
+    runs: dict[str, MortarConfig], make_pair: Callable, fn: Callable,
+    rows: list[SweepRow], orders: dict[str, float],
+) -> Iterator[tuple[str, list[SweepRow], str]]:
+    """Level sweeps of the transfer of ``fn`` on ``make_pair`` pairs for
+    each element kind of ``kinds`` and each ``name: mortar`` of ``runs``.
+
+    Each sweep, labelled ``kind/name``, goes through :func:`_level_sweep`
+    into ``rows`` and ``orders``.  Yields each label, its rows and its
+    report line.
+    """
+    for kind, (name, mortar) in product(kinds, runs.items()):
+        label = f"{kind.value}/{name}"
+
+        def row_at(level):
+            master, slave = make_pair(*config.element_counts(level), kind=kind)
+            return _transfer_row(level, master, slave, mortar, fn)
+
+        sweep = _level_sweep(n_levels, row_at, rows, orders, {label: "l2_error"})
+        formatted = ", ".join(f"{row.l2_error:.4e}" for row in sweep)
+        order_text = f"{orders[label]:.3f}" if label in orders else "n/a"
+        yield label, sweep, f"{label}: errors [{formatted}], order {order_text}"
 
 
 # ---------------------------------------------------------------------------
@@ -364,46 +384,34 @@ def run_interp_1d(config: ExperimentConfig) -> ExperimentResult:
     the configured kernel plus Wendland for the smoothness contrast) and
     reports observed orders of the slave-side L2 error.
     """
-    rb_kernels = [config.mortar.kernel_family]
-    if KernelFamily.WENDLAND_C2 not in rb_kernels:
-        rb_kernels.append(KernelFamily.WENDLAND_C2)
+    runs = {
+        scheme.value: replace(config.mortar, scheme=scheme)
+        for scheme in (Scheme.SB1D, Scheme.EB)
+    }
+    # the configured kernel, then Wendland unless that is the configured one
+    for kernel in (config.mortar.kernel_family, KernelFamily.WENDLAND_C2):
+        rb = replace(config.mortar, scheme=Scheme.RB, kernel_family=kernel)
+        runs[f"rb/{kernel.value}"] = rb
 
     rows: list[SweepRow] = []
     orders: dict[str, float] = {}
     metrics: dict[str, float] = {}
     lines = ["1D interpolation transfer study", ""]
-    for kind in (ElementKind.SEG2, ElementKind.SEG3):
-        runs = [
-            replace(config.mortar, scheme=Scheme.SB1D),
-            replace(config.mortar, scheme=Scheme.EB),
-        ] + [
-            replace(config.mortar, scheme=Scheme.RB, kernel_family=kernel)
-            for kernel in rb_kernels
-        ]
-        for mortar in runs:
-            label = f"{kind.value}/{mortar.scheme.value}"
-            if mortar.scheme is Scheme.RB:
-                label += f"/{mortar.kernel_family.value}"
-            errors, line = _level_sweep(
-                config,
-                config.refinements,
-                partial(segment_pair, kind=kind, span=(-1.0, 1.0)),
-                _sin4_plus_square,
-                mortar,
-                label,
-                rows,
-                orders,
-            )
-            lines.append(line)
-            metrics[f"finest/{label}"] = errors[-1]
-        lines.append("")
-    ga_key = f"finest/seg3/rb/{config.mortar.kernel_family.value}"
-    wl_key = "finest/seg3/rb/wendland"
-    if ga_key in metrics and wl_key in metrics and ga_key != wl_key:
+    sweeps = _transfer_sweeps(
+        config, config.refinements, (ElementKind.SEG2, ElementKind.SEG3), runs,
+        segment_pair, _sin4_plus_square, rows, orders
+    )
+    for index, (label, sweep, line) in enumerate(sweeps, start=1):
+        lines.append(line)
+        metrics[f"finest/{label}"] = sweep[-1].l2_error
+        if index % len(runs) == 0:  # a blank line ends each element kind
+            lines.append("")
+    configured = config.mortar.kernel_family.value
+    if configured != KernelFamily.WENDLAND_C2.value:
         lines.append(
             "finest-level quadratic-segment comparison: "
-            f"{config.mortar.kernel_family.value} {metrics[ga_key]:.4e} "
-            f"vs wendland {metrics[wl_key]:.4e}"
+            f"{configured} {metrics[f'finest/seg3/rb/{configured}']:.4e} "
+            f"vs wendland {metrics['finest/seg3/rb/wendland']:.4e}"
         )
     return ExperimentResult(rows, "\n".join(lines).strip() + "\n", orders, metrics)
 
@@ -421,33 +429,18 @@ def run_interp_surface(config: ExperimentConfig) -> ExperimentResult:
     metrics: dict[str, float] = {}
     lines = ["surface interpolation transfer study", "", "flat sweeps:"]
 
-    flat_levels = min(config.refinements, 4)
-    for kind in (ElementKind.QUAD4, ElementKind.QUAD8):
-        runs = [replace(config.mortar, scheme=Scheme.EB)] + [
-            replace(
-                config.mortar,
-                scheme=Scheme.RB,
-                layout=replace(config.mortar.layout, n_per_edge=n_colloc),
-            )
-            for n_colloc in (4, 6)
-        ]
-        for mortar in runs:
-            label = f"{kind.value}/{mortar.scheme.value}"
-            if mortar.scheme is Scheme.RB:
-                label += f"/{mortar.layout.n_per_edge}"
-            errors, line = _level_sweep(
-                config,
-                flat_levels,
-                partial(surface_pair, kind=kind),
-                _sin4x_cos4y,
-                mortar,
-                label,
-                rows,
-                orders,
-            )
-            for idx, err in enumerate(errors):
-                metrics[f"flat/{label}/level{idx}"] = err
-            lines.append(f"  {line}")
+    runs = {"eb": replace(config.mortar, scheme=Scheme.EB)}
+    for n_colloc in (4, 6):
+        layout = replace(config.mortar.layout, n_per_edge=n_colloc)
+        runs[f"rb/{n_colloc}"] = replace(config.mortar, scheme=Scheme.RB, layout=layout)
+    sweeps = _transfer_sweeps(
+        config, min(config.refinements, 4), (ElementKind.QUAD4, ElementKind.QUAD8),
+        runs, surface_pair, _sin4x_cos4y, rows, orders
+    )
+    for label, sweep, line in sweeps:
+        for row in sweep:
+            metrics[f"flat/{label}/level{row.level}"] = row.l2_error
+        lines.append(f"  {line}")
 
     lines += ["", "warped pair (identical bump on both sides):"]
     warp = sine_bump(config.warp_amplitude)
@@ -590,43 +583,38 @@ def run_poisson_2d(config: ExperimentConfig) -> ExperimentResult:
     lines = ["coupled Poisson study (split unit square)", "", "flat interface:"]
 
     base_scale = 4
+
+    def flat_row(mortar: MortarConfig, level: int) -> SweepRow:
+        n_master, n_slave = config.element_counts(level)
+        master, slave = split_unit_square(base_scale * n_master, base_scale * n_slave)
+        problem = _bubble_problem(master, slave)
+        system, seconds = _timed(build_system, problem, mortar)
+        fields = solve_condensed(system)
+        report = broken_norms(problem, fields)
+        token = mortar.scheme.value
+        metrics[f"flat/{token}/constraint/level{level}"] = fields.constraint_residual
+        metrics[f"flat/{token}/l2/level{level}"] = report.l2_broken
+        return _sweep_row(
+            level,
+            master,
+            slave,
+            mortar,
+            system.slave_binding.mesh.kind,
+            system.mortar.stats,
+            seconds,
+            l2_error=report.l2_broken,
+            h1_error=report.h1_broken,
+        )
+
     for scheme in (Scheme.RB, Scheme.EB, Scheme.SB1D):
-        mortar = replace(config.mortar, scheme=scheme)
         token = scheme.value
-        sweep = []
-        for level in range(config.refinements):
-            n_master, n_slave = config.element_counts(level)
-            master, slave = split_unit_square(
-                base_scale * n_master, base_scale * n_slave
-            )
-            problem = _bubble_problem(master, slave)
-            system, seconds = _timed(build_system, problem, mortar)
-            fields = solve_condensed(system)
-            report = broken_norms(problem, fields)
-            metrics[f"flat/{token}/constraint/level{level}"] = (
-                fields.constraint_residual
-            )
-            sweep.append(
-                _sweep_row(
-                    level,
-                    master,
-                    slave,
-                    mortar,
-                    system.slave_binding.mesh.kind,
-                    system.mortar.stats,
-                    seconds,
-                    l2_error=report.l2_broken,
-                    h1_error=report.h1_broken,
-                )
-            )
-            metrics[f"flat/{token}/l2/level{level}"] = report.l2_broken
-        rows.extend(sweep)
-        h_slave = [row.h_slave for row in sweep]
-        if config.refinements >= 2:
-            l2 = [row.l2_error for row in sweep]
-            h1 = [row.h1_error for row in sweep]
-            orders[f"{token}/l2"] = observed_order(h_slave, l2)
-            orders[f"{token}/h1"] = observed_order(h_slave, h1)
+        sweep = _level_sweep(
+            config.refinements,
+            partial(flat_row, replace(config.mortar, scheme=scheme)),
+            rows,
+            orders,
+            {f"{token}/l2": "l2_error", f"{token}/h1": "h1_error"},
+        )
         formatted = ", ".join(f"{row.l2_error:.4e}" for row in sweep)
         lines.append(f"  {token}: broken L2 [{formatted}]")
         if f"{token}/l2" in orders:

@@ -368,17 +368,18 @@ def _uncovered(s_elem: np.ndarray, n_elems: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.bincount(s_elem, minlength=n_elems) == 0).tolist())
 
 
-def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _master_boxes(pair: InterfacePair) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper corners, each (n_master_elems, dim), of the master
     boxes: each holds every foot point its element can accept, grown by
     the pair's gap tolerance.
 
-    The acceptance tests pass reference coordinates up to ``2 tol`` beyond
-    the reference box.  There the linear or bilinear map of the corners
-    leaves the node box by at most 2 tol (1 + tol) of its extent per axis.
-    A ``seg3``/``quad8`` map adds sum_m N_m d_m, where d_m is mid node m's
-    offset from the mean of its edge's two corners and |N_m| <= 1 + tol,
-    so the bulge adds (1 + tol) sum_m |d_m| per axis.  The pair's gap
+    The acceptance tests pass reference coordinates up to 2 tol beyond the
+    reference box, where tol is ``_SUPPORT_TOL``.  There the linear or
+    bilinear map of the corners leaves the node box by at most
+    2 tol (1 + tol) of its extent per axis.  A ``seg3``/``quad8`` map adds
+    sum_m N_m d_m, where d_m is mid node m's offset from the mean of its
+    edge's two corners and |N_m| <= 1 + tol, so the bulge adds
+    (1 + tol) sum_m |d_m| per axis.  The pair's gap
     tolerance then covers the distance from the slave point to the
     master surface.
     """
@@ -390,7 +391,7 @@ def _master_boxes(pair: InterfacePair, tol: float) -> tuple[np.ndarray, np.ndarr
         for mid, a, b in mesh.kind.mid_nodes
     )
     grow = (
-        (1.0 + tol) * (2.0 * tol * (hi - lo) + bulge)
+        (1.0 + _SUPPORT_TOL) * (2.0 * _SUPPORT_TOL * (hi - lo) + bulge)
         + pair.resolved_gap_tolerance
         + _BOX_ROUNDING * np.maximum(np.abs(lo), np.abs(hi))
     )
@@ -589,7 +590,7 @@ def _assemble_pointwise(
     pair_point = (cand_slave[:, None] * n_gauss + np.arange(n_gauss)).ravel()
     pair_master = np.repeat(cand_master, n_gauss)
     points = phys.reshape(-1, phys.shape[-1])[pair_point]
-    lo, hi = _master_boxes(pair, _SUPPORT_TOL)
+    lo, hi = _master_boxes(pair)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
     pair_point, pair_master = pair_point[held], pair_master[held]
     values, ok, box, newton_updates = evaluate(pair, config, pair_master, points[held])

@@ -280,14 +280,12 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
 # --- linear algebra helpers ------------------------------------------------
 
 
-def _checked_solve(
-    matrix: sparse.csr_matrix, rhs: np.ndarray, **options
-) -> np.ndarray:
-    """LU solve checked by its backward error; ``options`` go to ``splu``.
-    A NaN or infinite entry would pass the residual test, so it is refused
-    first."""
+def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    """LU solve with the ``_FACTOR`` settings, checked by its backward
+    error.  A NaN or infinite entry would pass the residual test, so it is
+    refused first."""
     try:
-        factor = splu(matrix.tocsc(), **options)
+        factor = splu(matrix.tocsc(), **_FACTOR)
     except RuntimeError as exc:
         raise SolverFailureError(f"factorization failed: {exc}") from exc
     solution = factor.solve(rhs)
@@ -311,15 +309,15 @@ def _checked_solve(
 _NO_LINKS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 
-def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS, **options):
+def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
     """Solve ``matrix x = rhs`` over x = P y + c, eliminating ``fixed``.
 
     The shift c holds ``values`` on the ``fixed`` dofs and zero elsewhere.
     P copies y onto the free dofs in increasing order, and each link
     (row, dof, weight) adds weight times the unknown of the free ``dof``
     to the fixed ``row``; links to a fixed dof are dropped, so their part
-    belongs in ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved with the
-    ``splu`` ``options`` and the full x returned; with no free dof, x = c.
+    belongs in ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved and the full
+    x returned; with no free dof, x = c.
     """
     n = matrix.shape[0]
     is_free = np.ones(n, bool)
@@ -349,7 +347,7 @@ def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS, **options):
     # drop this reference, so that a matrix built for the call is freed
     # before the factorization
     del matrix
-    return prolongation @ _checked_solve(restricted, reduced_rhs, **options) + shift
+    return prolongation @ _checked_solve(restricted, reduced_rhs) + shift
 
 
 def _interface_dofs(system: CoupledSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -398,7 +396,6 @@ def solve_saddle(system: CoupledSystem) -> SolutionFields:
         rhs,
         system.pinned,
         system.pinned_values,
-        **_FACTOR,
     )
     return _solution_fields(system, solution[:n_total], solution[n_total:])
 
@@ -429,7 +426,6 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
             [system.pinned_values, interface_transfer(transfer, pinned[master_dofs])]
         ),
         (slave_dofs[local], master_dofs[k], transfer.matrix[local, k]),
-        **_FACTOR,
     )
 
     # slave interface equilibrium: the transposed slave mass applied to
@@ -461,7 +457,6 @@ def solve_single_domain(
         assemble_load(mesh, source),
         pinned,
         values,
-        **_FACTOR,
     )
 
 

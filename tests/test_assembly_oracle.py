@@ -347,7 +347,7 @@ def curved_seg3(gap_tolerance=None):
     )
 
 
-def _unbounded_boxes(pair, tol):
+def _unbounded_boxes(pair):
     shape = (pair.master.n_elems, pair.master.nodes.shape[1])
     return np.full(shape, -np.inf), np.full(shape, np.inf)
 

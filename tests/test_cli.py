@@ -26,6 +26,14 @@ def test_small_run_writes_outputs(tmp_path, capsys):
     assert f"wrote {out / 'sweep.csv'}" in captured.out
 
 
+def test_poisson_run_prints_its_orders(tmp_path, capsys):
+    assert run_cli("poisson_2d", "--levels", "2", "--out", str(tmp_path)) == 0
+    printed = capsys.readouterr().out
+    assert "coupled Poisson study" in printed
+    for token in ("rb", "eb", "sb"):
+        assert f"  {token}: observed orders L2 " in printed
+
+
 def test_unknown_experiment_is_a_config_error(capsys):
     assert run_cli("warp-drive") == 2
     err = capsys.readouterr().err

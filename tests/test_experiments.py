@@ -210,6 +210,31 @@ def test_interp_1d_produces_the_expected_sweep():
             assert levels[1] < levels[0]
 
 
+def test_interp_1d_with_wendland_configured_runs_it_once():
+    config = ExperimentConfig(
+        ExperimentKind.INTERP_1D,
+        refinements=2,
+        mortar=MortarConfig(kernel_family=KernelFamily.WENDLAND_C2),
+    )
+    result = run_interp_1d(config)
+    assert len(result.rows) == 12
+    labels = [
+        f"{kind}/{token}"
+        for kind in ("seg2", "seg3")
+        for token in ("sb", "eb", "rb/wendland")
+    ]
+    assert list(result.orders) == labels
+    # a title, then one block of three sweeps per element kind, and no
+    # comparison of Wendland with itself
+    title, *blocks = result.report.rstrip("\n").split("\n\n")
+    assert title == "1D interpolation transfer study"
+    assert [[line.split(":")[0] for line in block.split("\n")] for block in blocks] == [
+        labels[:3],
+        labels[3:],
+    ]
+    assert "finest-level quadratic-segment comparison" not in result.report
+
+
 def test_scheme_compare_directionals():
     config = ExperimentConfig(ExperimentKind.SCHEME_COMPARE, refinements=3)
     result = run_scheme_compare(config)
@@ -284,6 +309,18 @@ def test_poisson_experiment_reports_constraints_and_field():
     assert result.field_points is not None
     assert result.field_points.shape[1] == 3
     assert np.all(result.field_points[:, 2] >= 0.0)
+
+
+def test_one_level_poisson_study_fits_no_orders():
+    result = run_poisson_2d(ExperimentConfig(ExperimentKind.POISSON_2D, refinements=1))
+    assert [(row.scheme, row.level) for row in result.rows] == [
+        ("rb", 0),
+        ("eb", 0),
+        ("sb", 0),
+    ]
+    assert result.orders == {}
+    assert "observed orders" not in result.report
+    assert "rb: broken L2 [" in result.report
 
 
 def test_surface_experiment_directionals():

@@ -326,8 +326,8 @@ def test_checked_solve_accepts_an_accurate_solve_of_a_small_rhs():
 
 def test_checked_solve_rejects_a_wrong_solution(monkeypatch):
     class PerturbedFactor:
-        def __init__(self, matrix):
-            self.exact = splu(matrix)
+        def __init__(self, matrix, **options):
+            self.exact = splu(matrix, **options)
 
         def solve(self, rhs):
             solution = self.exact.solve(rhs)
@@ -346,8 +346,8 @@ def test_checked_solve_rejects_a_non_finite_solution(monkeypatch, bad):
     # a NaN residual, or an infinite one against an infinite scale, fails
     # no comparison with the bound
     class SpoiledFactor:
-        def __init__(self, matrix):
-            self.exact = splu(matrix)
+        def __init__(self, matrix, **options):
+            self.exact = splu(matrix, **options)
 
         def solve(self, rhs):
             solution = self.exact.solve(rhs)
@@ -365,9 +365,6 @@ SINGULAR = sparse.csr_matrix(
 )
 
 
-@pytest.mark.parametrize(
-    "options", [{}, poisson._FACTOR], ids=["defaults", "factor"]
-)
-def test_checked_solve_names_a_failed_factorization(options):
+def test_checked_solve_names_a_failed_factorization():
     with pytest.raises(SolverFailureError, match="factorization failed"):
-        poisson._checked_solve(SINGULAR, np.ones(3), **options)
+        poisson._checked_solve(SINGULAR, np.ones(3))

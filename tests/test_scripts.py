@@ -58,13 +58,6 @@ def test_kernel_study_first_row_times_only_its_fit():
     assert min(ratios) < 20.0, ratios
 
 
-def test_reproduce_convergence_prints_both_studies():
-    done = run_script("reproduce_convergence.py", "--levels", "2")
-    assert done.returncode == 0, done.stderr
-    assert "1D interpolation transfer study" in done.stdout
-    assert "coupled Poisson study" in done.stdout
-
-
 def test_run_all_experiments_writes_every_output(tmp_path):
     done = run_script("run_all_experiments.py", "--quick", "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
