@@ -915,7 +915,8 @@ def load_config(path) -> ExperimentConfig:
 def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     """Write sweep.csv, report.txt and (when present) field.csv.
 
-    The sweep header appends the names of the rows' ``extra`` cells to
+    ``report.txt`` holds the report the command line prints.  The sweep
+    header appends the names of the rows' ``extra`` cells to
     :data:`SWEEP_COLUMNS`.  Returns the paths that were written, keyed by
     file stem.
     """
@@ -933,13 +934,7 @@ def write_outputs(result: ExperimentResult, out_dir) -> dict[str, Path]:
     written["sweep"] = sweep_path
 
     report_path = out / "report.txt"
-    report = result.report
-    if result.orders:
-        order_lines = ["", "observed orders (finest-3 least squares):"]
-        for label in sorted(result.orders):
-            order_lines.append(f"  {label}: {result.orders[label]:.3f}")
-        report = report.rstrip("\n") + "\n" + "\n".join(order_lines) + "\n"
-    report_path.write_text(report)
+    report_path.write_text(result.report)
     written["report"] = report_path
 
     if result.field_points is not None:

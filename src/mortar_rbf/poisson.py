@@ -13,9 +13,12 @@ symmetric positive definite system in the remaining unknowns.  Every
 solve, the single-mesh one included, eliminates its fixed dofs by the
 same restriction x = P y + c and factors with the same SuperLU settings,
 ``_FACTOR``, whose threshold pivoting serves the indefinite saddle system
-and leaves the definite ones on their diagonal.  Both coupled paths
-recover the full solution fields including the multipliers, and must
-agree to solver accuracy.
+and leaves the definite ones on their diagonal.  P is the identity on the
+free dofs but for a few link rows, so the restricted matrix Pᵀ A P is
+formed without P: one mask over the CSR arrays takes the free block of
+A, and a small dense update adds the links.  Both coupled paths recover
+the full solution fields including the multipliers, and must agree to
+solver accuracy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import norm as sparse_norm, splu
+from scipy.sparse.linalg import splu
 
 from .elements import shape_values, triangle_rule_for_degree
 from .errors import SolverFailureError
@@ -160,18 +163,25 @@ class ErrorReport:
 # --- P1 assembly -----------------------------------------------------------
 
 
+def _triangle_coordinates(mesh: VolumeMesh):
+    """Vertex coordinates and double areas, vertex-major.
+
+    The vertex x and y coordinates are each (3, n_elems), the double areas
+    (n_elems,).  Every per-vertex row is then contiguous, so products over
+    all elements stream through memory.  The areas are the mesh's own,
+    positive since the mesh refuses clockwise triangles.
+    """
+    conn = mesh.connectivity.T
+    return mesh.nodes[:, 0][conn], mesh.nodes[:, 1][conn], mesh.double_areas
+
+
 def _triangle_geometry(mesh: VolumeMesh):
     """Vertex coordinates, double areas and constant basis gradients.
 
-    Arrays are vertex-major: the vertex x and y coordinates and the x and
-    y components of the three barycentric gradients are each (3, n_elems),
-    the double areas (n_elems,).  Every per-vertex row is then contiguous,
-    so products over all elements stream through memory.  The areas are
-    the mesh's own, positive since the mesh refuses clockwise triangles.
+    The x and y components of the three barycentric gradients are each
+    (3, n_elems), vertex-major like the coordinates.
     """
-    conn = mesh.connectivity.T
-    x, y = mesh.nodes[:, 0][conn], mesh.nodes[:, 1][conn]
-    double_area = mesh.double_areas
+    x, y, double_area = _triangle_coordinates(mesh)
     # gradient of barycentric function i: perpendicular of the opposite
     # edge (vertex i+1 to vertex i+2) over twice the area, with vertices
     # ordered counterclockwise
@@ -202,7 +212,7 @@ def assemble_load(mesh: VolumeMesh, source: Callable) -> np.ndarray:
     """P1 load vector by exact-enough triangle quadrature."""
     rule = triangle_rule_for_degree(_LOAD_DEGREE)
     basis = shape_values(mesh.kind, rule.points)
-    x, y, double_area, _, _ = _triangle_geometry(mesh)
+    x, y, double_area = _triangle_coordinates(mesh)
     values = np.asarray(source(basis @ x, basis @ y), float)
     contrib = (basis.T @ (rule.weights[:, None] * values)) * double_area
     return np.bincount(
@@ -242,6 +252,18 @@ def _dirichlet_values(dirichlet: Callable | None, coords: np.ndarray) -> np.ndar
     return values
 
 
+def _block_diagonal(first: sparse.csr_matrix, second: sparse.csr_matrix):
+    """The CSR matrix diag(first, second), stacked from both CSR arrays."""
+    return sparse.csr_matrix(
+        (
+            np.concatenate([first.data, second.data]),
+            np.concatenate([first.indices, second.indices + first.shape[1]]),
+            np.concatenate([first.indptr, second.indptr[1:] + first.nnz]),
+        ),
+        shape=(first.shape[0] + second.shape[0], first.shape[1] + second.shape[1]),
+    )
+
+
 def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem:
     """Assemble the stacked subdomain operators and the mortar coupling.
 
@@ -263,8 +285,8 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
     coords = np.vstack([master.nodes[pinned_master], slave.nodes[pinned_slave]])
     return CoupledSystem(
         problem=problem,
-        stiffness=sparse.block_diag(
-            [assemble_stiffness(master), assemble_stiffness(slave)], format="csr"
+        stiffness=_block_diagonal(
+            assemble_stiffness(master), assemble_stiffness(slave)
         ),
         load=np.concatenate(
             [assemble_load(mesh, problem.source) for mesh in (master, slave)]
@@ -292,8 +314,12 @@ def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(solution)):
         raise SolverFailureError("linear solve returned non-finite values")
     residual = np.max(np.abs(matrix @ solution - rhs), initial=0.0)
+    # |A| in the infinity norm, the largest row sum of |A.data|; reduceat
+    # would give an empty row its next entry, so only stored rows are summed
+    starts = matrix.indptr[:-1][np.diff(matrix.indptr) > 0]
+    row_sums = np.add.reduceat(np.abs(matrix.data), starts) if starts.size else ()
     scale = max(
-        sparse_norm(matrix, np.inf) * np.max(np.abs(solution), initial=0.0)
+        np.max(row_sums, initial=0.0) * np.max(np.abs(solution), initial=0.0)
         + np.max(np.abs(rhs), initial=0.0),
         np.finfo(float).tiny,
     )
@@ -309,45 +335,113 @@ def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 _NO_LINKS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
 
 
+def _restrict(matrix, rhs, is_free, links):
+    """Pᵀ A P and Pᵀ b of the restriction in :func:`_restricted_solve`.
+
+    P is the identity on the free dofs F but for the few link rows L, so
+    Pᵀ A P is the free block of A plus a link update.  With the linked
+    free dofs K and the dense link weights T (L × K),
+
+        Pᵀ A P = A_FF + A_FL T + Tᵀ A_LF + Tᵀ A_LL T,
+
+    in which the last three terms touch only the rows and columns of K and
+    the free neighbours of L.  A_FF is one mask over the CSR arrays of A:
+    the map from dof to free column is increasing, so each row's columns
+    stay sorted.  The update is formed on one small dense block.  Explicit
+    zeros, of A or of the sum, are dropped as a sparse product drops them.
+    Returns the restricted CSR matrix, Pᵀ b and the links (L, K, T).
+    """
+    n = matrix.shape[0]
+    free = np.flatnonzero(is_free)
+    column = np.full(n, -1, matrix.indices.dtype)
+    column[free] = np.arange(free.size)
+
+    indptr = matrix.indptr
+    keep = np.repeat(is_free, np.diff(indptr))
+    cols = column[matrix.indices]
+    keep &= cols >= 0
+    keep &= matrix.data != 0.0
+    kept = np.zeros(keep.size + 1, indptr.dtype)
+    np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+    # a fixed row keeps no entry, so the entries kept before free row j are
+    # those of the free rows before it
+    restricted = sparse.csr_matrix(
+        (matrix.data[keep], cols[keep], kept[indptr[np.append(free, n)]]),
+        shape=(free.size, free.size),
+    )
+    del keep, cols, kept
+
+    rows, dofs, weights = links
+    linked = is_free[dofs]
+    link_rows, row_at = np.unique(rows[linked], return_inverse=True)
+    link_dofs, dof_at = np.unique(dofs[linked], return_inverse=True)
+    transfer = np.zeros((link_rows.size, link_dofs.size))
+    np.add.at(transfer, (row_at, dof_at), weights[linked])
+    reduced_rhs = rhs[is_free]
+    reduced_rhs[column[link_dofs]] += transfer.T @ rhs[link_rows]
+    if link_rows.size == 0:
+        return restricted, reduced_rhs, (link_rows, link_dofs, transfer)
+
+    # the update fills one dense block: its rows are K and the free rows
+    # next to a link row, its columns K and the free columns next to one
+    link_columns, link_block = matrix[:, link_rows], matrix[link_rows]
+    touched = is_free & (np.diff(link_columns.indptr) > 0)
+    rows = np.union1d(np.flatnonzero(touched), link_dofs)
+    cols = np.union1d(link_block.indices[is_free[link_block.indices]], link_dofs)
+    k_rows, k_cols = np.searchsorted(rows, link_dofs), np.searchsorted(cols, link_dofs)
+    update = np.zeros((rows.size, cols.size))
+    update[:, k_cols] = link_columns[rows].toarray() @ transfer
+    update[k_rows] += transfer.T @ link_block[:, cols].toarray()
+    update[np.ix_(k_rows, k_cols)] += (
+        transfer.T @ link_block[:, link_rows].toarray() @ transfer
+    )
+
+    # the block's nonzero entries, row by row, at the free rows and columns
+    # they stand for
+    nonzero = update != 0.0
+    indptr = np.zeros(free.size + 1, restricted.indptr.dtype)
+    indptr[column[rows] + 1] = np.count_nonzero(nonzero, axis=1)
+    update = sparse.csr_matrix(
+        (
+            update[nonzero],
+            np.broadcast_to(column[cols], update.shape)[nonzero],
+            np.cumsum(indptr),
+        ),
+        shape=restricted.shape,
+    )
+    # a sum of CSR matrices stores no zero
+    return restricted + update, reduced_rhs, (link_rows, link_dofs, transfer)
+
+
 def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
     """Solve ``matrix x = rhs`` over x = P y + c, eliminating ``fixed``.
 
     The shift c holds ``values`` on the ``fixed`` dofs and zero elsewhere.
     P copies y onto the free dofs in increasing order, and each link
     (row, dof, weight) adds weight times the unknown of the free ``dof``
-    to the fixed ``row``; links to a fixed dof are dropped, so their part
-    belongs in ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved and the full
-    x returned; with no free dof, x = c.
+    to the fixed ``row``; repeated links add up, and links to a fixed dof
+    are dropped, so their part belongs in ``values``.  Pᵀ A P y =
+    Pᵀ (b − A c) is solved and the full x returned; with no free dof,
+    x = c.  P is never formed: :func:`_restrict` masks the free block of A
+    and adds the link update, and P and Pᵀ act on vectors by indexing.
     """
     n = matrix.shape[0]
     is_free = np.ones(n, bool)
     is_free[fixed] = False
-    free = np.flatnonzero(is_free)
-    n_free = free.size
-    column = np.full(n, -1)
-    column[free] = np.arange(n_free)
-    shift = np.zeros(n)
-    shift[fixed] = values
-    if n_free == 0:
-        return shift
+    solution = np.zeros(n)
+    solution[fixed] = values
+    if not is_free.any():
+        return solution
 
-    rows, dofs, weights = links
-    target = column[dofs]
-    linked = target >= 0
-    data = np.concatenate([np.ones(n_free), weights[linked]])
-    p_rows = np.concatenate([free, rows[linked]])
-    p_cols = np.concatenate([np.arange(n_free), target[linked]])
-    prolongation = sparse.coo_matrix(
-        (data, (p_rows, p_cols)), shape=(n, n_free)
-    ).tocsr()
-    # Pᵀ as CSR times the CSR product A P: the matrix of (Pᵀ A P).tocsr(),
-    # formed in 34 instead of 43 ms on the 256/171 split square
-    restricted = prolongation.T.tocsr() @ (matrix @ prolongation)
-    reduced_rhs = prolongation.T @ (rhs - matrix @ shift)
+    restricted, reduced_rhs, (link_rows, link_dofs, transfer) = _restrict(
+        matrix, rhs - matrix @ solution, is_free, links
+    )
     # drop this reference, so that a matrix built for the call is freed
     # before the factorization
     del matrix
-    return prolongation @ _checked_solve(restricted, reduced_rhs) + shift
+    solution[is_free] = _checked_solve(restricted, reduced_rhs)
+    solution[link_rows] += transfer @ solution[link_dofs]
+    return solution
 
 
 def _interface_dofs(system: CoupledSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +524,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
 
     # slave interface equilibrium: the transposed slave mass applied to
     # the multipliers balances the residual of the slave block rows
-    residual = (system.load - system.stiffness @ full)[slave_dofs]
+    residual = system.load[slave_dofs] - system.stiffness[slave_dofs] @ full
     multipliers = transfer.factor.solve(residual, trans="T")
     return _solution_fields(system, full, multipliers)
 

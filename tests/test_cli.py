@@ -24,6 +24,10 @@ def test_small_run_writes_outputs(tmp_path, capsys):
     assert not (out / "field.csv").exists()
     assert "1D interpolation transfer study" in captured.out
     assert f"wrote {out / 'sweep.csv'}" in captured.out
+    # report.txt is the printed report, observed orders included, and no more
+    report = (out / "report.txt").read_text()
+    assert "order" in report
+    assert captured.out.split("wrote ")[0] == report
 
 
 def test_poisson_run_prints_its_orders(tmp_path, capsys):

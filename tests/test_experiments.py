@@ -347,8 +347,7 @@ def test_write_outputs_layout(tmp_path):
         "rmse,cond_estimate,assembly_seconds,dropped_fraction"
     )
     assert len(sweep) == 1 + len(result.rows)
-    report = (tmp_path / "out" / "report.txt").read_text()
-    assert report.startswith(result.report)
+    assert (tmp_path / "out" / "report.txt").read_text() == result.report
     field = (tmp_path / "out" / "field.csv").read_text().splitlines()
     assert field[0] == "x,y,abs_error"
     assert len(field) == 1 + result.field_points.shape[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -148,6 +149,40 @@ def curved_split_problem(n_master, n_slave):
         n_master, n_slave, interface_offset=lambda x: 0.05 * np.sin(np.pi * x)
     )
     return PoissonProblem(master, slave, bubble_source)
+
+
+def test_coupled_stiffness_is_the_block_diagonal_of_both_subdomains():
+    problem = curved_split_problem(16, 11)
+    system = build_system(problem, MortarConfig(scheme="rb"))
+    expected = sparse.block_diag(
+        [assemble_stiffness(problem.master), assemble_stiffness(problem.slave)],
+        format="csr",
+    )
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(
+            getattr(system.stiffness, name), getattr(expected, name)
+        )
+
+
+@pytest.mark.parametrize("solver", [solve_condensed, solve_saddle])
+def test_restricted_systems_store_no_zeros(monkeypatch, solver):
+    # right-angle triangles cancel to exact zeros in the stiffness; the
+    # restriction drops them, as the sparse product Pᵀ (A P) does, so the
+    # fill-reducing order sees the pattern of the nonzero entries only
+    system = build_system(curved_split_problem(32, 21), MortarConfig(scheme="rb"))
+    assert np.any(system.stiffness.data == 0.0)
+    factored = []
+    checked_solve = poisson._checked_solve
+
+    def spy(matrix, rhs):
+        factored.append(matrix)
+        return checked_solve(matrix, rhs)
+
+    monkeypatch.setattr(poisson, "_checked_solve", spy)
+    solver(system)
+    (matrix,) = factored
+    assert matrix.has_canonical_format
+    assert np.all(matrix.data != 0.0)
 
 
 def test_saddle_factor_fills_less_than_superlu_defaults(monkeypatch):
@@ -368,3 +403,120 @@ SINGULAR = sparse.csr_matrix(
 def test_checked_solve_names_a_failed_factorization():
     with pytest.raises(SolverFailureError, match="factorization failed"):
         poisson._checked_solve(SINGULAR, np.ones(3))
+
+
+# --- restriction against the prolongation product ---------------------------
+
+
+def prolongation(n, fixed, links):
+    """The prolongation P of ``poisson._restricted_solve`` as a CSR matrix."""
+    is_free = np.ones(n, bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
+    column = np.full(n, -1)
+    column[free] = np.arange(free.size)
+    rows, dofs, weights = links
+    target = column[dofs]
+    linked = target >= 0
+    return sparse.coo_matrix(
+        (
+            np.concatenate([np.ones(free.size), weights[linked]]),
+            (
+                np.concatenate([free, rows[linked]]),
+                np.concatenate([np.arange(free.size), target[linked]]),
+            ),
+        ),
+        shape=(n, free.size),
+    ).tocsr()
+
+
+def random_restriction(n, n_fixed, n_links, symmetric, explicit_zeros, draw_seed):
+    """A sparse diagonally dominant matrix with a right-hand side, ``n_fixed``
+    fixed dofs with their values and ``n_links`` links from fixed rows to
+    any dofs; (row, dof) pairs may repeat.  The matrix is SPD when
+    ``symmetric``; otherwise its pattern is symmetric but not its values,
+    so A_FL and A_LFᵀ differ."""
+    rng = np.random.default_rng(draw_seed)
+    rows, cols = rng.integers(0, n, (2, 2 * n))
+    off = rng.uniform(-1.0, 1.0, (2, 2 * n))
+    diagonal = np.arange(n)
+    parts = [
+        (rows, cols, off[0]),
+        (cols, rows, off[0] if symmetric else off[1]),
+        (diagonal, diagonal, np.full(n, 4.0 * n + 1.0)),
+    ]
+    if explicit_zeros:
+        # stored zeros, which the COO to CSR conversion keeps
+        parts.append((*rng.integers(0, n, (2, n)), np.zeros(n)))
+    i, j, values = (np.concatenate(part) for part in zip(*parts))
+    matrix = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
+    fixed = rng.choice(n, n_fixed, replace=False)
+    links = poisson._NO_LINKS
+    if n_fixed and n_links:
+        links = (
+            rng.choice(fixed, n_links),
+            rng.integers(0, n, n_links),
+            rng.uniform(-1.0, 1.0, n_links),
+        )
+    return matrix, rng.normal(size=n), fixed, rng.normal(size=n_fixed), links
+
+
+def assert_close_relative(got, want, rtol=1e-13):
+    """Agreement within ``rtol`` of the largest entry of ``want``."""
+    scale = np.max(np.abs(want), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=rtol * scale)
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 24),
+    fixed_share=st.floats(0.0, 1.0),
+    n_links=st.integers(0, 40),
+    symmetric=st.booleans(),
+    explicit_zeros=st.booleans(),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+# links to fixed dofs, which are dropped, and repeated (row, dof) pairs
+@example(n=6, fixed_share=0.8, n_links=30, symmetric=True, explicit_zeros=False,
+         draw_seed=0)
+@example(n=12, fixed_share=0.3, n_links=0, symmetric=True,  # no links
+         explicit_zeros=False, draw_seed=0)
+@example(n=5, fixed_share=1.0, n_links=4, symmetric=True,  # no free dof
+         explicit_zeros=False, draw_seed=0)
+@example(n=5, fixed_share=0.8, n_links=6, symmetric=True,  # one free dof
+         explicit_zeros=True, draw_seed=0)
+@example(n=20, fixed_share=0.3, n_links=12, symmetric=True, explicit_zeros=True,
+         draw_seed=0)
+@example(n=20, fixed_share=0.3, n_links=12, symmetric=False, explicit_zeros=False,
+         draw_seed=0)
+def test_restriction_matches_the_prolongation_product(
+    n, fixed_share, n_links, symmetric, explicit_zeros, draw_seed
+):
+    matrix, rhs, fixed, values, links = random_restriction(
+        n, round(fixed_share * n), n_links, symmetric, explicit_zeros, draw_seed
+    )
+    p = prolongation(n, fixed, links)
+    shift = np.zeros(n)
+    shift[fixed] = values
+    residual = rhs - matrix @ shift
+    is_free = np.ones(n, bool)
+    is_free[fixed] = False
+
+    restricted, reduced_rhs, _ = poisson._restrict(matrix, residual, is_free, links)
+    expected = p.T.tocsr() @ (matrix @ p)
+    expected.sort_indices()
+    assert restricted.has_canonical_format
+    np.testing.assert_array_equal(restricted.indptr, expected.indptr)
+    np.testing.assert_array_equal(restricted.indices, expected.indices)
+    assert np.all(restricted.data != 0.0)
+    assert_close_relative(restricted.data, expected.data)
+    expected_rhs = p.T @ residual
+    assert_close_relative(reduced_rhs, expected_rhs)
+
+    solution = poisson._restricted_solve(matrix, rhs, fixed, values, links)
+    expected_solution = shift
+    if p.shape[1]:
+        expected_solution = shift + p @ np.linalg.solve(
+            expected.toarray(), expected_rhs
+        )
+    assert_close_relative(solution, expected_solution)
