@@ -40,14 +40,13 @@ from scipy import sparse
 from scipy.sparse.linalg import SuperLU, splu
 
 from .elements import (
+    _ELEMENTS,
     ElementKind,
     QuadratureRule,
     as_count,
     gauss_rule,
     min_gauss_points,
     node_reference_coords,
-    shape_gradients,
-    shape_second_derivatives,
     shape_values,
 )
 from .errors import (
@@ -410,20 +409,46 @@ def _containment_depth(box_coords: np.ndarray) -> np.ndarray:
 
 
 def _solve_newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve each (ref_dim x ref_dim) system in closed form; a system whose
+    pivot or determinant is not above the smallest normal double gets a
+    zero step."""
     tiny = np.finfo(float).tiny
-    step = np.zeros_like(rhs)
     if rhs.shape[1] == 1:
-        diag = hess[:, 0, 0]
-        safe = np.abs(diag) > tiny
-        step[safe, 0] = rhs[safe, 0] / diag[safe]
-        return step
+        pivot = hess[:, :, 0]
+        return np.divide(rhs, pivot, out=np.zeros_like(rhs), where=np.abs(pivot) > tiny)
     a, b = hess[:, 0, 0], hess[:, 0, 1]
     c, d = hess[:, 1, 0], hess[:, 1, 1]
-    det = a * d - b * c
-    safe = np.abs(det) > tiny
-    step[safe, 0] = (d[safe] * rhs[safe, 0] - b[safe] * rhs[safe, 1]) / det[safe]
-    step[safe, 1] = (a[safe] * rhs[safe, 1] - c[safe] * rhs[safe, 0]) / det[safe]
-    return step
+    det = (a * d - b * c)[:, None]
+    adjugate = np.stack(
+        [d * rhs[:, 0] - b * rhs[:, 1], a * rhs[:, 1] - c * rhs[:, 0]], axis=1
+    )
+    return np.divide(adjugate, det, out=np.zeros_like(rhs), where=np.abs(det) > tiny)
+
+
+def _newton_terms(
+    kind: ElementKind, nodes: np.ndarray, xi: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jacobian, residual and Hessian of the projection of each target.
+
+    ``nodes`` (p, dim, n_nodes) holds the node coordinates X of each
+    target's element as columns and ``xi`` (p, ref_dim) the iterates,
+    which must lie inside the clamp box (the shape tables are read with
+    no range check).  With the shape values N, gradients dN and second
+    derivatives d2N at ``xi``, every term is a stacked matrix product:
+    the Jacobian J = X dN, the gap g = t - X N, the residual gᵀJ
+    (p, ref_dim) and the Hessian (gᵀX) d2N - JᵀJ.
+    """
+    element = _ELEMENTS[kind]
+    jac = nodes @ element.gradients(xi)
+    gap = (targets[:, :, None] - nodes @ element.values(xi)[:, :, None]).transpose(
+        0, 2, 1
+    )
+    second = element.hessians(xi)
+    p, n, r, _ = second.shape
+    curv = ((gap @ nodes) @ second.reshape(p, n, r * r)).reshape(p, r, r)
+    # a contiguous Jᵀ keeps matmul off its slower symmetric-product path
+    jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+    return jac, (gap @ jac)[:, 0], curv - jac_t @ jac
 
 
 def _project_points(
@@ -453,32 +478,31 @@ def _project_points(
     singular Hessian) sits at a fixed point and retires as not converged
     too.  Returns the reference coordinates, the convergence flags and
     the number of (point, step) Newton updates.
+
+    Each step is a few stacked matrix products (see
+    :func:`_newton_terms`) on the shape tables directly: the clamp keeps
+    every iterate inside the evaluation bound, so the range check of
+    :func:`shape_values` is skipped.  The arithmetic of ``rb`` (slave
+    geometry, kernel fits and evaluation) is left alone on purpose: its
+    Gaussian fits sit near condition 2e16, so reordering a sum there
+    moves D by up to 1e-5 relative.
     """
+    nodes = np.ascontiguousarray(coords.transpose(0, 2, 1))
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
     updates = 0
     for step in range(_NEWTON_MAX_ITER + 1):
-        nodes, current = coords[active], xi[active]
-        jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
-        gap = targets[active] - np.einsum(
-            "pn,pnd->pd", shape_values(kind, current), nodes
-        )
-        resid = np.einsum("pdr,pd->pr", jac, gap)
-        done = np.max(np.abs(resid), axis=1) <= _NEWTON_TOL * scale[active]
+        current = xi[active]
+        _, resid, hess = _newton_terms(kind, nodes[active], current, targets[active])
+        done = (np.abs(resid) <= _NEWTON_TOL * scale[active, None]).all(axis=1)
         converged[active[done]] = True
-        go = ~done
+        go = np.flatnonzero(~done)
         active = active[go]
         if step == _NEWTON_MAX_ITER or active.size == 0:
             break
-        nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
-        curv = np.einsum(
-            "pnrs,pnd->pdrs", shape_second_derivatives(kind, current), nodes
-        )
-        hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
-            "pdrs,pd->prs", curv, gap
-        )
-        raw = current + _solve_newton_step(hess, -resid[go])
+        current = current[go]
+        raw = current + _solve_newton_step(hess[go], -resid[go])
         new_xi = np.clip(raw, -_NEWTON_CLAMP, _NEWTON_CLAMP)
         xi[active] = new_xi
         updates += active.size

@@ -16,7 +16,9 @@ that ``rbf.fit_interpolants`` and ``rbf.evaluate_interpolants`` batch:
 ``cdist``, an LU factorization with LAPACK's condition estimate and one
 matrix product per element.  :func:`reference_project_points` is the
 batched Newton projection with the full iteration budget, before points
-at a fixed point or past the clamp box retired early.
+at a fixed point or past the clamp box retired early; it shares the
+library's Newton step, whose ``einsum`` form
+:func:`reference_newton_terms` keeps.
 :func:`reference_stiffness`,
 :func:`reference_load` and :func:`reference_domain_errors` are the P1
 volume assembly and error integrals of :mod:`mortar_rbf.poisson` written
@@ -55,6 +57,7 @@ from mortar_rbf.mortar import (
     _SLIVER_REL,
     _SUPPORT_TOL,
     _collinearity_residual,
+    _newton_terms,
     _principal_direction,
     _solve_newton_step,
 )
@@ -161,41 +164,46 @@ def reference_project_batch(mesh, elem, targets):
     return xi, converged, updates
 
 
+def reference_newton_terms(kind, coords, xi, targets):
+    """Jacobian (p, dim, ref_dim), residual (p, ref_dim) and Hessian
+    (p, ref_dim, ref_dim) of the Newton projection, as ``einsum``
+    contractions over ``coords`` (p, n_nodes, dim): the arithmetic oracle
+    of ``mortar._newton_terms``."""
+    jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, xi), coords)
+    gap = targets - np.einsum("pn,pnd->pd", shape_values(kind, xi), coords)
+    resid = np.einsum("pdr,pd->pr", jac, gap)
+    curv = np.einsum("pnrs,pnd->pdrs", shape_second_derivatives(kind, xi), coords)
+    hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum("pdrs,pd->prs", curv, gap)
+    return jac, resid, hess
+
+
 def reference_project_points(kind, coords, targets, scale):
     """``mortar._project_points`` with the full iteration budget.
 
     Every point iterates until its own residual converges or the budget
     runs out: no fixed-point retirement and no clamp retirement, so a
     point goes on after its Newton step leaves the clamp box and after its
-    clamped iterate stops moving.  Returns the reference coordinates, the
-    convergence flags and the number of (point, step) Newton updates.
+    clamped iterate stops moving.  Each step is ``mortar._newton_terms``,
+    so only the retirement differs from the library.  Returns the
+    reference coordinates, the convergence flags and the number of
+    (point, step) Newton updates.
     """
+    nodes = np.ascontiguousarray(coords.transpose(0, 2, 1))
     xi = np.zeros((targets.shape[0], kind.ref_dim))
     converged = np.zeros(targets.shape[0], dtype=bool)
     active = np.arange(targets.shape[0])
     updates = 0
     for step in range(_NEWTON_MAX_ITER + 1):
-        nodes, current = coords[active], xi[active]
-        jac = np.einsum("pnr,pnd->pdr", shape_gradients(kind, current), nodes)
-        gap = targets[active] - np.einsum(
-            "pn,pnd->pd", shape_values(kind, current), nodes
-        )
-        resid = np.einsum("pdr,pd->pr", jac, gap)
-        done = np.max(np.abs(resid), axis=1) <= _NEWTON_TOL * scale[active]
+        current = xi[active]
+        _, resid, hess = _newton_terms(kind, nodes[active], current, targets[active])
+        done = (np.abs(resid) <= _NEWTON_TOL * scale[active, None]).all(axis=1)
         converged[active[done]] = True
         go = ~done
         active = active[go]
         if step == _NEWTON_MAX_ITER or active.size == 0:
             break
-        nodes, current, jac, gap = nodes[go], current[go], jac[go], gap[go]
-        curv = np.einsum(
-            "pnrs,pnd->pdrs", shape_second_derivatives(kind, current), nodes
-        )
-        hess = -np.einsum("pdr,pds->prs", jac, jac) + np.einsum(
-            "pdrs,pd->prs", curv, gap
-        )
         xi[active] = np.clip(
-            current + _solve_newton_step(hess, -resid[go]),
+            current[go] + _solve_newton_step(hess[go], -resid[go]),
             -_NEWTON_CLAMP,
             _NEWTON_CLAMP,
         )

@@ -18,8 +18,11 @@ Newton step leaves the clamp box twice in a row changes no convergence
 flag, no converged foot point, no matrix and no count other than the
 Newton updates (exact equality).  The loop oracle iterates each batch
 until all its points converge, so its Newton update count bounds the
-library's.  The P1 stiffness, load and error integrals multiply in another
-order than the ``einsum`` oracle (1e-13 relative); condensed solutions
+library's.  The full-budget oracle of the retirement test shares the
+library's Newton step, whose stacked products agree with their
+``einsum`` form to 1e-13 of each term's largest entry.  The P1
+stiffness, load and error integrals multiply in another order than the
+``einsum`` oracle (1e-13 relative); condensed solutions
 built on them agree to 1e-12 relative.  The array-pass slave L2 error
 integral of the experiments sums in another order than its per-element
 loop (1e-13 relative).
@@ -35,7 +38,12 @@ from hypothesis import example, given, seed, settings, strategies as st
 from scipy import sparse
 
 from mortar_rbf import experiments, poisson
-from mortar_rbf.elements import ElementKind, gauss_rule, min_gauss_points
+from mortar_rbf.elements import (
+    ElementKind,
+    gauss_rule,
+    min_gauss_points,
+    node_reference_coords,
+)
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
@@ -57,6 +65,8 @@ from mortar_rbf.mortar import (
     InterfacePair,
     MortarConfig,
     Scheme,
+    _NEWTON_CLAMP,
+    _newton_terms,
     _project_points,
     assemble,
     contact_search,
@@ -73,6 +83,7 @@ from reference_assembly import (
     reference_assemble,
     reference_assemble_sb,
     reference_contact_search,
+    reference_newton_terms,
     reference_domain_errors,
     reference_fit,
     reference_load,
@@ -505,6 +516,39 @@ def test_newton_retirement_leaves_eb_unchanged(monkeypatch, name):
         np.testing.assert_array_equal(got.indptr, want.indptr)
         np.testing.assert_array_equal(got.indices, want.indices)
         np.testing.assert_array_equal(got.data, want.data)
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [ElementKind.SEG2, ElementKind.SEG3, ElementKind.QUAD4, ElementKind.QUAD8]
+    ),
+    n_points=st.integers(1, 16),
+    distortion=st.floats(0.0, 0.4),
+    reach=st.floats(0.0, 2.0),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_newton_terms_match_einsum_oracle(kind, n_points, distortion, reach, draw_seed):
+    # Each point gets its own element: a random affine image of the
+    # reference element with every node moved by up to ``distortion``,
+    # an iterate anywhere in the clamp box and a target around it.
+    rng = np.random.default_rng(draw_seed)
+    dim = kind.ref_dim + 1
+    frame = rng.normal(size=(kind.ref_dim, dim))
+    coords = (
+        node_reference_coords(kind) @ frame
+        + rng.uniform(-distortion, distortion, (n_points, kind.n_nodes, dim))
+        + rng.normal(size=dim)
+    )
+    xi = rng.uniform(-_NEWTON_CLAMP, _NEWTON_CLAMP, (n_points, kind.ref_dim))
+    targets = coords.mean(axis=1) + rng.normal(scale=reach, size=(n_points, dim))
+    nodes = np.ascontiguousarray(coords.transpose(0, 2, 1))
+    got = _newton_terms(kind, nodes, xi, targets)
+    want = reference_newton_terms(kind, coords, xi, targets)
+    for name, a, b in zip(("jacobian", "residual", "hessian"), got, want):
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max(), name
 
 
 def line_mesh(xs, kind, side, angle=0.0, offset=0.0):
