@@ -718,6 +718,10 @@ def assemble_sb_1d(pair: InterfacePair, config: MortarConfig) -> MortarMatrices:
     hi = np.minimum(s_params[s_elem].max(axis=1), m_params[m_elem].max(axis=1))
     keep = hi - lo > _SLIVER_REL * span
     s_elem, m_elem, lo, hi = s_elem[keep], m_elem[keep], lo[keep], hi[keep]
+    # each slave element's intersections in their order along the line, so
+    # that the sums do not depend on the numbering of the master elements
+    order = np.lexsort((lo, s_elem))
+    s_elem, m_elem, lo, hi = s_elem[order], m_elem[order], lo[order], hi[order]
 
     # Point k * n_points + g is Gauss point g of intersection k.
     n_points = rule.n_points

@@ -14,11 +14,12 @@ solve, the single-mesh one included, eliminates its fixed dofs by the
 same restriction x = P y + c and factors with the same SuperLU settings,
 ``_FACTOR``, whose threshold pivoting serves the indefinite saddle system
 and leaves the definite ones on their diagonal.  P is the identity on the
-free dofs but for a few link rows, so the restricted matrix Pᵀ A P is
-formed without P: one mask over the CSR arrays takes the free block of
-A, and a small dense update adds the links.  Both coupled paths recover
-the full solution fields including the multipliers, and must agree to
-solver accuracy.
+free dofs but for a few link rows, which the condensed solve fills with
+the dense transfer block, so the restricted matrix Pᵀ A P is formed
+without P: one mask over the CSR arrays takes the free block of A, two
+sparse products and a small dense corner add the links.  Both coupled
+paths recover the full solution fields including the multipliers, and
+must agree to solver accuracy.
 """
 
 from __future__ import annotations
@@ -314,12 +315,8 @@ def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(solution)):
         raise SolverFailureError("linear solve returned non-finite values")
     residual = np.max(np.abs(matrix @ solution - rhs), initial=0.0)
-    # |A| in the infinity norm, the largest row sum of |A.data|; reduceat
-    # would give an empty row its next entry, so only stored rows are summed
-    starts = matrix.indptr[:-1][np.diff(matrix.indptr) > 0]
-    row_sums = np.add.reduceat(np.abs(matrix.data), starts) if starts.size else ()
     scale = max(
-        np.max(row_sums, initial=0.0) * np.max(np.abs(solution), initial=0.0)
+        sparse.linalg.norm(matrix, np.inf) * np.max(np.abs(solution), initial=0.0)
         + np.max(np.abs(rhs), initial=0.0),
         np.finfo(float).tiny,
     )
@@ -331,25 +328,34 @@ def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-#: Link entries (rows, dofs, weights) of a restriction without links.
-_NO_LINKS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+#: Links (rows, dofs, block) of a restriction without links.
+_NO_LINKS = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 0)))
+
+
+def _placed(block, rows, cols, shape):
+    """The dense ``block`` at ``rows`` × ``cols`` of a canonical CSR matrix
+    of ``shape``; its zeros stay stored."""
+    return sparse.coo_matrix(
+        (block.ravel(), (np.repeat(rows, cols.size), np.tile(cols, rows.size))),
+        shape=shape,
+    ).tocsr()
 
 
 def _restrict(matrix, rhs, is_free, links):
     """Pᵀ A P and Pᵀ b of the restriction in :func:`_restricted_solve`.
 
-    P is the identity on the free dofs F but for the few link rows L, so
-    Pᵀ A P is the free block of A plus a link update.  With the linked
-    free dofs K and the dense link weights T (L × K),
+    P is the identity on the free dofs F but for the link rows L, which
+    carry the dense block T over the free linked dofs K, so
 
-        Pᵀ A P = A_FF + A_FL T + Tᵀ A_LF + Tᵀ A_LL T,
+        Pᵀ A P = A_FF + A_FL T + Tᵀ A_LF + Tᵀ A_LL T
 
-    in which the last three terms touch only the rows and columns of K and
-    the free neighbours of L.  A_FF is one mask over the CSR arrays of A:
-    the map from dof to free column is increasing, so each row's columns
-    stay sorted.  The update is formed on one small dense block.  Explicit
-    zeros, of A or of the sum, are dropped as a sparse product drops them.
-    Returns the restricted CSR matrix, Pᵀ b and the links (L, K, T).
+    with T's columns at the free columns of K.  A_FF is one mask over the
+    CSR arrays of A: the map from dof to free column is increasing, so each
+    row's columns stay sorted.  The two middle terms are sparse products
+    with T placed as a CSR matrix over the free columns, and the K × K
+    corner is a dense product.  Explicit zeros, of A or of the sum, are
+    dropped as a sparse product drops them, and the result is canonical.
+    Returns the restricted CSR matrix and Pᵀ b.
     """
     n = matrix.shape[0]
     free = np.flatnonzero(is_free)
@@ -371,59 +377,39 @@ def _restrict(matrix, rhs, is_free, links):
     )
     del keep, cols, kept
 
-    rows, dofs, weights = links
-    linked = is_free[dofs]
-    link_rows, row_at = np.unique(rows[linked], return_inverse=True)
-    link_dofs, dof_at = np.unique(dofs[linked], return_inverse=True)
-    transfer = np.zeros((link_rows.size, link_dofs.size))
-    np.add.at(transfer, (row_at, dof_at), weights[linked])
+    rows, dofs, block = links
+    k_cols = column[dofs]
     reduced_rhs = rhs[is_free]
-    reduced_rhs[column[link_dofs]] += transfer.T @ rhs[link_rows]
-    if link_rows.size == 0:
-        return restricted, reduced_rhs, (link_rows, link_dofs, transfer)
+    reduced_rhs[k_cols] += block.T @ rhs[rows]
+    if block.size == 0:
+        return restricted, reduced_rhs
 
-    # the update fills one dense block: its rows are K and the free rows
-    # next to a link row, its columns K and the free columns next to one
-    link_columns, link_block = matrix[:, link_rows], matrix[link_rows]
-    touched = is_free & (np.diff(link_columns.indptr) > 0)
-    rows = np.union1d(np.flatnonzero(touched), link_dofs)
-    cols = np.union1d(link_block.indices[is_free[link_block.indices]], link_dofs)
-    k_rows, k_cols = np.searchsorted(rows, link_dofs), np.searchsorted(cols, link_dofs)
-    update = np.zeros((rows.size, cols.size))
-    update[:, k_cols] = link_columns[rows].toarray() @ transfer
-    update[k_rows] += transfer.T @ link_block[:, cols].toarray()
-    update[np.ix_(k_rows, k_cols)] += (
-        transfer.T @ link_block[:, link_rows].toarray() @ transfer
-    )
-
-    # the block's nonzero entries, row by row, at the free rows and columns
-    # they stand for
-    nonzero = update != 0.0
-    indptr = np.zeros(free.size + 1, restricted.indptr.dtype)
-    indptr[column[rows] + 1] = np.count_nonzero(nonzero, axis=1)
-    update = sparse.csr_matrix(
-        (
-            update[nonzero],
-            np.broadcast_to(column[cols], update.shape)[nonzero],
-            np.cumsum(indptr),
-        ),
-        shape=restricted.shape,
-    )
-    # a sum of CSR matrices stores no zero
-    return restricted + update, reduced_rhs, (link_rows, link_dofs, transfer)
+    link_block = matrix[rows]
+    placed = _placed(block, np.arange(rows.size), k_cols, (rows.size, free.size))
+    corner = block.T @ link_block[:, rows].toarray() @ block
+    terms = [
+        matrix[:, rows][is_free] @ placed,
+        placed.T @ link_block[:, is_free],
+        _placed(corner, k_cols, k_cols, restricted.shape),
+    ]
+    # sums of canonical CSR matrices stay canonical and store no zero
+    for term in terms:
+        term.sort_indices()
+    return restricted + (terms[0] + terms[1] + terms[2]), reduced_rhs
 
 
 def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
     """Solve ``matrix x = rhs`` over x = P y + c, eliminating ``fixed``.
 
     The shift c holds ``values`` on the ``fixed`` dofs and zero elsewhere.
-    P copies y onto the free dofs in increasing order, and each link
-    (row, dof, weight) adds weight times the unknown of the free ``dof``
-    to the fixed ``row``; repeated links add up, and links to a fixed dof
-    are dropped, so their part belongs in ``values``.  Pᵀ A P y =
-    Pᵀ (b − A c) is solved and the full x returned; with no free dof,
-    x = c.  P is never formed: :func:`_restrict` masks the free block of A
-    and adds the link update, and P and Pᵀ act on vectors by indexing.
+    P copies y onto the free dofs in increasing order, and the links
+    (rows, dofs, block) add ``block`` times the unknowns of the free
+    ``dofs`` to the fixed ``rows``.  Rows and dofs are distinct, and the
+    columns of fixed dofs are dropped, so their part belongs in
+    ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved and the full x
+    returned; with no free dof, x = c.  P is never formed:
+    :func:`_restrict` masks the free block of A and adds the link terms,
+    and P and Pᵀ act on vectors by indexing and the dense block.
     """
     n = matrix.shape[0]
     is_free = np.ones(n, bool)
@@ -433,14 +419,19 @@ def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
     if not is_free.any():
         return solution
 
-    restricted, reduced_rhs, (link_rows, link_dofs, transfer) = _restrict(
-        matrix, rhs - matrix @ solution, is_free, links
+    rows, dofs, block = links
+    linked = is_free[dofs]
+    # C order whatever the caller's layout, so that the solution does not
+    # depend on it through the rounding of the products
+    dofs, block = dofs[linked], np.ascontiguousarray(block[:, linked])
+    restricted, reduced_rhs = _restrict(
+        matrix, rhs - matrix @ solution, is_free, (rows, dofs, block)
     )
     # drop this reference, so that a matrix built for the call is freed
     # before the factorization
     del matrix
     solution[is_free] = _checked_solve(restricted, reduced_rhs)
-    solution[link_rows] += transfer @ solution[link_dofs]
+    solution[rows] += block @ solution[dofs]
     return solution
 
 
@@ -511,7 +502,6 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
     # entries give the fixed values, its free ones the links
     pinned = np.zeros(system.stiffness.shape[0])
     pinned[system.pinned] = system.pinned_values
-    local, k = np.nonzero(transfer.matrix)
     full = _restricted_solve(
         system.stiffness,
         system.load,
@@ -519,7 +509,7 @@ def solve_condensed(system: CoupledSystem) -> SolutionFields:
         np.concatenate(
             [system.pinned_values, interface_transfer(transfer, pinned[master_dofs])]
         ),
-        (slave_dofs[local], master_dofs[k], transfer.matrix[local, k]),
+        (slave_dofs, master_dofs, transfer.matrix),
     )
 
     # slave interface equilibrium: the transposed slave mass applied to

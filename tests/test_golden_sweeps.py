@@ -6,13 +6,16 @@
 refactor may move numbers only by summation order: numeric cells and
 values agree within 1e-12 relative, every other cell exactly.
 
-``PYTHONPATH=src python tests/test_golden_sweeps.py`` regenerates the file
-on one BLAS thread.  It rewrites only the cells and values that fail that
-bound and prints each one before and after, so the diff of a regeneration
-shows the moves of the change that made it and not the rounding of the
-host it ran on.  The ``kernel_study`` conditions of near-singular fits
-still depend on the thread count: the committed values are those of the
-default threads on 2 vCPU, where one thread rewrites 17 of them.
+``PYTHONPATH=src python tests/test_golden_sweeps.py [kind ...]`` reruns the
+named experiments (every one by default) on one BLAS thread.  It rewrites
+only their cells and values that fail that bound, prints each one before
+and after, and carries every other experiment over byte for byte, so the
+diff of a regeneration shows the moves of the change that made it and not
+the rounding of the host it ran on.  The ``kernel_study`` conditions of
+near-singular fits still depend on the thread count: the committed values
+are those of the default threads on 2 vCPU, where one thread rewrites 17
+of them, so name the experiments a change moves.  An experiment that no
+longer exists is deleted from the file by hand.
 """
 
 import os
@@ -23,6 +26,7 @@ if __name__ == "__main__":  # numpy reads the BLAS thread count on import
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,14 +80,17 @@ def _close(got: str | float, want: str | float) -> bool:
 
 
 def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
-    """``fresh`` with every row cell, metric and order that passes the bound
-    against ``golden`` kept as written there, and one line per value that
-    does not: its place, the old value and the new (None where absent).
+    """``golden`` with the experiments of ``fresh`` merged in, and one line
+    per value that moved: its place, the old value and the new (None where
+    absent).
 
-    A row whose cell count changed and a new row or name are taken whole;
-    rows and names gone from ``fresh`` are dropped.
+    A fresh row cell, metric or order that passes the bound against
+    ``golden`` is kept as written there.  A row whose cell count changed
+    and a new row or name are taken whole; rows and names gone from a fresh
+    experiment are dropped.  Experiments missing from ``fresh`` are carried
+    over as they are.
     """
-    merged, changes = {}, []
+    merged, changes = dict(golden), []
 
     def pick(where, new, old):
         if old is not None and _close(new, old):
@@ -123,9 +130,6 @@ def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
                 f"{kind}/{name}/{key}: {previous[key]} -> None"
                 for key in sorted(previous.keys() - snap[name].keys())
             ]
-    changes += [
-        f"{kind}: {golden[kind]} -> None" for kind in golden if kind not in fresh
-    ]
     return merged, changes
 
 
@@ -151,7 +155,6 @@ def test_merge_rewrites_only_cells_past_the_bound():
             "metrics": {"kept": 0.1, "moved": 0.2, "gone": 0.3},
             "orders": {"rb": 2.0},
         },
-        "retired": {"rows": [], "metrics": {}, "orders": {}},
     }
     fresh = {
         "study": {
@@ -173,7 +176,6 @@ def test_merge_rewrites_only_cells_past_the_bound():
     }
     assert merged["study"]["orders"]["rb"] == 2.0
     assert math.isnan(merged["study"]["orders"]["eb"])
-    assert "retired" not in merged
     assert changes == [
         "study/rows[1][1]: rb -> eb",
         "study/rows[1][3]: 0.25 -> 0.2500001",
@@ -182,13 +184,33 @@ def test_merge_rewrites_only_cells_past_the_bound():
         "study/metrics/new: None -> 1.0",
         "study/metrics/gone: 0.3 -> None",
         "study/orders/eb: None -> nan",
-        "retired: {'rows': [], 'metrics': {}, 'orders': {}} -> None",
     ]
     assert merge(merged, fresh) == (merged, [])
 
 
+def test_merge_carries_experiments_missing_from_fresh_byte_for_byte():
+    snap = {"rows": ["0,rb,0.1,0.2"], "metrics": {"m": 0.3}, "orders": {"rb": 2.0}}
+    # the file as written by a regeneration: carried over, then named
+    text = json.dumps({"kept": snap, "named": snap}, indent=1) + "\n"
+    fresh = {"named": {**snap, "metrics": {"m": 0.3 * (1 + 1e-11)}}}
+    merged, changes = merge(json.loads(text), fresh)
+    assert list(merged) == ["kept", "named"]
+    assert changes == [f"named/metrics/m: 0.3 -> {fresh['named']['metrics']['m']}"]
+    written = json.dumps(merged, indent=1) + "\n"
+    moved = [
+        (old, new)
+        for old, new in zip(text.splitlines(), written.splitlines())
+        if old != new
+    ]
+    assert moved == [('   "m": 0.3', f'   "m": {fresh["named"]["metrics"]["m"]}')]
+    assert merge(json.loads(text), {})[0] == json.loads(text)
+
+
 if __name__ == "__main__":
+    names = sys.argv[1:] or [kind.value for kind in SIZES]
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    merged, changes = merge(golden, {kind.value: snapshot(kind) for kind in SIZES})
+    merged, changes = merge(
+        golden, {name: snapshot(ExperimentKind(name)) for name in names}
+    )
     print("\n".join(changes) or "every cell within the bound; golden file unchanged")
     GOLDEN.write_text(json.dumps(merged, indent=1) + "\n")

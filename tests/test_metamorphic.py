@@ -10,12 +10,11 @@ integral reaches:
   rotated coordinates);
 * a change of units by a power of two s scales M and D by s^ref_dim and
   leaves every count and transferred field unchanged, bit for bit;
-* a reordering of the master elements changes nothing, bit for bit, for
-  ``eb`` (a slave point on an edge shared by two masters would go to the
+* a reordering of the master elements changes nothing, bit for bit
+  (an ``eb`` slave point on an edge shared by two masters would go to the
   lower index, but the drawn nodes are jittered, so no point lands
-  exactly on one); ``sb`` sums each slave element's intersections in
-  master index order, so there M and D move by rounding (1e-12
-  relative);
+  exactly on one; ``sb`` sums each slave element's intersections in their
+  order along the line);
 * a renumbering of the master nodes permutes the columns of D the same
   way and leaves M and every count unchanged; the columns of D may move
   by rounding (1e-12 relative), since the sparse build sums a row's
@@ -157,8 +156,6 @@ def _drops(stats):
 
 
 cases = st.sampled_from(CASES)
-eb_cases = st.sampled_from([case for case in CASES if case[0] is Scheme.EB])
-sb_cases = st.sampled_from([case for case in CASES if case[0] is Scheme.SB1D])
 sizes = st.integers(2, 6)
 draw_seeds = st.integers(0, 2**32 - 1)
 
@@ -220,8 +217,8 @@ def _reordered(pair, draw_seed):
 
 
 @seed(20261022)
-@settings(max_examples=24, deadline=None)
-@given(case=eb_cases, n_master=sizes, n_slave=sizes, draw_seed=draw_seeds)
+@settings(max_examples=36, deadline=None)
+@given(case=cases, n_master=sizes, n_slave=sizes, draw_seed=draw_seeds)
 def test_master_element_reordering_is_exact(case, n_master, n_slave, draw_seed):
     scheme, kind = case
     pair = build_pair(scheme, kind, n_master, n_slave, draw_seed)
@@ -231,25 +228,6 @@ def test_master_element_reordering_is_exact(case, n_master, n_slave, draw_seed):
     np.testing.assert_array_equal(got[0], mass)
     np.testing.assert_array_equal(got[1], coupling)
     np.testing.assert_array_equal(got[3], field)
-    assert got[2] == stats
-
-
-@seed(20261024)
-@settings(max_examples=12, deadline=None)
-@given(case=sb_cases, n_master=sizes, n_slave=sizes, draw_seed=draw_seeds)
-def test_sb_master_element_reordering_moves_by_rounding_only(
-    case, n_master, n_slave, draw_seed
-):
-    # Not bit for bit: sb sums the intersections of a slave element in
-    # master index order, so renumbered masters change that order.
-    scheme, kind = case
-    pair = build_pair(scheme, kind, n_master, n_slave, draw_seed)
-    values = _field(pair.master.nodes)
-    mass, coupling, stats, field = _run(pair, scheme, values)
-    got = _run(_reordered(pair, draw_seed), scheme, values)
-    _assert_close(got[0], mass, "slave mass")
-    _assert_close(got[1], coupling, "coupling")
-    _assert_close(got[3], field, "transferred field")
     assert got[2] == stats
 
 

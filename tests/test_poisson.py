@@ -127,6 +127,9 @@ def test_linear_data_is_exact_on_pinned_boundaries():
         # free dof, while the saddle system keeps its multipliers
         pytest.param(lambda: linear_problem(1, 1), id="tiny-1-1"),
         pytest.param(lambda: linear_problem(1, 2), id="tiny-1-2"),
+        # both master interface nodes are pinned: the condensed link block
+        # has no free column, so the restriction adds no link term
+        pytest.param(lambda: linear_problem(1, 4), id="tiny-1-4"),
     ],
 )
 @pytest.mark.parametrize("scheme", ["rb", "eb", "sb"])
@@ -134,6 +137,8 @@ def test_saddle_and_condensed_paths_agree(scheme, problem):
     system = build_system(problem(), MortarConfig(scheme=scheme))
     saddle = solve_saddle(system)
     condensed = solve_condensed(system)
+    for values in (condensed.master_values, condensed.slave_values):
+        assert np.all(np.isfinite(values))
     np.testing.assert_allclose(
         saddle.master_values, condensed.master_values, atol=1e-10
     )
@@ -415,27 +420,30 @@ def prolongation(n, fixed, links):
     free = np.flatnonzero(is_free)
     column = np.full(n, -1)
     column[free] = np.arange(free.size)
-    rows, dofs, weights = links
-    target = column[dofs]
-    linked = target >= 0
+    rows, dofs, block = links
+    linked = column[dofs] >= 0
+    link_rows, link_columns = np.meshgrid(rows, column[dofs[linked]], indexing="ij")
     return sparse.coo_matrix(
         (
-            np.concatenate([np.ones(free.size), weights[linked]]),
+            np.concatenate([np.ones(free.size), block[:, linked].ravel()]),
             (
-                np.concatenate([free, rows[linked]]),
-                np.concatenate([np.arange(free.size), target[linked]]),
+                np.concatenate([free, link_rows.ravel()]),
+                np.concatenate([np.arange(free.size), link_columns.ravel()]),
             ),
         ),
         shape=(n, free.size),
     ).tocsr()
 
 
-def random_restriction(n, n_fixed, n_links, symmetric, explicit_zeros, draw_seed):
+def random_restriction(
+    n, n_fixed, n_rows, n_dofs, symmetric, explicit_zeros, draw_seed
+):
     """A sparse diagonally dominant matrix with a right-hand side, ``n_fixed``
-    fixed dofs with their values and ``n_links`` links from fixed rows to
-    any dofs; (row, dof) pairs may repeat.  The matrix is SPD when
-    ``symmetric``; otherwise its pattern is symmetric but not its values,
-    so A_FL and A_LFᵀ differ."""
+    fixed dofs with their values and links: up to ``n_rows`` distinct fixed
+    link rows, up to ``n_dofs`` distinct dofs, fixed ones among them, and a
+    dense block over both with about a quarter of exact zeros.  The matrix
+    is SPD when ``symmetric``; otherwise its pattern is symmetric but not
+    its values, so A_FL and A_LFᵀ differ."""
     rng = np.random.default_rng(draw_seed)
     rows, cols = rng.integers(0, n, (2, 2 * n))
     off = rng.uniform(-1.0, 1.0, (2, 2 * n))
@@ -451,13 +459,11 @@ def random_restriction(n, n_fixed, n_links, symmetric, explicit_zeros, draw_seed
     i, j, values = (np.concatenate(part) for part in zip(*parts))
     matrix = sparse.coo_matrix((values, (i, j)), shape=(n, n)).tocsr()
     fixed = rng.choice(n, n_fixed, replace=False)
-    links = poisson._NO_LINKS
-    if n_fixed and n_links:
-        links = (
-            rng.choice(fixed, n_links),
-            rng.integers(0, n, n_links),
-            rng.uniform(-1.0, 1.0, n_links),
-        )
+    link_rows = rng.choice(fixed, min(n_rows, n_fixed), replace=False)
+    link_dofs = rng.choice(n, min(n_dofs, n), replace=False)
+    block = rng.uniform(-1.0, 1.0, (link_rows.size, link_dofs.size))
+    block[rng.random(block.shape) < 0.25] = 0.0
+    links = link_rows, link_dofs, block
     return matrix, rng.normal(size=n), fixed, rng.normal(size=n_fixed), links
 
 
@@ -471,29 +477,31 @@ def assert_close_relative(got, want, rtol=1e-13):
 @given(
     n=st.integers(1, 24),
     fixed_share=st.floats(0.0, 1.0),
-    n_links=st.integers(0, 40),
+    n_rows=st.integers(0, 24),
+    n_dofs=st.integers(0, 24),
     symmetric=st.booleans(),
     explicit_zeros=st.booleans(),
     draw_seed=st.integers(0, 2**32 - 1),
 )
-# links to fixed dofs, which are dropped, and repeated (row, dof) pairs
-@example(n=6, fixed_share=0.8, n_links=30, symmetric=True, explicit_zeros=False,
-         draw_seed=0)
-@example(n=12, fixed_share=0.3, n_links=0, symmetric=True,  # no links
+# a block over every dof, most of them fixed, whose columns are dropped
+@example(n=6, fixed_share=0.8, n_rows=4, n_dofs=6, symmetric=True,
          explicit_zeros=False, draw_seed=0)
-@example(n=5, fixed_share=1.0, n_links=4, symmetric=True,  # no free dof
+@example(n=12, fixed_share=0.3, n_rows=0, n_dofs=0, symmetric=True,  # no links
          explicit_zeros=False, draw_seed=0)
-@example(n=5, fixed_share=0.8, n_links=6, symmetric=True,  # one free dof
+@example(n=5, fixed_share=1.0, n_rows=4, n_dofs=4, symmetric=True,  # no free dof
+         explicit_zeros=False, draw_seed=0)
+@example(n=5, fixed_share=0.8, n_rows=3, n_dofs=5, symmetric=True,  # one free dof
          explicit_zeros=True, draw_seed=0)
-@example(n=20, fixed_share=0.3, n_links=12, symmetric=True, explicit_zeros=True,
-         draw_seed=0)
-@example(n=20, fixed_share=0.3, n_links=12, symmetric=False, explicit_zeros=False,
-         draw_seed=0)
+@example(n=20, fixed_share=0.3, n_rows=6, n_dofs=12, symmetric=True,
+         explicit_zeros=True, draw_seed=0)
+@example(n=20, fixed_share=0.3, n_rows=6, n_dofs=12, symmetric=False,
+         explicit_zeros=False, draw_seed=0)
 def test_restriction_matches_the_prolongation_product(
-    n, fixed_share, n_links, symmetric, explicit_zeros, draw_seed
+    n, fixed_share, n_rows, n_dofs, symmetric, explicit_zeros, draw_seed
 ):
     matrix, rhs, fixed, values, links = random_restriction(
-        n, round(fixed_share * n), n_links, symmetric, explicit_zeros, draw_seed
+        n, round(fixed_share * n), n_rows, n_dofs, symmetric, explicit_zeros,
+        draw_seed,
     )
     p = prolongation(n, fixed, links)
     shift = np.zeros(n)
@@ -502,7 +510,12 @@ def test_restriction_matches_the_prolongation_product(
     is_free = np.ones(n, bool)
     is_free[fixed] = False
 
-    restricted, reduced_rhs, _ = poisson._restrict(matrix, residual, is_free, links)
+    # _restricted_solve drops the columns of fixed dofs before restricting
+    rows, dofs, block = links
+    linked = is_free[dofs]
+    restricted, reduced_rhs = poisson._restrict(
+        matrix, residual, is_free, (rows, dofs[linked], block[:, linked])
+    )
     expected = p.T.tocsr() @ (matrix @ p)
     expected.sort_indices()
     assert restricted.has_canonical_format
