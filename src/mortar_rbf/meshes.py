@@ -40,6 +40,7 @@ __all__ = [
     "VolumeMesh",
     "element_geometry",
     "element_circumdiameters",
+    "element_frames",
     "mesh_size",
     "translate",
     "segment_mesh",
@@ -290,6 +291,46 @@ def element_circumdiameters(mesh: Mesh) -> np.ndarray:
     coords = mesh.nodes[mesh.connectivity]
     diff = coords[:, :, None, :] - coords[:, None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
+
+
+def _unit(vectors: np.ndarray) -> np.ndarray:
+    """Each row of ``vectors`` over its length; NaN where the length is 0."""
+    length = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return np.divide(vectors, length, out=np.full_like(vectors, np.nan), where=length > 0)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross products along the last axis (``np.cross`` costs ten times as
+    much on arrays of a few hundred vectors)."""
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
+
+
+def element_frames(mesh: InterfaceMesh) -> tuple[np.ndarray, np.ndarray]:
+    """Origin and orthonormal axes of every element's local frame.
+
+    The origin, shape (n_elems, dim), is the centroid of the element's
+    nodes.  The axes, shape (n_elems, dim, dim), hold one unit vector per
+    row: the tangent axes, then the normal.  A segment's tangent is its
+    chord from the first to the last end node, and its normal is the
+    chord turned a quarter turn counter-clockwise.  A quadrilateral's
+    normal is the cross product of its diagonals (the normal at the centre
+    of a bilinear element), its first tangent the sum of its two xi-edges
+    with the normal part taken out, and its second tangent the normal
+    cross the first.  Closed forms, so no SVD runs; an element whose chord
+    or diagonals give no direction gets NaN axes.
+    """
+    coords = mesh.nodes[mesh.connectivity]
+    if mesh.kind.ref_dim == 1:
+        tangent = _unit(coords[:, -1] - coords[:, 0])
+        normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
+        return coords.mean(axis=1), np.stack([tangent, normal], axis=1)
+    corner = coords[:, :4]
+    normal = _unit(_cross(corner[:, 2] - corner[:, 0], corner[:, 3] - corner[:, 1]))
+    edges = corner[:, 1] - corner[:, 0] + corner[:, 2] - corner[:, 3]
+    first = _unit(edges - (edges * normal).sum(axis=1, keepdims=True) * normal)
+    return coords.mean(axis=1), np.stack([first, _cross(normal, first), normal], axis=1)
 
 
 def mesh_size(mesh: Mesh) -> float:

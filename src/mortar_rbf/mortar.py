@@ -20,20 +20,23 @@ The pointwise schemes work in array passes over (slave Gauss point,
 candidate master element) pairs rather than loops over elements: a
 sort-and-sweep contact search returns the candidate (slave element,
 master element) pairs as two flat slave-major arrays, and each slave
-Gauss point goes on only with the candidates of its element whose master
-box holds it (see :func:`_master_boxes`).  ``rb`` fits and evaluates
-those masters in chunked batches (see :mod:`mortar_rbf.rbf`), ``eb`` runs
-one Newton iteration over all pairs in which every pair retires as soon
-as its own residual converges or its step leaves the clamp box twice in
-a row; both yield box coordinates, one acceptance rule and one sort pick
-each point's master, and one COO build scatters both matrices.
+Gauss point goes on only with the candidates of its element whose
+master box holds it (see :func:`_master_boxes`), and for ``eb`` whose
+local-frame box holds it as well (see :func:`_local_box_holds`).  ``rb``
+fits and evaluates those masters in chunked batches (see
+:mod:`mortar_rbf.rbf`), ``eb`` runs one Newton iteration over all pairs
+in which every pair retires as soon as its own residual converges or its
+step leaves the clamp box twice in a row; both yield box coordinates, one
+acceptance rule and one sort pick each point's master, and one COO build
+scatters both matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -48,6 +51,7 @@ from .elements import (
     min_gauss_points,
     node_reference_coords,
     shape_values,
+    tensor_points,
 )
 from .errors import (
     DegenerateElementError,
@@ -57,7 +61,9 @@ from .errors import (
 )
 from .meshes import (
     InterfaceMesh,
+    _cross,
     element_circumdiameters,
+    element_frames,
     element_geometry,
 )
 from .rbf import (  # bench/tracer.py wraps the one-element faces here
@@ -116,6 +122,13 @@ _TRANSFER_FLOOR = np.finfo(float).tiny
 #: slave point lying on the master surface is never dropped by rounding.
 _BOX_ROUNDING = 1e-12
 
+#: Local master boxes (see :func:`_local_box_holds`) grow by this fraction
+#: of their largest tangential extent along each tangent axis.  It covers
+#: the ``eb`` Newton tolerance: a converged foot point leaves the point's
+#: tangential offset at about 1e-10 of the element size, times the
+#: element's aspect ratio.
+_FOOT_SLACK = 1e-3
+
 
 class Scheme(str, Enum):
     """Quadrature scheme used to build the coupling matrices."""
@@ -173,13 +186,17 @@ class InterfacePair:
     """A master and a slave interface mesh glued by mortar conditions.
 
     ``gap_tolerance`` inflates the element boxes of the contact search
-    and bounds each slave Gauss point's distance to the box of the master
-    that takes it (see :func:`_master_boxes`).  It must cover the largest
-    geometric gap between the two surfaces (warped or offset interfaces):
-    a point farther than the gap from every candidate master's box is
-    dropped and counted in ``gauss_points_dropped``.  The default, half
-    the largest element circumdiameter on either side, covers moderate
-    warps; pass an explicit value for larger offsets.
+    and bounds each slave Gauss point's distance to the axis-aligned box
+    of the master that takes it (see :func:`_master_boxes`).  It must
+    cover the largest geometric gap between the two surfaces (warped or
+    offset interfaces): a point farther than the gap from every candidate
+    master's box is dropped and counted in ``gauss_points_dropped``.  The
+    default, half the largest element circumdiameter on either side,
+    covers moderate warps; pass an explicit value for larger offsets.  The
+    gap grows the boxes along every axis, so it reaches about one element
+    along the surface too; for ``eb`` the local-frame boxes of
+    :func:`_local_box_holds` take that tangential share back, which the
+    gap never needed, and leave the normal direction to the gap.
     """
 
     master: InterfaceMesh
@@ -218,7 +235,8 @@ class AssemblyStats:
 
     ``pairs_visited`` counts (slave element, master element) pairs and
     ``point_pairs`` the (slave Gauss point, master element) pairs that
-    ``rb``/``eb`` evaluate, those whose master box holds the point.
+    ``rb``/``eb`` evaluate: those whose master's axis-aligned box holds
+    the point, and for ``eb`` whose local-frame box holds it as well.
     ``newton_updates`` counts the (point pair, step) Newton updates that
     ``eb`` makes; it is 0 for ``rb`` and ``sb``.
     """
@@ -367,34 +385,151 @@ def _uncovered(s_elem: np.ndarray, n_elems: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(np.bincount(s_elem, minlength=n_elems) == 0).tolist())
 
 
-def _master_boxes(pair: InterfacePair) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners, each (n_master_elems, dim), of the master
-    boxes: each holds every foot point its element can accept, grown by
-    the pair's gap tolerance.
+def _node_box(kind: ElementKind, nodes: np.ndarray):
+    """Node box of each element and how far the element's map leaves it.
 
-    The acceptance tests pass reference coordinates up to 2 tol beyond the
-    reference box, where tol is ``_SUPPORT_TOL``.  There the linear or
+    ``nodes`` (n_elems, n_nodes, dim) holds node coordinates along any
+    orthonormal axes.  Returns the lower and upper corners of the node
+    boxes and, per axis, the reach beyond them of the map of the reference
+    box grown by 2 tol, where tol is ``_SUPPORT_TOL``: the acceptance
+    tests pass reference coordinates that far out.  There the linear or
     bilinear map of the corners leaves the node box by at most
     2 tol (1 + tol) of its extent per axis.  A ``seg3``/``quad8`` map adds
     sum_m N_m d_m, where d_m is mid node m's offset from the mean of its
     edge's two corners and |N_m| <= 1 + tol, so the bulge adds
-    (1 + tol) sum_m |d_m| per axis.  The pair's gap
-    tolerance then covers the distance from the slave point to the
-    master surface.
+    (1 + tol) sum_m |d_m| per axis.
     """
-    mesh = pair.master
-    nodes = mesh.nodes[mesh.connectivity]
     lo, hi = nodes.min(axis=1), nodes.max(axis=1)
     bulge = sum(
         np.abs(nodes[:, mid] - 0.5 * (nodes[:, a] + nodes[:, b]))
-        for mid, a, b in mesh.kind.mid_nodes
+        for mid, a, b in kind.mid_nodes
     )
+    return lo, hi, (1.0 + _SUPPORT_TOL) * (2.0 * _SUPPORT_TOL * (hi - lo) + bulge)
+
+
+def _master_boxes(pair: InterfacePair) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners, each (n_master_elems, dim), of the
+    axis-aligned master boxes: each holds every foot point its element can
+    accept (see :func:`_node_box`), grown by the pair's gap tolerance, which
+    covers the distance from the slave point to the master surface.  A
+    slave point outside a master's box never meets it, so these boxes are
+    the gap contract.  The gap grows them along every axis, and the
+    default gap is about one element wide, so they also hold points about
+    an element away along the surface: ``eb`` projects only the pairs that
+    the master's local box (see :func:`_local_box_holds`) holds as well.
+    """
+    mesh = pair.master
+    nodes = mesh.nodes[mesh.connectivity]
+    lo, hi, reach = _node_box(mesh.kind, nodes)
     grow = (
-        (1.0 + _SUPPORT_TOL) * (2.0 * _SUPPORT_TOL * (hi - lo) + bulge)
+        reach
         + pair.resolved_gap_tolerance
         + _BOX_ROUNDING * np.maximum(np.abs(lo), np.abs(hi))
     )
     return lo - grow, hi + grow
+
+
+@lru_cache(maxsize=None)
+def _normal_net(kind: ElementKind) -> tuple[np.ndarray, np.ndarray]:
+    """Sample points and Bernstein conversion of the normal of ``kind``.
+
+    The normal N of :func:`_tilt_tangents` has degree q = ref_dim * degree
+    - 1 per reference axis.  Sampled at the q + 1 equispaced points per
+    axis of the reference box grown by 2 ``_SUPPORT_TOL`` (their tensor
+    lattice), it gives the points of its Bernstein control net by one
+    product with the returned matrix.
+    """
+    degree = kind.ref_dim * kind.degree - 1
+    u = np.linspace(0.0, 1.0, degree + 1)
+    k = np.arange(degree + 1)
+    binomial = np.array([comb(degree, j) for j in k])
+    to_net = np.linalg.inv(binomial * u[:, None] ** k * (1.0 - u[:, None]) ** (degree - k))
+    if kind.ref_dim == 2:
+        to_net = np.kron(to_net, to_net)
+    xi = tensor_points((1.0 + 2.0 * _SUPPORT_TOL) * (2.0 * u - 1.0), kind.ref_dim)
+    xi.setflags(write=False)
+    to_net.setflags(write=False)
+    return xi, to_net
+
+
+def _tilt_tangents(kind: ElementKind, nodes: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """tan theta_max of each element, inf where it is 90 degrees or more.
+
+    theta_max bounds the angle between the element normal N (x_xi turned a
+    quarter turn on segments, x_xi x x_eta on quadrilaterals) and the frame
+    normal n0 (the last row of ``axes``) over the reference box grown by
+    2 ``_SUPPORT_TOL``.  N is a polynomial of degree ref_dim * degree - 1
+    per reference axis, so over that box it is a convex combination of the
+    points of its Bernstein control net (see :func:`_normal_net`).  The
+    vectors at an angle of at most alpha < 90 degrees from n0 form a convex
+    cone, which therefore holds all of N when it holds the net: the largest
+    angle over the net bounds theta_max.  For ``seg3`` and ``quad4`` (an
+    affine N) the net is N at the ends or corners, so the bound is exact;
+    for ``seg2`` N is constant and the bound is 0.
+    """
+    xi, to_net = _normal_net(kind)
+    # jac[e, g, r, d] = dx_d / dxi_r of element e at sample point g
+    jac = np.tensordot(_ELEMENTS[kind].gradients(xi), nodes, axes=(1, 1))
+    jac = jac.transpose(2, 0, 1, 3)
+    if kind.ref_dim == 1:
+        normal = np.stack([-jac[..., 0, 1], jac[..., 0, 0]], axis=-1)
+    else:
+        normal = _cross(jac[..., 0, :], jac[..., 1, :])
+    net = (to_net @ normal) @ axes.transpose(0, 2, 1)
+    along, across = net[..., -1], np.linalg.norm(net[..., :-1], axis=-1)
+    ratio = np.divide(across, along, out=np.full_like(along, np.inf), where=along > 0.0)
+    return ratio.max(axis=1)
+
+
+def _local_box_holds(pair: InterfacePair, masters, points) -> np.ndarray:
+    """Whether the local box of master ``masters[k]`` holds ``points[k]``.
+
+    A master's local box lives in its frame (see
+    :func:`~.meshes.element_frames`), origin c, tangent axes t_j and
+    normal n0, so it turns with the element.  Along each t_j it spans the
+    nodes, grown by the reach of the element's map (:func:`_node_box`),
+    by ``_FOOT_SLACK`` times the largest tangential extent, by
+    ``_BOX_ROUNDING`` times the largest node coordinate and by the tilt
+    term (|n0 . (p - c)| + spread) tan theta_max, where spread bounds
+    |n0 . (x - c)| over the element and theta_max is bounded by
+    :func:`_tilt_tangents`.  The normal direction is left to the gap
+    contract of :func:`_master_boxes`.
+
+    The box holds every point ``eb`` accepts: such a point is
+    p = x(xi) + d, with xi inside the grown reference box and d along the
+    element normal at xi.  The reach keeps x(xi) inside the node box, and
+    d makes an angle of at most theta_max with n0, so its tangential part
+    is at most |n0 . d| tan theta_max <= (|n0 . (p - c)| + spread)
+    tan theta_max.  An element whose tilt bound fails (90 degrees or
+    more, or no frame) holds every point.
+
+    ``rb`` accepts by interpolated ramps, not by geometry, so it does not
+    use these boxes (see :func:`_kernel_values`).
+    """
+    mesh = pair.master
+    nodes = mesh.nodes[mesh.connectivity]
+    origin, axes = element_frames(mesh)
+    local = (nodes - origin[:, None]) @ axes.transpose(0, 2, 1)
+    lo, hi, reach = _node_box(mesh.kind, local)
+    spread = np.maximum(reach - lo, hi + reach)[:, -1]
+    tangential = slice(0, mesh.kind.ref_dim)
+    extent = (hi - lo)[:, tangential]
+    grow = (
+        reach[:, tangential]
+        + _FOOT_SLACK * extent.max(axis=1, keepdims=True)
+        + _BOX_ROUNDING * np.abs(nodes).max(axis=(1, 2))[:, None]
+    )
+    low, high = lo[:, tangential] - grow, hi[:, tangential] + grow
+    tilt = _tilt_tangents(mesh.kind, nodes, axes)
+    bounded = np.isfinite(tilt)
+    tilt[~bounded] = 0.0
+
+    at = np.einsum("pd,pkd->pk", points - origin[masters], axes[masters])
+    margin = ((np.abs(at[:, -1]) + spread[masters]) * tilt[masters])[:, None]
+    inside = (at[:, tangential] >= low[masters] - margin) & (
+        at[:, tangential] <= high[masters] + margin
+    )
+    return inside.all(axis=1) | ~bounded[masters]
 
 
 def _containment_depth(box_coords: np.ndarray) -> np.ndarray:
@@ -519,8 +654,15 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
 
     Each candidate master is fitted once, and the lowest whose condition
     exceeds :data:`~.rbf.COND_LIMIT` raises.  Interpolating the ramps
-    (1 + xi) / 2 gives the box coordinates, since the rescaled interpolant
-    reproduces linear functions.
+    (1 + xi) / 2 gives the box coordinates.  The rescaled interpolant
+    reproduces constants only (Deparis, Forti & Quarteroni 2014), not
+    linear functions, so these carry the kernel's basis error, up to
+    5.6e-2 of a box coordinate inside the element and more outside it.
+    That error is why ``rb`` accepts points that no geometric box bounds,
+    and so does not use the local boxes of :func:`_local_box_holds`: on a
+    flat pair of jittered ``quad8`` masters (6 x 6) and slaves (2 x 2),
+    Gaussian ramps accept points outside them, some of those points win,
+    and a local test would move D by as much as its largest entry.
     """
     mesh = pair.master
     used = np.bincount(masters, minlength=mesh.n_elems) > 0
@@ -588,9 +730,11 @@ def _assemble_pointwise(
     """Shared assembly of the kernel and projection schemes, in array passes.
 
     Every slave Gauss point is paired with each candidate master element
-    of its slave element whose box (see :func:`_master_boxes`) holds it;
-    ``evaluate`` returns the master basis values, a validity flag and the
-    box coordinates of all those pairs at once, and its Newton update count.
+    of its slave element whose axis-aligned box (see :func:`_master_boxes`)
+    holds it, and for ``eb`` whose local box (see :func:`_local_box_holds`)
+    holds it too; ``evaluate`` returns the master basis values, a validity
+    flag and the box coordinates of all those pairs at once, and its
+    Newton update count.
     A valid pair whose :func:`_containment_depth` is at least
     ``-_SUPPORT_TOL`` accepts the point, which goes to the accepting master
     it sits deepest in, a tie going to the lowest master index.  Points
@@ -616,6 +760,8 @@ def _assemble_pointwise(
     points = phys.reshape(-1, phys.shape[-1])[pair_point]
     lo, hi = _master_boxes(pair)
     held = ((points >= lo[pair_master]) & (points <= hi[pair_master])).all(axis=1)
+    if config.scheme is Scheme.EB:
+        held[held] = _local_box_holds(pair, pair_master[held], points[held])
     pair_point, pair_master = pair_point[held], pair_master[held]
     values, ok, box, newton_updates = evaluate(pair, config, pair_master, points[held])
     depth = _containment_depth(box)

@@ -12,6 +12,7 @@ from mortar_rbf.meshes import (
     Side,
     VolumeMesh,
     element_circumdiameters,
+    element_frames,
     element_geometry,
     extract_interface,
     mesh_size,
@@ -338,3 +339,47 @@ def test_segment_pair_mesh_size_property(n_master, n_slave, left, width):
     )
     assert mesh_size(master) == pytest.approx(width / n_master, rel=1e-12)
     assert mesh_size(slave) == pytest.approx(width / n_slave, rel=1e-12)
+
+
+def _frame_meshes():
+    warp = sine_bump(0.1)
+    bent = segment_mesh(5, ElementKind.SEG3)
+    nodes = bent.nodes.copy()
+    nodes[:, 1] = 0.3 * np.sin(2.0 * nodes[:, 0])
+    return [
+        segment_mesh(4),
+        InterfaceMesh(nodes, bent.connectivity, bent.kind),
+        square_surface_mesh(3, warp=warp),
+        square_surface_mesh(3, ElementKind.QUAD8, warp=warp),
+    ]
+
+
+@pytest.mark.parametrize("mesh", _frame_meshes(), ids=lambda m: m.kind.value)
+def test_element_frames_are_right_handed_and_turn_with_the_mesh(mesh):
+    origin, axes = element_frames(mesh)
+    coords = mesh.nodes[mesh.connectivity]
+    np.testing.assert_allclose(origin, coords.mean(axis=1), rtol=0.0, atol=1e-15)
+    identity = np.broadcast_to(np.eye(axes.shape[1]), axes.shape)
+    np.testing.assert_allclose(axes @ axes.transpose(0, 2, 1), identity, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.det(axes), 1.0, rtol=1e-14)
+    if mesh.kind.ref_dim == 1:
+        chord = coords[:, -1] - coords[:, 0]
+        np.testing.assert_allclose(
+            axes[:, 0], chord / np.linalg.norm(chord, axis=1)[:, None], atol=1e-15
+        )
+    else:
+        # the normal of a bilinear map at the element centre
+        c = coords[:, :4]
+        x_xi = c[:, 1] + c[:, 2] - c[:, 0] - c[:, 3]
+        x_eta = c[:, 2] + c[:, 3] - c[:, 0] - c[:, 1]
+        normal = np.cross(x_xi, x_eta)
+        np.testing.assert_allclose(
+            axes[:, -1], normal / np.linalg.norm(normal, axis=1)[:, None], atol=1e-15
+        )
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(axes.shape[1],) * 2))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    turned = InterfaceMesh(mesh.nodes @ q.T + 2.0, mesh.connectivity, mesh.kind)
+    turned_origin, turned_axes = element_frames(turned)
+    np.testing.assert_allclose(turned_origin, origin @ q.T + 2.0, atol=1e-14)
+    np.testing.assert_allclose(turned_axes, axes @ q.T, atol=1e-14)

@@ -533,3 +533,35 @@ def test_restriction_matches_the_prolongation_product(
             expected.toarray(), expected_rhs
         )
     assert_close_relative(solution, expected_solution)
+
+
+def linear_exact(x, y):
+    return 1.0 + x + 2.0 * y
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 8: the multiplier space keeps the slave interface ends "
+    "on the Dirichlet boundary, so the wall flux at the two corners leaks into "
+    "the multipliers",
+)
+@pytest.mark.parametrize("n_master, n_slave", [(16, 11), (32, 21), (64, 43)])
+def test_linear_patch_test_is_exact_with_exact_integrals(n_master, n_slave):
+    # u = 1 + x + 2y solves the problem on both halves, and sb integrates
+    # the mortar terms exactly, so the coupled solution should be u to
+    # rounding and every multiplier the flux -2 across y = 1/2.  The nodal
+    # errors read 6.72e-3, 4.73e-3 and 1.99e-3 at these sizes, and the
+    # multipliers span [-3.48, -0.52] at 16/11.
+    problem = split_problem(
+        n_master, n_slave, source=zero_source, dirichlet=linear_exact
+    )
+    fields = solve_condensed(build_system(problem, MortarConfig(scheme=Scheme.SB1D)))
+    error = max(
+        np.abs(values - linear_exact(*mesh.nodes.T)).max()
+        for values, mesh in (
+            (fields.master_values, problem.master),
+            (fields.slave_values, problem.slave),
+        )
+    )
+    assert error <= 1e-11
+    np.testing.assert_allclose(fields.multipliers, -2.0, rtol=0.0, atol=1e-10)
