@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -418,6 +419,15 @@ def gauss_rule(kind: ElementKind, n_points: int) -> QuadratureRule:
             f"{kind.value} rules are Gauss-Legendre rules with k^{dim} points, "
             f"1 <= k <= {_MAX_1D_POINTS}; got {n_points}"
         )
+    return _tensor_gauss_rule(dim, per_axis)
+
+
+# every assembly, interface mesh and error integral asks for the same few
+# rules, and their arrays are read-only, so one copy of each is shared
+@lru_cache(maxsize=None)
+def _tensor_gauss_rule(dim: int, per_axis: int) -> QuadratureRule:
+    """Tensor Gauss-Legendre rule with ``per_axis`` points on each of the
+    ``dim`` axes of [-1, 1]^dim."""
     x, w = leggauss(per_axis)
     weights = tensor_points(w, dim).prod(axis=1)
     return QuadratureRule(tensor_points(x, dim), weights, 2 * per_axis - 1)

@@ -29,6 +29,7 @@ from .meshes import (
     Side,
     element_geometry,
     mesh_size,
+    segment_mesh,
     segment_pair,
     sine_bump,
     split_unit_square,
@@ -666,7 +667,7 @@ def run_scheme_compare(config: ExperimentConfig) -> ExperimentResult:
     of the transfer operator against the exact-intersection reference.
     """
     n_master, n_slave = config.element_counts(2)
-    master, _ = segment_pair(n_master, n_slave, ElementKind.SEG2, span=(-1.0, 1.0))
+    master = segment_mesh(n_master)
     rng = np.random.default_rng(config.seed)
     h_slave = 2.0 / n_slave
     xs = np.linspace(-1.0, 1.0, n_slave + 1)

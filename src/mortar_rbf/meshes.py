@@ -386,11 +386,11 @@ def segment_pair(
     n_master: int,
     n_slave: int,
     kind: ElementKind = ElementKind.SEG2,
-    span: tuple[float, float] = (-1.0, 1.0),
 ) -> tuple[InterfaceMesh, InterfaceMesh]:
-    """Master/slave segment meshes over the same interval (conforming ends)."""
-    master = segment_mesh(n_master, kind, span, Side.MASTER)
-    slave = segment_mesh(n_slave, kind, span, Side.SLAVE)
+    """Master/slave segment meshes over [-1, 1] (conforming ends); build
+    pairs over other intervals with :func:`segment_mesh`."""
+    master = segment_mesh(n_master, kind, side=Side.MASTER)
+    slave = segment_mesh(n_slave, kind, side=Side.SLAVE)
     return master, slave
 
 

@@ -16,7 +16,7 @@ same restriction x = P y + c and factors with the same SuperLU settings,
 and leaves the definite ones on their diagonal.  P is the identity on the
 free dofs but for a few link rows, which the condensed solve fills with
 the dense transfer block, so the restricted matrix Pᵀ A P is formed
-without P: one mask over the CSR arrays takes the free block of A, two
+without P: scipy's row and column indexing takes the free block of A, two
 sparse products and a small dense corner add the links.  Both coupled
 paths recover the full solution fields including the multipliers, and
 must agree to solver accuracy.
@@ -255,6 +255,8 @@ def _dirichlet_values(dirichlet: Callable | None, coords: np.ndarray) -> np.ndar
 
 def _block_diagonal(first: sparse.csr_matrix, second: sparse.csr_matrix):
     """The CSR matrix diag(first, second), stacked from both CSR arrays."""
+    # sparse.block_diag builds the same arrays, but in 3.1-3.5 ms against
+    # 0.41 ms at 256/171
     return sparse.csr_matrix(
         (
             np.concatenate([first.data, second.data]),
@@ -349,36 +351,21 @@ def _restrict(matrix, rhs, is_free, links):
 
         Pᵀ A P = A_FF + A_FL T + Tᵀ A_LF + Tᵀ A_LL T
 
-    with T's columns at the free columns of K.  A_FF is one mask over the
-    CSR arrays of A: the map from dof to free column is increasing, so each
-    row's columns stay sorted.  The two middle terms are sparse products
-    with T placed as a CSR matrix over the free columns, and the K × K
-    corner is a dense product.  Explicit zeros, of A or of the sum, are
-    dropped as a sparse product drops them, and the result is canonical.
-    Returns the restricted CSR matrix and Pᵀ b.
+    with T's columns at the free columns of K.  A_FF indexes A's free rows,
+    then its free columns; the free dofs increase, so each row's columns
+    stay sorted.  The two middle terms are sparse products with T placed
+    as a CSR matrix over the free columns, and the K × K corner is a dense
+    product.  Explicit zeros, of A or of the sum, are dropped as a sparse
+    product drops them: A's stored zeros would otherwise change the saddle
+    factor's fill-reducing order.  The result is canonical.  Returns the
+    restricted CSR matrix and Pᵀ b.
     """
-    n = matrix.shape[0]
     free = np.flatnonzero(is_free)
-    column = np.full(n, -1, matrix.indices.dtype)
-    column[free] = np.arange(free.size)
-
-    indptr = matrix.indptr
-    keep = np.repeat(is_free, np.diff(indptr))
-    cols = column[matrix.indices]
-    keep &= cols >= 0
-    keep &= matrix.data != 0.0
-    kept = np.zeros(keep.size + 1, indptr.dtype)
-    np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
-    # a fixed row keeps no entry, so the entries kept before free row j are
-    # those of the free rows before it
-    restricted = sparse.csr_matrix(
-        (matrix.data[keep], cols[keep], kept[indptr[np.append(free, n)]]),
-        shape=(free.size, free.size),
-    )
-    del keep, cols, kept
+    restricted = matrix[free][:, free]
+    restricted.eliminate_zeros()
 
     rows, dofs, block = links
-    k_cols = column[dofs]
+    k_cols = np.searchsorted(free, dofs)
     reduced_rhs = rhs[is_free]
     reduced_rhs[k_cols] += block.T @ rhs[rows]
     if block.size == 0:
@@ -408,7 +395,7 @@ def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
     columns of fixed dofs are dropped, so their part belongs in
     ``values``.  Pᵀ A P y = Pᵀ (b − A c) is solved and the full x
     returned; with no free dof, x = c.  P is never formed:
-    :func:`_restrict` masks the free block of A and adds the link terms,
+    :func:`_restrict` indexes the free block of A and adds the link terms,
     and P and Pᵀ act on vectors by indexing and the dense block.
     """
     n = matrix.shape[0]

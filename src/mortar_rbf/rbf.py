@@ -218,16 +218,13 @@ def fit_interpolants(
         d2 = sum((p[:, :, None, c] - p[:, None, :, c]) ** 2 for c in range(p.shape[2]))
         gram = _kernel_profile(family, np.sqrt(d2), eps[chunk, None, None])
         solved = _solve_each(gram, rhs)
-        cond = _norm_1(gram) * _norm_1(solved[:, :, n_basis:])
+        cond = np.linalg.norm(gram, 1, axis=(1, 2)) * np.linalg.norm(
+            solved[:, :, n_basis:], 1, axis=(1, 2)
+        )
         cond[np.isnan(cond)] = np.inf
         condition[chunk] = cond
         weights[chunk] = solved[:, :, :n_basis]
     return RbfInterpolant(family, points, eps, weights, condition)
-
-
-def _norm_1(matrices: np.ndarray) -> np.ndarray:
-    """Matrix 1-norms (largest absolute column sum) of stacked matrices."""
-    return np.abs(matrices).sum(axis=1).max(axis=1)
 
 
 def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

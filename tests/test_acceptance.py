@@ -27,7 +27,6 @@ from mortar_rbf import (
     fit_master_interpolant,
     gauss_rule,
     interface_transfer,
-    segment_pair,
     shape_values,
     solve,
     solve_single_domain,
@@ -84,7 +83,12 @@ def test_row_sum_consistency_on_randomized_pairs():
         n_slave = int(rng.integers(1, 7))
         left = float(rng.uniform(-2.0, 0.0))
         span = (left, left + float(rng.uniform(0.5, 2.5)))
-        pairs_1d.append(InterfacePair(*segment_pair(n_master, n_slave, kind, span)))
+        pairs_1d.append(
+            InterfacePair(
+                segment_mesh(n_master, kind, span),
+                segment_mesh(n_slave, kind, span, Side.SLAVE),
+            )
+        )
     pairs_2d = []
     for k in range(8):
         kind = ElementKind.QUAD4 if k % 2 == 0 else ElementKind.QUAD8
@@ -109,7 +113,10 @@ def test_row_sum_consistency_on_randomized_pairs():
 
 def test_constant_transfer_exactness():
     start = time.perf_counter()
-    pair_1d = InterfacePair(*segment_pair(3, 4, span=(0.0, 1.0)))
+    pair_1d = InterfacePair(
+        segment_mesh(3, span=(0.0, 1.0)),
+        segment_mesh(4, span=(0.0, 1.0), side=Side.SLAVE),
+    )
     pair_2d = InterfacePair(*surface_pair(2, 3, ElementKind.QUAD4))
     defects = []
     for pair, schemes in (
@@ -160,7 +167,10 @@ def test_normal_translation_invariance():
 
 def test_exact_intersection_oracle_equivalence():
     start = time.perf_counter()
-    pair = InterfacePair(*segment_pair(3, 6, span=(0.0, 1.0)))
+    pair = InterfacePair(
+        segment_mesh(3, span=(0.0, 1.0)),
+        segment_mesh(6, span=(0.0, 1.0), side=Side.SLAVE),
+    )
     exact = assemble(pair, MortarConfig(scheme=Scheme.SB1D)).coupling.toarray()
 
     eb_errors = []

@@ -28,9 +28,10 @@ from mortar_rbf.meshes import (
 
 
 def test_segment_pair_counts_and_span():
-    master, slave = segment_pair(4, 6, ElementKind.SEG2, span=(0.0, 2.0))
+    master, slave = segment_pair(4, 6, ElementKind.SEG2)
     assert master.n_elems == 4 and slave.n_elems == 6
-    assert master.nodes[0, 0] == 0.0 and master.nodes[-1, 0] == 2.0
+    for mesh in (master, slave):
+        assert mesh.nodes[0, 0] == -1.0 and mesh.nodes[-1, 0] == 1.0
     assert master.side is Side.MASTER and slave.side is Side.SLAVE
     assert mesh_size(master) == pytest.approx(0.5)
     assert mesh_size(slave) == pytest.approx(2.0 / 6.0)
@@ -334,9 +335,9 @@ def test_interface_mesh_validates_connectivity(mesh, connectivity, whole, messag
     width=st.floats(min_value=0.1, max_value=10.0),
 )
 def test_segment_pair_mesh_size_property(n_master, n_slave, left, width):
-    master, slave = segment_pair(
-        n_master, n_slave, span=(left, left + width)
-    )
+    span = (left, left + width)
+    master = segment_mesh(n_master, span=span)
+    slave = segment_mesh(n_slave, span=span, side=Side.SLAVE)
     assert mesh_size(master) == pytest.approx(width / n_master, rel=1e-12)
     assert mesh_size(slave) == pytest.approx(width / n_slave, rel=1e-12)
 

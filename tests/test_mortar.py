@@ -46,7 +46,10 @@ EXACT_UNIT_MASS = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
 
 def unit_pair(n_master, n_slave, kind=ElementKind.SEG2):
-    return InterfacePair(*segment_pair(n_master, n_slave, kind, span=(0.0, 1.0)))
+    return InterfacePair(
+        segment_mesh(n_master, kind, (0.0, 1.0)),
+        segment_mesh(n_slave, kind, (0.0, 1.0), Side.SLAVE),
+    )
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SB1D, Scheme.EB])
@@ -451,7 +454,10 @@ def test_a_zero_length_element_is_refused_by_name(scheme, side):
     # master wins points at depth 0.5 under eb and breaks the rb kernel
     # fit with a misleading condition number; mesh validation names it.
     xs = np.array([0.0, 0.25, 0.5, 0.5, 0.75, 1.0])
-    meshes = dict(zip(Side, segment_pair(4, 3, span=(0.0, 1.0))))
+    meshes = {
+        Side.MASTER: segment_mesh(4, span=(0.0, 1.0)),
+        Side.SLAVE: segment_mesh(3, span=(0.0, 1.0), side=Side.SLAVE),
+    }
     expected = f"{side.value} element 2 has a degenerate surface metric"
     with pytest.raises(DegenerateElementError, match=expected):
         meshes[side] = InterfaceMesh(

@@ -522,6 +522,9 @@ def test_restriction_matches_the_prolongation_product(
     np.testing.assert_array_equal(restricted.indptr, expected.indptr)
     np.testing.assert_array_equal(restricted.indices, expected.indices)
     assert np.all(restricted.data != 0.0)
+    if block[:, linked].size == 0:
+        # P only selects the free dofs, so Pᵀ (A P) is exact
+        np.testing.assert_array_equal(restricted.data, expected.data)
     assert_close_relative(restricted.data, expected.data)
     expected_rhs = p.T @ residual
     assert_close_relative(reduced_rhs, expected_rhs)

@@ -174,7 +174,8 @@ def test_cancelling_denominator_is_masked():
 
 
 def test_overly_flat_kernel_is_refused():
-    master, slave = segment_pair(1, 2, span=(0.0, 1.0))
+    master = segment_mesh(1, span=(0.0, 1.0))
+    slave = segment_mesh(2, span=(0.0, 1.0), side=Side.SLAVE)
     config = MortarConfig(layout=PointLayout(n_per_edge=10), epsilon=5000.0)
     fit = fit_master_interpolant(
         master, 0, config.layout, config.kernel_family, epsilon=config.epsilon

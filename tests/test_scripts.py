@@ -100,3 +100,21 @@ def test_solve_memory_reports_both_solvers_at_the_quick_sizes():
         assert int(fill) > int(free) > 0
         assert float(solve_s) > float(factor_s) > 0.0 and float(peak) > 0.0
         assert float(residual) < 1e-10
+
+
+def test_line_count_leaves_out_docstrings_comments_and_blank_lines(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    return (x +  # a trailing comment\n"
+        "            1)\n"
+    )
+    done = run_script("line_count.py", str(source))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        "3", "code", "lines", str(source), "3", "code", "lines", "total",
+    ]
