@@ -653,7 +653,9 @@ def _kernel_values(pair: InterfacePair, config: MortarConfig, masters, points):
     and 0 Newton updates of each (point, master) pair.
 
     Each candidate master is fitted once, and the lowest whose condition
-    exceeds :data:`~.rbf.COND_LIMIT` raises.  Interpolating the ramps
+    exceeds :data:`~.rbf.COND_LIMIT` raises; a fit's condition is exact
+    wherever its estimate nears the limit (see :class:`~.rbf.RbfInterpolant`),
+    so the error reports an exact value.  Interpolating the ramps
     (1 + xi) / 2 gives the box coordinates.  The rescaled interpolant
     reproduces constants only (Deparis, Forti & Quarteroni 2014), not
     linear functions, so these carry the kernel's basis error, up to

@@ -67,6 +67,27 @@ BREAKDOWN_TOL = 1e-12
 #: whose factorization is effectively rank-deficient are refused.
 COND_LIMIT = 100.0 / np.finfo(float).eps
 
+#: Fits whose condition estimate (see :class:`RbfInterpolant`) reaches
+#: this also get their exact condition number, so a fit is refused on an
+#: exact value.  The estimate is a lower bound.
+COND_EXACT_FROM = COND_LIMIT / 10
+
+#: So do fits whose estimate reaches this while their checkerboard probe
+#: does not lead both random probes by a factor :data:`_TRUSTED_LEAD`.
+#: The lattice's alternating mode is then not the inverse's dominant one,
+#: as on sliver quadrilaterals, and the estimate can lie far below the
+#: exact value: a factor 4e4 for the checkerboard alone on one sliver,
+#: and up to 42 for all three probes on sheared elements.  Where the
+#: checkerboard leads, the estimate lies within a factor 1.14 of the exact
+#: value on the kernel-study grid, and 5.8 on sheared elements.  Of 5,457
+#: sheared, sliver and jittered fits beyond :data:`COND_LIMIT`, each whose
+#: checkerboard led estimated at 0.44 COND_LIMIT or more.
+COND_DOUBT_FROM = COND_LIMIT / 1000
+_TRUSTED_LEAD = 3.0
+
+#: Seed of the two random sign probes of the condition estimate.
+_PROBE_SEED = 20261021
+
 #: Largest admissible points-per-edge count; denser sets are notoriously
 #: unstable for smooth kernels.
 MAX_POINTS_PER_EDGE = 10
@@ -100,6 +121,18 @@ def _kernel_profile(family: KernelFamily, r: np.ndarray, eps) -> np.ndarray:
     q = r / eps
     cut = np.maximum(1.0 - q, 0.0)
     return cut**4 * (1.0 + 4.0 * q)
+
+
+def _kernel(family: KernelFamily, x: np.ndarray, y: np.ndarray, eps) -> np.ndarray:
+    """Kernel values between the points ``x`` and ``y``, coordinates on the
+    last axis and the other axes broadcast; the distances are summed in
+    place in one array."""
+    diff = x[..., 0] - y[..., 0]
+    r = np.square(diff, out=diff)
+    for c in range(1, x.shape[-1]):
+        diff = x[..., c] - y[..., c]
+        r += np.square(diff, out=diff)
+    return _kernel_profile(family, np.sqrt(r, out=r), eps)
 
 
 class LayoutKind(str, Enum):
@@ -157,9 +190,13 @@ class RbfInterpolant:
     ``points[k]`` (M, dim) with shape parameter ``epsilon[k]``.
     ``weights[k]`` (M, n_basis) has one column per basis function; their
     row sums weight the rescaling denominator, the interpolant of the
-    constant one.  ``condition[k]`` is the exact 1-norm condition number
-    ||G||_1 ||G^-1||_1 of its collocation matrix G (infinite when G is
-    exactly singular).  The arrays are read-only.
+    constant one.  ``condition[k]`` estimates the 1-norm condition number
+    ||G||_1 ||G^-1||_1 of its collocation matrix G from below, as the
+    largest ||G||_1 ||G^-1 s||_inf over three sign vectors s (see
+    :func:`_probes`).  It is the exact value from :data:`COND_EXACT_FROM`
+    up, and from :data:`COND_DOUBT_FROM` up where the estimate is in
+    doubt; it is infinite when G is exactly singular.  The arrays are
+    read-only.
     """
 
     family: KernelFamily
@@ -175,7 +212,10 @@ class RbfInterpolant:
 
 @dataclass(frozen=True)
 class InterpolationDiagnostics:
-    """Quality measures of a fitted interpolant."""
+    """Quality measures of a fitted interpolant: the RMSE of its basis
+    reproduction, the condition of :class:`RbfInterpolant` (an estimate
+    well below :data:`COND_LIMIT`, exact near and above it) and whether it
+    exceeds :data:`COND_LIMIT`."""
 
     rmse: float
     condition_estimate: float
@@ -192,9 +232,12 @@ def fit_interpolants(
     """Fit the rescaled kernel interpolants of elements ``elems``, in chunks.
 
     Element k of the returned batch is ``elems[k]``.  One LU factorization
-    per fit gives both the weights and the inverse the condition number is
-    read from.  ``epsilon`` overrides the default shape parameter, each
-    element's circumdiameter.  No fit is refused here: each reports its
+    per fit solves for the weights and for G^-1 s, the three probes of the
+    condition estimate; only a fit whose estimate reaches
+    :data:`COND_EXACT_FROM`, or :data:`COND_DOUBT_FROM` in doubt, also
+    solves for G^-1, its exact condition.
+    ``epsilon`` overrides the default shape parameter, each element's
+    circumdiameter.  No fit is refused here: each reports its
     ``condition``, and an exactly singular one gets NaN weights and an
     infinite condition, so its queries are flagged.  Raises ``ValueError``
     for a ``tri3`` mesh.
@@ -208,23 +251,47 @@ def fit_interpolants(
     else:
         eps = np.full(elems.size, float(epsilon))
     n_points, n_basis = basis.shape
-    rhs = np.hstack([basis, np.eye(n_points)])
+    rhs = np.column_stack([basis, _probes(kind, layout)])
     weights = np.empty((elems.size,) + basis.shape)
     condition = np.empty(elems.size)
     step = max(1, _CHUNK_ENTRIES // n_points**2)
     for start in range(0, elems.size, step):
         chunk = slice(start, start + step)
         p = points[chunk]
-        d2 = sum((p[:, :, None, c] - p[:, None, :, c]) ** 2 for c in range(p.shape[2]))
-        gram = _kernel_profile(family, np.sqrt(d2), eps[chunk, None, None])
+        gram = _kernel(family, p[:, :, None], p[:, None], eps[chunk, None, None])
         solved = _solve_each(gram, rhs)
-        cond = np.linalg.norm(gram, 1, axis=(1, 2)) * np.linalg.norm(
-            solved[:, :, n_basis:], 1, axis=(1, 2)
-        )
+        weights[chunk] = solved[:, :, :n_basis]
+        norm = np.linalg.norm(gram, 1, axis=(1, 2))
+        probed = norm[:, None] * np.abs(solved[:, :, n_basis:]).max(axis=1)
+        cond = probed.max(axis=1)
+        trusted = probed[:, 0] >= _TRUSTED_LEAD * probed[:, 1:].max(axis=1)
+        bar = np.where(trusted, COND_EXACT_FROM, COND_DOUBT_FROM)
+        near = ~(cond < bar)  # NaN, an exactly singular fit, too
+        if near.any():
+            inverse = _solve_each(gram[near], np.eye(n_points))
+            cond[near] = norm[near] * np.linalg.norm(inverse, 1, axis=(1, 2))
         cond[np.isnan(cond)] = np.inf
         condition[chunk] = cond
-        weights[chunk] = solved[:, :, :n_basis]
     return RbfInterpolant(family, points, eps, weights, condition)
+
+
+def _probes(kind: ElementKind, layout: PointLayout) -> np.ndarray:
+    """The three sign vectors, (M, 3), of the condition estimate: the
+    lattice's checkerboard, +1 or -1 by the parity of a point's lattice
+    indices, then two fixed pseudo-random ones.
+
+    The inverse of a smooth kernel's matrix on a point lattice tends to
+    alternate in sign from point to point, so for the checkerboard s,
+    ||G^-1 s||_inf nearly attains ||G^-1||_inf = ||G^-1||_1 (G is
+    symmetric): the fixed-probe form of the estimators of Hager (1984) and
+    Higham (1988).  The checkerboard is symmetric under the lattice's point
+    reflection, so on a sheared lattice it can miss an antisymmetric
+    dominant mode entirely; the random probes share no symmetry with it.
+    """
+    alternating = (-1.0) ** np.arange(layout.n_per_edge)
+    checkerboard = tensor_points(alternating, kind.ref_dim).prod(axis=1)
+    flips = np.random.default_rng(_PROBE_SEED).random((checkerboard.size, 2)) < 0.5
+    return np.column_stack([checkerboard, np.where(flips, -1.0, 1.0)])
 
 
 def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -279,8 +346,7 @@ def evaluate_interpolants(
     for start in range(0, queries.shape[0], step):
         rows = slice(start, start + step)
         own, q = owner[rows], queries[rows]
-        d2 = sum((q[:, c, None] - points[own, :, c]) ** 2 for c in range(q.shape[1]))
-        phi = _kernel_profile(interp.family, np.sqrt(d2), epsilon[own, None])
+        phi = _kernel(interp.family, q[:, None], points[own], epsilon[own, None])
         cols = own[:, None] * n_points + np.arange(n_points)
         kernel_rows = sparse.csr_matrix(
             (phi.ravel(), cols.ravel(), np.arange(0, phi.size + 1, n_points)),

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
-from mortar_rbf.elements import ElementKind, shape_values
+from mortar_rbf.elements import ElementKind, node_reference_coords, shape_values
 from mortar_rbf.errors import IllConditionedKernelError
-from mortar_rbf import rbf
+from mortar_rbf import experiments, rbf
 from mortar_rbf.meshes import (
     InterfaceMesh,
     Side,
@@ -18,6 +18,8 @@ from mortar_rbf.meshes import (
 )
 from mortar_rbf.mortar import InterfacePair, MortarConfig, assemble
 from mortar_rbf.rbf import (
+    COND_DOUBT_FROM,
+    COND_EXACT_FROM,
     COND_LIMIT,
     KernelFamily,
     LayoutKind,
@@ -234,6 +236,193 @@ def test_exactly_singular_fit_leaves_the_rest_of_its_batch_alone():
         assert batch.condition[elem] == alone.condition[0] < 1e3
     diag = basis_diagnostics(mesh, 2, layout, KernelFamily.GAUSSIAN, epsilon=1e12)
     assert diag.unstable and diag.condition_estimate == np.inf
+
+
+#: Bound on the condition estimate's excess over the exact value, per unit
+#: of kappa * eps: the probe solve and the inverse round differently, and
+#: the computed inverse is symmetric only to about kappa * eps.  Measured
+#: at most 2.6 over 18,800 estimated fits of sheared and warped elements
+#: (drawn as in the test below, at default and one BLAS thread; all 1,626
+#: fits beyond the limit kept their refusal), and 4.1 over 21,000 estimated
+#: fits of unsheared jittered and warped elements.
+EXCESS_PER_KAPPA_EPS = 8.0
+
+
+def checkerboard(kind, n_per_edge):
+    """(-1)^(i + j) over the collocation lattice, in its point order."""
+    return (-1.0) ** np.indices((n_per_edge,) * kind.ref_dim).sum(axis=0).ravel()
+
+
+def summed_square_gram(fit, k):
+    """Element k's collocation matrix, built from summed squared
+    coordinate differences without the library's in-place helper."""
+    p = fit.points[k]
+    d2 = sum((p[:, None, c] - p[None, :, c]) ** 2 for c in range(p.shape[1]))
+    return rbf._kernel_profile(fit.family, np.sqrt(d2), fit.epsilon[k])
+
+
+def check_condition_oracle(fit, kind, layout):
+    """Per element: weights as a plain solve, the refusal decision of the
+    exact formula ||G||_1 ||G^-1||_1, and that formula's value from
+    :data:`COND_EXACT_FROM` up and, where the checkerboard probe does not
+    lead the two random ones by ``rbf._TRUSTED_LEAD``, from
+    :data:`COND_DOUBT_FROM` up; elsewhere the three-probe estimate, at most
+    the exact value beyond rounding.  Returns the exact conditions."""
+    basis = shape_values(kind, interpolation_points(kind, layout))
+    n_points, n_basis = basis.shape
+    probes = rbf._probes(kind, layout)
+    np.testing.assert_array_equal(probes[:, 0], checkerboard(kind, layout.n_per_edge))
+    assert probes.shape == (n_points, 3) and set(np.unique(probes)) == {-1.0, 1.0}
+    exact = np.empty(len(fit.condition))
+    for k, condition in enumerate(fit.condition):
+        gram = summed_square_gram(fit, k)
+        try:
+            weights = np.linalg.solve(gram, basis)
+        except np.linalg.LinAlgError:
+            assert condition == np.inf and np.isnan(fit.weights[k]).all()
+            exact[k] = np.inf
+            continue
+        np.testing.assert_array_equal(fit.weights[k], weights)
+        norm = np.linalg.norm(gram, 1)
+        inverse = np.linalg.solve(gram, np.column_stack([basis, np.eye(n_points)]))
+        exact[k] = norm * np.linalg.norm(inverse[:, n_basis:], 1)
+        probed = np.linalg.solve(gram, np.column_stack([basis, probes]))[:, n_basis:]
+        estimates = norm * np.abs(probed).max(axis=0)
+        estimate = estimates.max()
+        trusted = estimates[0] >= rbf._TRUSTED_LEAD * estimates[1:].max()
+        assert (condition > COND_LIMIT) == (exact[k] > COND_LIMIT)
+        if estimate >= COND_EXACT_FROM or (not trusted and estimate >= COND_DOUBT_FROM):
+            assert condition == exact[k]
+        else:
+            assert condition == estimate
+            kappa_eps = np.finfo(float).eps * exact[k]
+            assert condition <= exact[k] * (1.0 + EXCESS_PER_KAPPA_EPS * kappa_eps)
+    return exact
+
+
+def test_condition_estimate_on_the_kernel_study_grid():
+    # every fit of kernel_study: seg3 and quad4, each family and layout,
+    # 3-10 points per edge and both shape-parameter policies
+    exact = []
+    for mesh in (
+        segment_pair(2, 3, ElementKind.SEG3)[0],
+        surface_pair(2, 3, ElementKind.QUAD4)[0],
+    ):
+        sample = halton_reference_points(mesh.kind, 400)
+        for family in ALL_FAMILIES:
+            for variant in LayoutKind:
+                for n in range(3, 11):
+                    layout = PointLayout(variant, n)
+                    fill = experiments._fill_distance(mesh, 0, layout, sample)
+                    for epsilon in (None, 2.0 * fill):
+                        fit = fit_interpolants(mesh, [0], layout, family, epsilon=epsilon)
+                        exact.extend(check_condition_oracle(fit, mesh.kind, layout))
+    exact = np.array(exact)
+    # both sides of the bar are reached: 181 fits lie below it and 10
+    # beyond the limit
+    assert len(exact) == 192
+    assert (exact < COND_EXACT_FROM).sum() > 150
+    assert (exact > COND_LIMIT).sum() >= 5
+
+
+def sheared_elements(kind, jitter, warp, angle, aspect, rng, n_elems=3):
+    """``n_elems`` disjoint elements of ``kind``: the reference element with
+    each node moved by up to ``jitter`` and lifted by up to ``warp`` (a
+    curve on seg3, a bump on quadrilaterals); a quadrilateral's second
+    axis is then stretched by ``aspect`` and sheared to meet the first at
+    ``angle`` degrees.  Each is scaled by 0.5-2 and turned."""
+    ref = node_reference_coords(kind)
+    dim = kind.ref_dim + 1
+    frame = np.eye(dim)
+    if kind.ref_dim == 2:
+        turn = np.radians(angle)
+        frame[1, :2] = aspect * np.array([np.cos(turn), np.sin(turn)])
+    blocks = []
+    for k in range(n_elems):
+        xi = ref + rng.uniform(-jitter, jitter, ref.shape)
+        lift = warp * np.sin(xi[:, 0] + rng.uniform(0.0, np.pi))
+        if kind.ref_dim == 2:
+            lift = lift * np.cos(xi[:, 1])
+        rotation = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        nodes = rng.uniform(0.5, 2.0) * np.column_stack([xi, lift]) @ frame @ rotation.T
+        blocks.append(nodes + 50.0 * k)
+    n = kind.n_nodes
+    return InterfaceMesh(np.vstack(blocks), np.arange(n_elems * n).reshape(n_elems, n), kind)
+
+
+@seed(20261021)
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [ElementKind.SEG2, ElementKind.SEG3, ElementKind.QUAD4, ElementKind.QUAD8]
+    ),
+    family=st.sampled_from(ALL_FAMILIES),
+    variant=st.sampled_from(list(LayoutKind)),
+    n_per_edge=st.integers(3, 10),
+    epsilon=st.floats(0.1, 8.0),
+    jitter=st.floats(0.0, 0.3),
+    warp=st.floats(0.0, 0.4),
+    angle=st.floats(1.0, 90.0),
+    aspect=st.floats(1.0, 10.0),
+    draw_seed=st.integers(0, 2**32 - 1),
+)
+def test_condition_estimate_on_sheared_and_warped_elements(
+    kind, family, variant, n_per_edge, epsilon, jitter, warp, angle, aspect, draw_seed
+):
+    # one forced epsilon over elements of different sizes, so a batch can
+    # hold estimated and exact conditions side by side
+    rng = np.random.default_rng(draw_seed)
+    try:
+        mesh = sheared_elements(kind, jitter, warp, angle, aspect, rng)
+    except ValueError:  # a folded element
+        assume(False)
+    layout = PointLayout(variant, n_per_edge)
+    fit = fit_interpolants(mesh, np.arange(mesh.n_elems), layout, family, epsilon=epsilon)
+    check_condition_oracle(fit, kind, layout)
+
+
+#: A sliver quadrilateral (an 11.7 degree corner) on which the checkerboard
+#: probe alone estimates an IMQ fit with 10 x 10 uniform points at 6.6e13
+#: (2.7e15 at one BLAS thread), below :data:`COND_EXACT_FROM`, though its
+#: exact condition is 2.7e18, beyond the limit.
+SLIVER_QUAD = np.array(
+    [
+        [-1.3430248613443052, 0.4035487413612183, 3.1071103921430856],
+        [-0.19801086864423556, -1.0653547753933417, -1.7129103746594763],
+        [1.5016898538741936, -1.78714679265823, -5.806461151638954],
+        [0.3860089366900875, -0.30582803815048293, -1.0560805474488817],
+    ]
+)
+
+
+def test_condition_of_a_sliver_the_checkerboard_misses_is_exact_and_refused():
+    mesh = InterfaceMesh(SLIVER_QUAD, np.arange(4)[None], ElementKind.QUAD4)
+    layout, family = PointLayout(LayoutKind.UNIFORM, 10), KernelFamily.INV_MULTIQUADRIC
+    epsilon = 3.866603858789148
+    fit = fit_interpolants(mesh, [0], layout, family, epsilon=epsilon)
+    gram = summed_square_gram(fit, 0)
+    alone = np.linalg.solve(gram, checkerboard(mesh.kind, layout.n_per_edge))
+    assert np.linalg.norm(gram, 1) * np.abs(alone).max() < COND_EXACT_FROM
+    (exact,) = check_condition_oracle(fit, mesh.kind, layout)
+    assert fit.condition[0] == exact > COND_LIMIT
+    assert basis_diagnostics(mesh, 0, layout, family, epsilon=epsilon).unstable
+
+
+def test_default_fits_solve_for_no_inverse(monkeypatch):
+    # the default Gaussian fits of the warped 12/8 pair (condition about
+    # 2e16) solve for their weights and the three probes only
+    widths = []
+    solve_each = rbf._solve_each
+
+    def spy(gram, rhs):
+        widths.append(rhs.shape[1])
+        return solve_each(gram, rhs)
+
+    monkeypatch.setattr(rbf, "_solve_each", spy)
+    warp = sine_bump(0.1)
+    pair = surface_pair(12, 8, warp_master=warp, warp_slave=warp)
+    assemble(InterfacePair(*pair), MortarConfig())
+    assert widths and set(widths) == {ElementKind.QUAD4.n_nodes + 3}
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
