@@ -15,11 +15,14 @@ same restriction x = P y + c and factors with the same SuperLU settings,
 ``_FACTOR``, whose threshold pivoting serves the indefinite saddle system
 and leaves the definite ones on their diagonal.  P is the identity on the
 free dofs but for a few link rows, which the condensed solve fills with
-the dense transfer block, so the restricted matrix Pᵀ A P is formed
-without P: scipy's row and column indexing takes the free block of A, two
-sparse products and a small dense corner add the links.  Both coupled
-paths recover the full solution fields including the multipliers, and
-must agree to solver accuracy.
+the dense transfer block T, so the restricted matrix Pᵀ A P is formed
+without P: scipy's row and column indexing takes the free block of A, and
+the links add one sparse product S = Tᵀ A_LF with its transpose and a
+small dense corner.  Each entry of a restricted system and its mirror sum
+the same numbers, so the system is symmetric bit for bit, and SuperLU
+reads its CSR arrays as those of the transposed CSC matrix, with no
+format copy.  Both coupled paths recover the full solution fields
+including the multipliers, and must agree to solver accuracy.
 """
 
 from __future__ import annotations
@@ -306,11 +309,17 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
 
 
 def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """LU solve with the ``_FACTOR`` settings, checked by its backward
-    error.  A NaN or infinite entry would pass the residual test, so it is
-    refused first."""
+    """LU solve of the symmetric ``matrix`` with the ``_FACTOR`` settings,
+    checked by its backward error.
+
+    SuperLU reads the CSR arrays as they are, as those of the CSC matrix
+    ``matrix.T``, which equals ``matrix``: no format copy is made.  A NaN or
+    infinite entry would pass the residual test, so it is refused first.
+    """
+    # before the factor exists, so that the copy of |A| is freed first
+    norm = sparse.linalg.norm(matrix, np.inf)
     try:
-        factor = splu(matrix.tocsc(), **_FACTOR)
+        factor = splu(matrix.T, **_FACTOR)
     except RuntimeError as exc:
         raise SolverFailureError(f"factorization failed: {exc}") from exc
     solution = factor.solve(rhs)
@@ -318,7 +327,7 @@ def _checked_solve(matrix: sparse.csr_matrix, rhs: np.ndarray) -> np.ndarray:
         raise SolverFailureError("linear solve returned non-finite values")
     residual = np.max(np.abs(matrix @ solution - rhs), initial=0.0)
     scale = max(
-        sparse.linalg.norm(matrix, np.inf) * np.max(np.abs(solution), initial=0.0)
+        norm * np.max(np.abs(solution), initial=0.0)
         + np.max(np.abs(rhs), initial=0.0),
         np.finfo(float).tiny,
     )
@@ -347,18 +356,20 @@ def _restrict(matrix, rhs, is_free, links):
     """Pᵀ A P and Pᵀ b of the restriction in :func:`_restricted_solve`.
 
     P is the identity on the free dofs F but for the link rows L, which
-    carry the dense block T over the free linked dofs K, so
+    carry the dense block T over the free linked dofs K.  A is symmetric, so
 
-        Pᵀ A P = A_FF + A_FL T + Tᵀ A_LF + Tᵀ A_LL T
+        Pᵀ A P = A_FF + (S + Sᵀ) + Tᵀ A_LL T,    S = Tᵀ A_LF,
 
     with T's columns at the free columns of K.  A_FF indexes A's free rows,
     then its free columns; the free dofs increase, so each row's columns
-    stay sorted.  The two middle terms are sparse products with T placed
-    as a CSR matrix over the free columns, and the K × K corner is a dense
-    product.  Explicit zeros, of A or of the sum, are dropped as a sparse
-    product drops them: A's stored zeros would otherwise change the saddle
-    factor's fill-reducing order.  The result is canonical.  Returns the
-    restricted CSR matrix and Pᵀ b.
+    stay sorted.  S is one sparse product with Tᵀ placed as a CSR matrix
+    over the free rows, and the K × K corner is a dense product, averaged
+    with its transpose.  Every sum adds a term to its transpose or to a
+    symmetric term, so each entry and its mirror add the same numbers and
+    the result is exactly symmetric.  Explicit zeros, of A or of the sum,
+    are dropped as a sparse product drops them: A's stored zeros would
+    otherwise change the saddle factor's fill-reducing order.  The result
+    is canonical.  Returns the restricted CSR matrix and Pᵀ b.
     """
     free = np.flatnonzero(is_free)
     restricted = matrix[free][:, free]
@@ -372,21 +383,20 @@ def _restrict(matrix, rhs, is_free, links):
         return restricted, reduced_rhs
 
     link_block = matrix[rows]
-    placed = _placed(block, np.arange(rows.size), k_cols, (rows.size, free.size))
+    spread = _placed(block.T, k_cols, np.arange(rows.size), (free.size, rows.size))
+    half = spread @ link_block[:, is_free]
     corner = block.T @ link_block[:, rows].toarray() @ block
-    terms = [
-        matrix[:, rows][is_free] @ placed,
-        placed.T @ link_block[:, is_free],
-        _placed(corner, k_cols, k_cols, restricted.shape),
-    ]
     # sums of canonical CSR matrices stay canonical and store no zero
-    for term in terms:
-        term.sort_indices()
-    return restricted + (terms[0] + terms[1] + terms[2]), reduced_rhs
+    half.sort_indices()
+    links = (half + half.T) + _placed(
+        0.5 * (corner + corner.T), k_cols, k_cols, restricted.shape
+    )
+    return restricted + links, reduced_rhs
 
 
 def _restricted_solve(matrix, rhs, fixed, values, links=_NO_LINKS):
-    """Solve ``matrix x = rhs`` over x = P y + c, eliminating ``fixed``.
+    """Solve the symmetric ``matrix x = rhs`` over x = P y + c, eliminating
+    ``fixed``.
 
     The shift c holds ``values`` on the ``fixed`` dofs and zero elsewhere.
     P copies y onto the free dofs in increasing order, and the links

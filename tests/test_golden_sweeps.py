@@ -4,18 +4,24 @@
 ``sweep.csv`` line without the ``assembly_seconds`` cell, and the
 ``metrics`` and ``orders`` of the result without the timing metrics.  A
 refactor may move numbers only by summation order: numeric cells and
-values agree within 1e-12 relative, every other cell exactly.
+values agree within 1e-12 relative, every other cell exactly.  The
+``kernel_study`` conditions are compared by verdict instead: a fit beyond
+``COND_LIMIT`` is flagged unstable, and its condition has no correct
+digits (one BLAS thread moves them by up to 111x), so two such
+conditions agree when both exceed the limit.  The flag itself, the error
+cells and every condition below the limit are compared as values.
 
 ``PYTHONPATH=src python tests/test_golden_sweeps.py [kind ...]`` reruns the
 named experiments (every one by default) on one BLAS thread.  It rewrites
 only their cells and values that fail that bound, prints each one before
 and after, and carries every other experiment over byte for byte, so the
 diff of a regeneration shows the moves of the change that made it and not
-the rounding of the host it ran on.  The ``kernel_study`` conditions of
-near-singular fits still depend on the thread count: the committed values
-are those of the default threads on 2 vCPU, where one thread rewrites 17
-of them, so name the experiments a change moves.  An experiment that no
-longer exists is deleted from the file by hand.
+the rounding of the host it ran on.  Four stable ``kernel_study`` fits
+on 10 points per edge still move with the thread count: the committed
+values are those of the default threads on 2 vCPU, and one thread moves
+three of their conditions (4.7e5 to 6.0e7) by 1e-12 to 1.6e-10 relative
+and one error by 1.5e-11, so name the experiments a change moves.  An
+experiment that no longer exists is deleted from the file by hand.
 """
 
 import os
@@ -37,6 +43,7 @@ from mortar_rbf.experiments import (
     ExperimentKind,
     run_experiment,
 )
+from mortar_rbf.rbf import COND_LIMIT
 
 GOLDEN = Path(__file__).with_name("golden_sweeps.json")
 RTOL = 1e-12
@@ -51,6 +58,11 @@ SIZES = {
 }
 
 SECONDS_COLUMN = SWEEP_COLUMNS.index("assembly_seconds")
+
+#: Cells compared by verdict, per experiment: a row column (it precedes
+#: the dropped seconds column, so its index holds) and a metric prefix.
+VERDICT_COLUMNS = {"kernel_study": SWEEP_COLUMNS.index("cond_estimate")}
+VERDICT_METRICS = {"kernel_study": "cond/"}
 
 
 def snapshot(kind: ExperimentKind) -> dict:
@@ -67,7 +79,9 @@ def snapshot(kind: ExperimentKind) -> dict:
     }
 
 
-def _close(got: str | float, want: str | float) -> bool:
+def _close(got: str | float, want: str | float, verdict: bool = False) -> bool:
+    """Whether a cell agrees with its golden value: within ``RTOL``, or for
+    a ``verdict`` cell beyond ``COND_LIMIT``, both beyond it."""
     if got == want:
         return True
     try:
@@ -76,7 +90,18 @@ def _close(got: str | float, want: str | float) -> bool:
         return False
     if math.isnan(a) or math.isnan(b):
         return math.isnan(a) and math.isnan(b)
+    if verdict and max(a, b) > COND_LIMIT:
+        return min(a, b) > COND_LIMIT
     return abs(a - b) <= RTOL * max(abs(a), abs(b))
+
+
+def _verdict(kind: str, place: int | str) -> bool:
+    """Whether the cell at row column ``place``, or the metric or order
+    named ``place``, of experiment ``kind`` is compared by verdict."""
+    if isinstance(place, int):
+        return place == VERDICT_COLUMNS.get(kind)
+    prefix = VERDICT_METRICS.get(kind)
+    return prefix is not None and place.startswith(prefix)
 
 
 def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
@@ -84,16 +109,16 @@ def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
     per value that moved: its place, the old value and the new (None where
     absent).
 
-    A fresh row cell, metric or order that passes the bound against
-    ``golden`` is kept as written there.  A row whose cell count changed
+    A fresh row cell, metric or order that agrees with ``golden`` (see
+    :func:`_close`) is kept as written there.  A row whose cell count changed
     and a new row or name are taken whole; rows and names gone from a fresh
     experiment are dropped.  Experiments missing from ``fresh`` are carried
     over as they are.
     """
     merged, changes = dict(golden), []
 
-    def pick(where, new, old):
-        if old is not None and _close(new, old):
+    def pick(where, new, old, verdict=False):
+        if old is not None and _close(new, old, verdict):
             return old
         changes.append(f"{where}: {old} -> {new}")
         return new
@@ -111,7 +136,7 @@ def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
             cells = zip(row.split(","), want.split(","))
             rows.append(
                 ",".join(
-                    pick(f"{kind}/rows[{i}][{j}]", *cell)
+                    pick(f"{kind}/rows[{i}][{j}]", *cell, _verdict(kind, j))
                     for j, cell in enumerate(cells)
                 )
             )
@@ -123,7 +148,9 @@ def merge(golden: dict, fresh: dict) -> tuple[dict, list[str]]:
         for name in ("metrics", "orders"):
             previous = old.get(name, {})
             merged[kind][name] = {
-                key: pick(f"{kind}/{name}/{key}", value, previous.get(key))
+                key: pick(
+                    f"{kind}/{name}/{key}", value, previous.get(key), _verdict(kind, key)
+                )
                 for key, value in snap[name].items()
             }
             changes += [
@@ -141,10 +168,15 @@ def test_sweep_matches_golden_output(kind):
     for row, golden in zip(got["rows"], want["rows"]):
         cells, golden_cells = row.split(","), golden.split(",")
         assert len(cells) == len(golden_cells)
-        assert all(map(_close, cells, golden_cells)), f"{row} != {golden}"
+        verdicts = [_verdict(kind.value, j) for j in range(len(cells))]
+        assert all(map(_close, cells, golden_cells, verdicts)), f"{row} != {golden}"
     for name in ("metrics", "orders"):
         assert got[name].keys() == want[name].keys()
-        bad = [k for k in want[name] if not _close(got[name][k], want[name][k])]
+        bad = [
+            k
+            for k in want[name]
+            if not _close(got[name][k], want[name][k], _verdict(kind.value, k))
+        ]
         assert not bad, f"{name}: {[(k, got[name][k], want[name][k]) for k in bad]}"
 
 
@@ -186,6 +218,36 @@ def test_merge_rewrites_only_cells_past_the_bound():
         "study/orders/eb: None -> nan",
     ]
     assert merge(merged, fresh) == (merged, [])
+
+
+def test_conditions_beyond_the_limit_compare_by_verdict():
+    beyond, below = 10.0 * float(COND_LIMIT), float(COND_LIMIT) / 10.0
+    assert _close(repr(beyond), repr(100.0 * beyond), verdict=True)
+    assert not _close(repr(beyond), repr(below), verdict=True)
+    assert not _close(repr(below), repr(below * (1 + 1e-10)), verdict=True)
+    assert not _close(repr(beyond), repr(100.0 * beyond))
+
+    def study(condition, flag, metric):
+        cells = ["0"] * VERDICT_COLUMNS["kernel_study"] + [repr(condition), flag]
+        return {
+            "rows": [",".join(cells)],
+            "metrics": {"cond/fit": condition, "fit": metric},
+            "orders": {},
+        }
+
+    golden = {"kernel_study": study(beyond, "unstable", math.nan)}
+    assert merge(golden, {"kernel_study": study(100.0 * beyond, "unstable", math.nan)})[1] == []
+    _, changes = merge(golden, {"kernel_study": study(below, "stable", 0.5)})
+    column = VERDICT_COLUMNS["kernel_study"]
+    assert changes == [
+        f"kernel_study/rows[0][{column}]: {beyond!r} -> {below!r}",
+        f"kernel_study/rows[0][{column + 1}]: unstable -> stable",
+        f"kernel_study/metrics/cond/fit: {beyond!r} -> {below!r}",
+        "kernel_study/metrics/fit: nan -> 0.5",
+    ]
+    # the class belongs to kernel_study alone
+    other = {"study": study(beyond, "unstable", math.nan)}
+    assert len(merge(other, {"study": study(100.0 * beyond, "unstable", math.nan)})[1]) == 2
 
 
 def test_merge_carries_experiments_missing_from_fresh_byte_for_byte():
