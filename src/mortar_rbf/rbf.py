@@ -9,9 +9,14 @@ interpolated basis anywhere in physical space.
 Master elements are interface elements: segments and quadrilaterals.
 Fits and evaluations run in chunked array passes over many elements: one
 batched LAPACK call solves a chunk's collocation systems, and one
-block-sparse product evaluates a chunk of (query, element) pairs.  A fit
-is one :class:`RbfInterpolant` holding the stacked arrays of its batch;
-one element's fit is a batch of one.
+block-sparse product evaluates a chunk of (query, element) pairs.  The
+chunks of one call run concurrently on the CPUs the process may use (its
+CPU affinity): the calling thread and a pool of threads owned by the
+process share them, and each writes only its own rows of the result, so
+the result is the same bit for bit on any number of CPUs.  Working
+memory stays bounded by the CPU count times :data:`_CHUNK_ENTRIES`
+entries.  A fit is one :class:`RbfInterpolant` holding the stacked arrays
+of its batch; one element's fit is a batch of one.
 
 Evaluation always returns the *rescaled* interpolant
 
@@ -25,6 +30,10 @@ evaluation invariant under translations normal to the element plane.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,7 +102,8 @@ _PROBE_SEED = 20261021
 MAX_POINTS_PER_EDGE = 10
 
 #: Entries per stacked collocation matrix or kernel row array, so working
-#: memory stays fixed however large the mesh is.
+#: memory stays fixed however large the mesh is: one chunk per CPU runs at
+#: a time.
 _CHUNK_ENTRIES = 2**15
 
 #: Halton probe points at which :func:`basis_diagnostics` measures a fit.
@@ -231,11 +241,14 @@ def fit_interpolants(
 ) -> RbfInterpolant:
     """Fit the rescaled kernel interpolants of elements ``elems``, in chunks.
 
-    Element k of the returned batch is ``elems[k]``.  One LU factorization
-    per fit solves for the weights and for G^-1 s, the three probes of the
-    condition estimate; only a fit whose estimate reaches
-    :data:`COND_EXACT_FROM`, or :data:`COND_DOUBT_FROM` in doubt, also
-    solves for G^-1, its exact condition.
+    Element k of the returned batch is ``elems[k]``.  Chunks of at most
+    :data:`_CHUNK_ENTRIES` gram entries run concurrently on the process's
+    CPUs (see the module docstring); the result does not depend on their
+    number or size.  One LU factorization per fit solves for the weights
+    and for G^-1 s, the three probes of the condition estimate; only a fit
+    whose estimate reaches :data:`COND_EXACT_FROM`, or
+    :data:`COND_DOUBT_FROM` in doubt, also solves for G^-1, its exact
+    condition.
     ``epsilon`` overrides the default shape parameter, each element's
     circumdiameter.  No fit is refused here: each reports its
     ``condition``, and an exactly singular one gets NaN weights and an
@@ -254,9 +267,8 @@ def fit_interpolants(
     rhs = np.column_stack([basis, _probes(kind, layout)])
     weights = np.empty((elems.size,) + basis.shape)
     condition = np.empty(elems.size)
-    step = max(1, _CHUNK_ENTRIES // n_points**2)
-    for start in range(0, elems.size, step):
-        chunk = slice(start, start + step)
+
+    def fit(chunk: slice) -> None:
         p = points[chunk]
         gram = _kernel(family, p[:, :, None], p[:, None], eps[chunk, None, None])
         solved = _solve_each(gram, rhs)
@@ -272,13 +284,17 @@ def fit_interpolants(
             cond[near] = norm[near] * np.linalg.norm(inverse, 1, axis=(1, 2))
         cond[np.isnan(cond)] = np.inf
         condition[chunk] = cond
+
+    _each_chunk(elems.size, max(1, _CHUNK_ENTRIES // n_points**2), fit)
     return RbfInterpolant(family, points, eps, weights, condition)
 
 
+@functools.cache
 def _probes(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     """The three sign vectors, (M, 3), of the condition estimate: the
     lattice's checkerboard, +1 or -1 by the parity of a point's lattice
-    indices, then two fixed pseudo-random ones.
+    indices, then two fixed pseudo-random ones.  Made once per kind and
+    layout; the array is read-only.
 
     The inverse of a smooth kernel's matrix on a point lattice tends to
     alternate in sign from point to point, so for the checkerboard s,
@@ -291,7 +307,61 @@ def _probes(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     alternating = (-1.0) ** np.arange(layout.n_per_edge)
     checkerboard = tensor_points(alternating, kind.ref_dim).prod(axis=1)
     flips = np.random.default_rng(_PROBE_SEED).random((checkerboard.size, 2)) < 0.5
-    return np.column_stack([checkerboard, np.where(flips, -1.0, 1.0)])
+    probes = np.column_stack([checkerboard, np.where(flips, -1.0, 1.0)])
+    probes.setflags(write=False)
+    return probes
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on, its chunk worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _pool(pid: int) -> ThreadPoolExecutor:
+    """The chunk threads of process ``pid``.  A forked child, with a pid
+    of its own, makes its own pool: the parent's threads do not exist in
+    it, and work queued to their pool would never run.  The executor
+    starts its threads on first use only."""
+    return ThreadPoolExecutor(max(1, _workers() - 1), thread_name_prefix="mortar-rbf")
+
+
+def _each_chunk(n: int, step: int, work) -> None:
+    """Call ``work(rows)`` on balanced slices ``rows`` that cover
+    ``range(n)``, each at most ``step`` long.
+
+    The :func:`_workers`, at most one per ``step`` rows, share them: the
+    calling thread and the process's :func:`_pool` take slices in turn
+    until none is left, and the slice count is rounded up to a multiple
+    of the worker count, so that each takes about as many.  One worker,
+    as for at most ``step`` rows, starts no thread.  Each ``work`` call
+    must write only its own rows, so the result does not depend on which
+    thread runs a slice, or when.  An exception raised in any slice
+    reaches the caller once no thread runs a slice.
+    """
+    workers = max(1, min(-(-n // step), _workers()))
+    count = min(n, -(-n // (step * workers)) * workers)
+    ends = [n * k // count for k in range(1, count + 1)]
+    chunks = iter([slice(a, b) for a, b in zip([0] + ends, ends)])
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                rows = next(chunks, None)
+            if rows is None:
+                return
+            work(rows)
+
+    helpers = [_pool(os.getpid()).submit(drain) for _ in range(workers - 1)]
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.result()
 
 
 def _solve_each(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -326,10 +396,12 @@ def evaluate_interpolants(
     """Rescaled basis values of each query under its own interpolant.
 
     Query k, row k of ``queries`` (n, dim), uses element ``owner[k]`` of
-    the batch ``interp``.  Per chunk, one block-sparse matrix of kernel
-    rows times the stacked weights gives every numerator (no query copies
-    its weights); their sum is the denominator, so valid rows sum to one
-    however ill-conditioned the fit.
+    the batch ``interp``.  Per chunk of at most :data:`_CHUNK_ENTRIES`
+    kernel values, one block-sparse matrix of kernel rows times the
+    stacked weights gives every numerator (no query copies its weights);
+    their sum is the denominator, so valid rows sum to one however
+    ill-conditioned the fit.  The chunks run concurrently on the process's
+    CPUs, as in :func:`fit_interpolants`.
 
     Rows whose denominator is below :data:`BREAKDOWN_TOL` times the
     absolute sum of its kernel-weighted terms (cancellation), or whose
@@ -342,9 +414,8 @@ def evaluate_interpolants(
     stacked = np.concatenate([weights, np.abs(weights)], axis=2).reshape(-1, 2 * n_basis)
     values = np.zeros((queries.shape[0], n_basis))
     ok = np.zeros(queries.shape[0], dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // n_points)
-    for start in range(0, queries.shape[0], step):
-        rows = slice(start, start + step)
+
+    def evaluate(rows: slice) -> None:
         own, q = owner[rows], queries[rows]
         phi = _kernel(interp.family, q[:, None], points[own], epsilon[own, None])
         cols = own[:, None] * n_points + np.arange(n_points)
@@ -358,6 +429,8 @@ def evaluate_interpolants(
         good = (np.abs(denom) >= BREAKDOWN_TOL * term_size) & (term_size > 0.0)
         values[rows][good] = numer[good] / denom[good, None]
         ok[rows] = good
+
+    _each_chunk(queries.shape[0], max(1, _CHUNK_ENTRIES // n_points), evaluate)
     return values, ok
 
 

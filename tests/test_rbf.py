@@ -1,3 +1,8 @@
+import contextlib
+import multiprocessing
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
@@ -477,6 +482,209 @@ def test_chunk_size_does_not_change_the_matrices(pair, monkeypatch):
     chunked = assemble(pair, MortarConfig())
     assert (whole.coupling != chunked.coupling).nnz == 0
     assert (whole.slave_mass != chunked.slave_mass).nnz == 0
+
+
+def one_element_per_chunk(monkeypatch, workers):
+    """Chunks of one element or query, shared out over ``workers``."""
+    monkeypatch.setattr(rbf, "_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(rbf, "_workers", lambda: workers)
+
+
+def fit_and_evaluate(mesh, elems, layout, family, epsilon=None):
+    """A fit of ``elems`` and its values at points in and around each
+    element, one of them far off the mesh."""
+    fit = fit_interpolants(mesh, elems, layout, family, epsilon=epsilon)
+    ref = 1.2 * halton_reference_points(mesh.kind, 7)
+    queries = element_geometry(mesh, ref, elems)[0].reshape(-1, mesh.nodes.shape[1])
+    queries[-1] += 1e3
+    owner = np.repeat(np.arange(len(elems)), len(ref))
+    return fit, evaluate_interpolants(fit, owner, queries)
+
+
+def assert_same_fit_and_values(one, other):
+    (fit, (values, ok)), (fit_other, (values_other, ok_other)) = one, other
+    for field in ("points", "epsilon", "weights", "condition"):
+        np.testing.assert_array_equal(getattr(fit, field), getattr(fit_other, field))
+    np.testing.assert_array_equal(values, values_other)
+    np.testing.assert_array_equal(ok, ok_other)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        segment_pair(30, 20)[0],
+        segment_pair(20, 13, ElementKind.SEG3)[0],
+        surface_pair(6, 4, warp_master=sine_bump(0.1))[0],
+        surface_pair(4, 3, ElementKind.QUAD8, warp_master=sine_bump(0.1))[0],
+    ],
+    ids=["seg2", "seg3", "warped_quad4", "warped_quad8"],
+)
+def test_fits_and_values_do_not_depend_on_chunks_or_workers(mesh, family, monkeypatch):
+    layout, elems = PointLayout("sine", 6), np.arange(mesh.n_elems)
+    default = fit_and_evaluate(mesh, elems, layout, family)
+    one_element_per_chunk(monkeypatch, workers=1)
+    serial = fit_and_evaluate(mesh, elems, layout, family)
+    assert_same_fit_and_values(serial, default)
+    # more workers than CPUs, switching threads often
+    one_element_per_chunk(monkeypatch, workers=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        shared = fit_and_evaluate(mesh, elems, layout, family)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_fit_and_values(serial, shared)
+
+
+def hold_caller_until_a_pool_chunk(monkeypatch, name, pool_call):
+    """Wrap ``rbf.<name>`` so that the calling thread's calls wait until a
+    pool thread has called it with ``pool_call(result)`` true; returns
+    the results of the pool threads' calls."""
+    caller, done, pool_results = threading.get_ident(), threading.Event(), []
+    inner = getattr(rbf, name)
+
+    def wrapped(*args):
+        if threading.get_ident() == caller:
+            assert done.wait(timeout=30), "no pool thread ran the chunk"
+            return inner(*args)
+        result = inner(*args)
+        pool_results.append(result)
+        if pool_call(result):
+            done.set()
+        return result
+
+    monkeypatch.setattr(rbf, name, wrapped)
+    return pool_results
+
+
+@pytest.mark.parametrize(
+    "mesh, layout, family, epsilon, elems",
+    [
+        (far_apart_segments(), PointLayout(), KernelFamily.GAUSSIAN, 1e12, np.arange(5)),
+        (
+            InterfaceMesh(SLIVER_QUAD, np.arange(4)[None], ElementKind.QUAD4),
+            PointLayout(LayoutKind.UNIFORM, 10),
+            KernelFamily.INV_MULTIQUADRIC,
+            3.866603858789148,
+            np.zeros(3, dtype=np.int64),
+        ),
+    ],
+    ids=["exactly_singular", "exact_condition"],
+)
+def test_singular_and_exact_condition_fits_in_a_pool_chunk(
+    mesh, layout, family, epsilon, elems, monkeypatch
+):
+    one_element_per_chunk(monkeypatch, workers=1)
+    serial = fit_and_evaluate(mesh, elems, layout, family, epsilon)
+    one_element_per_chunk(monkeypatch, workers=3)
+    n_points = layout.n_per_edge**mesh.kind.ref_dim
+    # a NaN solution is a singular fit; an n_points-wide one is an inverse
+    solved = hold_caller_until_a_pool_chunk(
+        monkeypatch,
+        "_solve_each",
+        lambda x: np.isnan(x).any() or x.shape[2] == n_points,
+    )
+    shared = fit_and_evaluate(mesh, elems, layout, family, epsilon)
+    assert_same_fit_and_values(serial, shared)
+    condition = serial[0].condition
+    if np.isinf(condition).any():
+        np.testing.assert_array_equal(np.isinf(condition), [0, 0, 1, 0, 1])
+        assert any(np.isnan(x).all() for x in solved)
+    else:
+        assert (condition > COND_LIMIT).all()
+        assert any(x.shape[2] == n_points for x in solved)
+
+
+def test_an_exception_in_a_pool_chunk_reaches_the_caller(monkeypatch):
+    mesh = surface_pair(4, 3, warp_master=sine_bump(0.1))[0]
+    fit = fit_interpolants(mesh, [0], PointLayout(), KernelFamily.GAUSSIAN)
+    one_element_per_chunk(monkeypatch, workers=2)
+    caller, raised, kernel = threading.get_ident(), threading.Event(), rbf._kernel
+
+    def kernel_failing_in_the_pool(*args):
+        if threading.get_ident() == caller:
+            assert raised.wait(timeout=30), "no pool thread ran a chunk"
+            return kernel(*args)
+        raised.set()
+        raise FloatingPointError("a pool chunk failed")
+
+    monkeypatch.setattr(rbf, "_kernel", kernel_failing_in_the_pool)
+    with pytest.raises(FloatingPointError, match="a pool chunk failed"):
+        fit_interpolants(mesh, np.arange(mesh.n_elems), PointLayout(), KernelFamily.GAUSSIAN)
+    raised.clear()
+    with pytest.raises(FloatingPointError, match="a pool chunk failed"):
+        evaluate_interpolants(fit, np.zeros(20, dtype=np.int64), mesh.nodes[:20])
+
+
+def test_a_single_chunk_call_starts_no_thread(monkeypatch):
+    # the size of the poisson_split benchmark's seg2 interface, 256 masters
+    monkeypatch.setattr(rbf, "_workers", lambda: 4)
+
+    def no_pool(pid):
+        raise AssertionError("a single-chunk call asked for the thread pool")
+
+    monkeypatch.setattr(rbf, "_pool", no_pool)
+    assemble(InterfacePair(*segment_pair(256, 171)), MortarConfig())
+
+
+def assemble_warped_12_8():
+    warp = sine_bump(0.1)
+    pair = surface_pair(12, 8, warp_master=warp, warp_slave=warp)
+    return assemble(InterfacePair(*pair), MortarConfig())
+
+
+def send_warped_matrices(queue):
+    matrices = assemble_warped_12_8()
+    queue.put((matrices.coupling, matrices.slave_mass))
+
+
+def assert_bitwise_equal(matrix, other):
+    assert matrix.format == other.format and matrix.shape == other.shape
+    for field in ("data", "indices", "indptr"):
+        one, two = getattr(matrix, field), getattr(other, field)
+        assert one.dtype == two.dtype and one.tobytes() == two.tobytes()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork here"
+)
+def test_a_forked_child_fits_on_threads_of_its_own(monkeypatch):
+    # two workers, so that the parent's pool runs even on one CPU; the
+    # child inherits the count, and the parent's pool threads do not exist
+    # in it
+    monkeypatch.setattr(rbf, "_workers", lambda: 2)
+    parent = assemble_warped_12_8()
+    assert any(t.name.startswith("mortar-rbf") for t in threading.enumerate())
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=send_warped_matrices, args=(queue,))
+    # Python 3.12 and later warn of a fork while threads run, as here
+    forking = (
+        pytest.warns(DeprecationWarning, match="fork")
+        if sys.version_info >= (3, 12)
+        else contextlib.nullcontext()
+    )
+    with forking:
+        child.start()
+    try:
+        coupling, slave_mass = queue.get(timeout=60)  # raises if the child hangs
+        child.join(timeout=60)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert_bitwise_equal(parent.coupling, coupling)
+    assert_bitwise_equal(parent.slave_mass, slave_mass)
+
+
+def test_probes_are_made_once_per_kind_and_layout():
+    layout = PointLayout("sine", 5)
+    probes = rbf._probes(ElementKind.QUAD4, layout)
+    assert probes is rbf._probes(ElementKind.QUAD4, PointLayout("sine", 5))
+    assert not probes.flags.writeable
+    np.testing.assert_array_equal(probes, rbf._probes.__wrapped__(ElementKind.QUAD4, layout))
 
 
 def test_gaussian_rmse_improves_with_more_points():
