@@ -47,19 +47,8 @@ from .mortar import (
     compute_transfer,
     interface_transfer,
 )
-from .poisson import (
-    PoissonProblem,
-    SolutionFields,
-    broken_norms,
-    solve,
-    solve_single_domain,
-)
-from .rbf import (
-    KernelFamily,
-    LayoutKind,
-    PointLayout,
-    fit_master_interpolant,
-)
+from .poisson import PoissonProblem, SolutionFields, broken_norms, solve
+from .rbf import KernelFamily, LayoutKind, PointLayout
 
 __version__ = "0.1.0"
 
@@ -93,7 +82,6 @@ __all__ = [
     "broken_norms",
     "compute_transfer",
     "extract_interface",
-    "fit_master_interpolant",
     "gauss_rule",
     "interface_transfer",
     "load_config",
@@ -103,7 +91,6 @@ __all__ = [
     "serialize_config",
     "shape_values",
     "solve",
-    "solve_single_domain",
     "split_unit_square",
     "surface_pair",
     "write_outputs",

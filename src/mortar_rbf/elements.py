@@ -26,7 +26,6 @@ __all__ = [
     "node_reference_coords",
     "shape_values",
     "shape_gradients",
-    "shape_second_derivatives",
     "gauss_rule",
     "tensor_points",
 ]
@@ -104,15 +103,6 @@ def shape_gradients(kind: ElementKind, xi) -> np.ndarray:
     shape (n_pts, n_nodes, ref_dim)."""
     kind = ElementKind(kind)
     return _ELEMENTS[kind].gradients(_prepare_points(kind, xi))
-
-
-def shape_second_derivatives(kind: ElementKind, xi) -> np.ndarray:
-    """Second derivatives, shape (n_pts, n_nodes, ref_dim, ref_dim).
-
-    Needed by the Newton closest-point projection on curved elements.
-    """
-    kind = ElementKind(kind)
-    return _ELEMENTS[kind].hessians(_prepare_points(kind, xi))
 
 
 # --- shape function tables -------------------------------------------------

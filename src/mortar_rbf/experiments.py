@@ -678,17 +678,11 @@ def run_scheme_compare(config: ExperimentConfig) -> ExperimentResult:
     """
     n_master, n_slave = config.element_counts(2)
     master = segment_mesh(n_master)
+    slave = segment_mesh(n_slave, side=Side.SLAVE)
+    nodes = slave.nodes.copy()
     rng = np.random.default_rng(config.seed)
-    h_slave = 2.0 / n_slave
-    xs = np.linspace(-1.0, 1.0, n_slave + 1)
-    xs[1:-1] += rng.uniform(-0.3, 0.3, n_slave - 1) * h_slave
-    connectivity = np.column_stack([np.arange(n_slave), np.arange(1, n_slave + 1)])
-    slave = InterfaceMesh(
-        np.column_stack([xs, np.zeros_like(xs)]),
-        connectivity,
-        ElementKind.SEG2,
-        Side.SLAVE,
-    )
+    nodes[1:-1, 0] += rng.uniform(-0.3, 0.3, n_slave - 1) * (2.0 / n_slave)
+    slave = replace(slave, nodes=nodes)
     pair = InterfacePair(master, slave)
 
     reference = compute_transfer(

@@ -42,7 +42,6 @@ __all__ = [
     "element_circumdiameters",
     "element_frames",
     "mesh_size",
-    "translate",
     "segment_mesh",
     "segment_pair",
     "square_surface_mesh",
@@ -299,14 +298,6 @@ def _unit(vectors: np.ndarray) -> np.ndarray:
     return np.divide(vectors, length, out=np.full_like(vectors, np.nan), where=length > 0)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross products along the last axis (``np.cross`` costs ten times as
-    much on arrays of a few hundred vectors)."""
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
-
-
 def element_frames(mesh: InterfaceMesh) -> tuple[np.ndarray, np.ndarray]:
     """Origin and orthonormal axes of every element's local frame.
 
@@ -327,21 +318,15 @@ def element_frames(mesh: InterfaceMesh) -> tuple[np.ndarray, np.ndarray]:
         normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=1)
         return coords.mean(axis=1), np.stack([tangent, normal], axis=1)
     corner = coords[:, :4]
-    normal = _unit(_cross(corner[:, 2] - corner[:, 0], corner[:, 3] - corner[:, 1]))
+    normal = _unit(np.cross(corner[:, 2] - corner[:, 0], corner[:, 3] - corner[:, 1]))
     edges = corner[:, 1] - corner[:, 0] + corner[:, 2] - corner[:, 3]
     first = _unit(edges - (edges * normal).sum(axis=1, keepdims=True) * normal)
-    return coords.mean(axis=1), np.stack([first, _cross(normal, first), normal], axis=1)
+    return coords.mean(axis=1), np.stack([first, np.cross(normal, first), normal], axis=1)
 
 
 def mesh_size(mesh: Mesh) -> float:
     """Largest element circumdiameter in the mesh."""
     return float(element_circumdiameters(mesh).max())
-
-
-def translate(mesh: InterfaceMesh, vector) -> InterfaceMesh:
-    """Rigidly translate an interface mesh by ``vector``."""
-    nodes = mesh.nodes + np.asarray(vector, float)
-    return InterfaceMesh(nodes, mesh.connectivity, mesh.kind, mesh.side)
 
 
 def _validate_measures(mesh: InterfaceMesh, probe) -> None:
@@ -364,7 +349,7 @@ def segment_mesh(
     span: tuple[float, float] = (-1.0, 1.0),
     side: Side = Side.MASTER,
 ) -> InterfaceMesh:
-    """Uniform segment mesh on the x-axis of R^2; :func:`translate` moves it."""
+    """Uniform segment mesh on the x-axis of R^2."""
     kind = ElementKind(kind)
     if kind not in (ElementKind.SEG2, ElementKind.SEG3):
         raise ValueError("segment meshes require seg2 or seg3 elements")
@@ -420,8 +405,7 @@ def square_surface_mesh(
 
     ``warp`` is an optional out-of-plane displacement z = warp(x, y)
     applied to every node (corner and mid-side alike).  A warp that
-    degenerates the surface metric raises :class:`DegenerateElementError`;
-    :func:`translate` moves the mesh.
+    degenerates the surface metric raises :class:`DegenerateElementError`.
     """
     kind = ElementKind(kind)
     if kind not in (ElementKind.QUAD4, ElementKind.QUAD8):

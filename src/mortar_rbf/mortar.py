@@ -61,7 +61,6 @@ from .errors import (
 )
 from .meshes import (
     InterfaceMesh,
-    _cross,
     element_circumdiameters,
     element_frames,
     element_geometry,
@@ -70,6 +69,7 @@ from .rbf import (  # bench/tracer.py wraps the one-element faces here
     COND_LIMIT,
     KernelFamily,
     PointLayout,
+    _check_epsilon,
     evaluate_interpolants,
     evaluate_rescaled_masked,
     fit_interpolants,
@@ -163,10 +163,7 @@ class MortarConfig:
             object.__setattr__(self, "n_gauss", as_count(self.n_gauss, "n_gauss"))
             if self.n_gauss < 1:
                 raise ValueError("n_gauss must be positive")
-        if self.epsilon is not None and not 0.0 < self.epsilon < np.inf:
-            raise ValueError(
-                f"epsilon override must be finite and positive, got {self.epsilon}"
-            )
+        _check_epsilon(self.epsilon)
 
     def slave_rule(self, kind: ElementKind) -> QuadratureRule:
         """The Gauss rule on each slave element of ``kind``: ``n_gauss``
@@ -271,10 +268,6 @@ class MortarMatrices:
     @property
     def n_slave_nodes(self) -> int:
         return self.slave_mass.shape[0]
-
-    @property
-    def n_master_nodes(self) -> int:
-        return self.coupling.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,7 +467,7 @@ def _tilt_tangents(kind: ElementKind, nodes: np.ndarray, axes: np.ndarray) -> np
     if kind.ref_dim == 1:
         normal = np.stack([-jac[..., 0, 1], jac[..., 0, 0]], axis=-1)
     else:
-        normal = _cross(jac[..., 0, :], jac[..., 1, :])
+        normal = np.cross(jac[..., 0, :], jac[..., 1, :])
     net = (to_net @ normal) @ axes.transpose(0, 2, 1)
     along, across = net[..., -1], np.linalg.norm(net[..., :-1], axis=-1)
     ratio = np.divide(across, along, out=np.full_like(along, np.inf), where=along > 0.0)

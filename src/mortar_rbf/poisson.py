@@ -9,14 +9,14 @@ through the coupling matrices of :mod:`.mortar`.  Both subdomains share
 one stacked numbering, master nodes first.  The resulting saddle system
 can be solved directly, or after static condensation, which eliminates
 the multipliers together with the slave interface values and leaves a
-symmetric positive definite system in the remaining unknowns.  Every
-solve, the single-mesh one included, eliminates its fixed dofs by the
-same restriction x = P y + c and factors with the same SuperLU settings,
-``_FACTOR``, whose threshold pivoting serves the indefinite saddle system
-and leaves the definite ones on their diagonal.  P is the identity on the
-free dofs but for a few link rows, which the condensed solve fills with
-the dense transfer block T, so the restricted matrix Pᵀ A P is formed
-without P: scipy's row and column indexing takes the free block of A, and
+symmetric positive definite system in the remaining unknowns.  Both
+solves eliminate their fixed dofs by the same restriction x = P y + c
+and factor with the same SuperLU settings, ``_FACTOR``, whose threshold
+pivoting serves the indefinite saddle system and leaves the definite one
+on its diagonal.  P is the identity on the free dofs but for a few link
+rows, which the condensed solve fills with the dense transfer block T,
+so the restricted matrix Pᵀ A P is formed without P: scipy's row and
+column indexing takes the free block of A, and
 the links add one sparse product S = Tᵀ A_LF with its transpose and a
 small dense corner.  Each entry of a restricted system and its mirror sum
 the same numbers, so the system is symmetric bit for bit, and SuperLU
@@ -52,9 +52,9 @@ from .mortar import (
 #: is small next to |A| |x| (the saddle systems of fine split squares).
 _SOLVE_RTOL = 1e-10
 
-#: SuperLU settings of every solve: the condensed, single-mesh and saddle
-#: systems.  Minimum degree on the symmetric structure fills far less than
-#: COLAMD.  With supernode relaxation and panels turned off, the same fill
+#: SuperLU settings of every solve: the condensed and saddle systems.
+#: Minimum degree on the symmetric structure fills far less than COLAMD.
+#: With supernode relaxation and panels turned off, the same fill
 #: factors 18-27% faster on the condensed split-square systems.  A diagonal
 #: pivot is kept while it is at least 1e-3 of its column's largest entry.
 #: The symmetric positive definite systems pivot on the diagonal even at
@@ -256,20 +256,6 @@ def _dirichlet_values(dirichlet: Callable | None, coords: np.ndarray) -> np.ndar
     return values
 
 
-def _block_diagonal(first: sparse.csr_matrix, second: sparse.csr_matrix):
-    """The CSR matrix diag(first, second), stacked from both CSR arrays."""
-    # sparse.block_diag builds the same arrays, but in 3.1-3.5 ms against
-    # 0.41 ms at 256/171
-    return sparse.csr_matrix(
-        (
-            np.concatenate([first.data, second.data]),
-            np.concatenate([first.indices, second.indices + first.shape[1]]),
-            np.concatenate([first.indptr, second.indptr[1:] + first.nnz]),
-        ),
-        shape=(first.shape[0] + second.shape[0], first.shape[1] + second.shape[1]),
-    )
-
-
 def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem:
     """Assemble the stacked subdomain operators and the mortar coupling.
 
@@ -291,8 +277,8 @@ def build_system(problem: PoissonProblem, config: MortarConfig) -> CoupledSystem
     coords = np.vstack([master.nodes[pinned_master], slave.nodes[pinned_slave]])
     return CoupledSystem(
         problem=problem,
-        stiffness=_block_diagonal(
-            assemble_stiffness(master), assemble_stiffness(slave)
+        stiffness=sparse.block_diag(
+            (assemble_stiffness(master), assemble_stiffness(slave)), format="csr"
         ),
         load=np.concatenate(
             [assemble_load(mesh, problem.source) for mesh in (master, slave)]
@@ -523,22 +509,6 @@ def solve(problem: PoissonProblem, config: MortarConfig | None = None) -> Soluti
     """
     system = build_system(problem, config if config is not None else MortarConfig())
     return solve_condensed(system)
-
-
-def solve_single_domain(
-    mesh: VolumeMesh,
-    source: Callable,
-    dirichlet: Callable | None = None,
-) -> np.ndarray:
-    """Conforming single-mesh Poisson solve, used as the merged-mesh oracle."""
-    pinned = mesh.tagged_nodes("dirichlet")
-    values = _dirichlet_values(dirichlet, mesh.nodes[pinned])
-    return _restricted_solve(
-        assemble_stiffness(mesh),
-        assemble_load(mesh, source),
-        pinned,
-        values,
-    )
 
 
 # --- error norms -----------------------------------------------------------

@@ -183,6 +183,14 @@ def _interface_kind(kind) -> ElementKind:
     return kind
 
 
+def _check_epsilon(epsilon) -> None:
+    """Raise ``ValueError`` unless the shape parameter override ``epsilon``
+    is None or finite and positive: a negative one turns Wendland kernel
+    values negative, which the breakdown test of the rescaling excludes."""
+    if epsilon is not None and not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon override must be finite and positive, got {epsilon}")
+
+
 def interpolation_points(kind: ElementKind, layout: PointLayout) -> np.ndarray:
     """Reference coordinates of the collocation points, shape (M, ref_dim)."""
     kind = _interface_kind(kind)
@@ -253,8 +261,10 @@ def fit_interpolants(
     circumdiameter.  No fit is refused here: each reports its
     ``condition``, and an exactly singular one gets NaN weights and an
     infinite condition, so its queries are flagged.  Raises ``ValueError``
-    for a ``tri3`` mesh.
+    for a ``tri3`` mesh and for an ``epsilon`` that is not finite and
+    positive.
     """
+    _check_epsilon(epsilon)
     kind, family = ElementKind(mesh.kind), KernelFamily(family)
     elems = np.asarray(elems, dtype=np.int64).reshape(-1)
     basis = shape_values(kind, interpolation_points(kind, layout))

@@ -25,9 +25,12 @@ volume assembly and error integrals of :mod:`mortar_rbf.poisson` written
 with multi-operand ``einsum`` contractions, stacked per-vertex arrays and
 an ``np.add.at`` scatter.  :func:`reference_transfer_l2_error` is the
 per-element loop of the slave L2 error integral that
-``experiments._transfer_l2_error`` computes in one array pass.  Tests
-compare the library against all of them; nothing in the library imports
-them.
+``experiments._transfer_l2_error`` computes in one array pass.
+:func:`solve_single_domain` is the conforming single-mesh Poisson solve,
+the merged-mesh oracle of the coupled solves, and :func:`translate` and
+:func:`shape_second_derivatives` are the mesh move and the checked basis
+Hessian that only tests need.  Tests compare the library against all of
+them; nothing in the library imports them.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ from scipy.spatial.distance import cdist
 
 from mortar_rbf import poisson
 from mortar_rbf.elements import (
+    _ELEMENTS,
+    ElementKind,
+    _prepare_points,
     gauss_rule,
     node_reference_coords,
     shape_gradients,
-    shape_second_derivatives,
     shape_values,
     triangle_rule_for_degree,
 )
-from mortar_rbf.meshes import element_circumdiameters, element_geometry
+from mortar_rbf.meshes import InterfaceMesh, element_circumdiameters, element_geometry
 from mortar_rbf.mortar import (
     AssemblyStats,
     MortarMatrices,
@@ -75,6 +80,20 @@ from mortar_rbf.rbf import (
 )
 
 _NEWTON_CLAMP = 1.45
+
+
+def shape_second_derivatives(kind, xi) -> np.ndarray:
+    """Second derivatives of the shape functions at reference points ``xi``,
+    shape (n_pts, n_nodes, ref_dim, ref_dim), with the range and shape
+    checks of ``elements.shape_values``."""
+    kind = ElementKind(kind)
+    return _ELEMENTS[kind].hessians(_prepare_points(kind, xi))
+
+
+def translate(mesh, vector) -> InterfaceMesh:
+    """Rigidly translate an interface mesh by ``vector``."""
+    nodes = mesh.nodes + np.asarray(vector, float)
+    return InterfaceMesh(nodes, mesh.connectivity, mesh.kind, mesh.side)
 
 
 def _element_points(mesh, elem, xi):
@@ -528,6 +547,19 @@ def reference_load(mesh, source) -> np.ndarray:
     load = np.zeros(mesh.n_nodes)
     np.add.at(load, mesh.connectivity.ravel(), contrib.ravel())
     return load
+
+
+def solve_single_domain(mesh, source, dirichlet=None) -> np.ndarray:
+    """Conforming single-mesh Poisson solve, the merged-mesh oracle: the
+    library's stiffness, load and restricted solve on one mesh."""
+    pinned = mesh.tagged_nodes("dirichlet")
+    values = poisson._dirichlet_values(dirichlet, mesh.nodes[pinned])
+    return poisson._restricted_solve(
+        poisson.assemble_stiffness(mesh),
+        poisson.assemble_load(mesh, source),
+        pinned,
+        values,
+    )
 
 
 def reference_domain_errors(mesh, values, exact, exact_gradient):

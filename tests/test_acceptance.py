@@ -24,12 +24,10 @@ from mortar_rbf import (
     assemble,
     compute_transfer,
     extract_interface,
-    fit_master_interpolant,
     gauss_rule,
     interface_transfer,
     shape_values,
     solve,
-    solve_single_domain,
     split_unit_square,
     surface_pair,
 )
@@ -40,10 +38,15 @@ from mortar_rbf.meshes import (
     rectangle_mesh,
     segment_mesh,
     sine_bump,
-    translate,
 )
 from mortar_rbf.poisson import build_system, solve_condensed, solve_saddle
-from mortar_rbf.rbf import evaluate_rescaled_masked, halton_reference_points
+from mortar_rbf.rbf import (
+    evaluate_rescaled_masked,
+    fit_master_interpolant,
+    halton_reference_points,
+)
+
+from reference_assembly import solve_single_domain, translate
 
 
 def report(number, ok, detail):

@@ -60,7 +60,6 @@ from mortar_rbf.meshes import (
     split_unit_square,
     square_surface_mesh,
     surface_pair,
-    translate,
 )
 from mortar_rbf import mortar
 from mortar_rbf.errors import DegenerateElementError, IllConditionedKernelError
@@ -95,6 +94,7 @@ from reference_assembly import (
     reference_stiffness,
     reference_transfer_l2_error,
     reference_triangle_geometry,
+    translate,
 )
 
 

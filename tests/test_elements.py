@@ -8,10 +8,11 @@ from mortar_rbf.elements import (
     min_gauss_points,
     node_reference_coords,
     shape_gradients,
-    shape_second_derivatives,
     shape_values,
     triangle_rule_for_degree,
 )
+
+from reference_assembly import shape_second_derivatives
 
 ALL_KINDS = list(ElementKind)
 

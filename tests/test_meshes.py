@@ -23,8 +23,9 @@ from mortar_rbf.meshes import (
     split_unit_square,
     square_surface_mesh,
     surface_pair,
-    translate,
 )
+
+from reference_assembly import translate
 
 
 def test_segment_pair_counts_and_span():
@@ -384,3 +385,95 @@ def test_element_frames_are_right_handed_and_turn_with_the_mesh(mesh):
     turned_origin, turned_axes = element_frames(turned)
     np.testing.assert_allclose(turned_origin, origin @ q.T + 2.0, atol=1e-14)
     np.testing.assert_allclose(turned_axes, axes @ q.T, atol=1e-14)
+
+
+
+#: Two triangles with one corner in common (node 2), and two apart.
+BOWTIE = (
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0], [2.0, 2.0]],
+    [[0, 1, 2], [2, 3, 4]],
+)
+APART = (
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [3.0, 0.0], [4.0, 0.0], [4.0, 1.0]],
+    [[0, 1, 2], [3, 4, 5]],
+)
+
+
+@pytest.mark.parametrize(
+    "mesh, edges, message",
+    [
+        (BOWTIE, [[1, 2], [0, 2], [2, 3]], "do not form a simple open chain"),
+        (APART, [[0, 1], [3, 4], [4, 5], [3, 5]], "are not contiguous"),
+    ],
+    ids=["branched", "chain-and-loop"],
+)
+def test_extract_interface_takes_one_simple_chain_only(mesh, edges, message):
+    """Three interface edges meet at the bowtie's shared corner; one edge
+    of the first triangle beside the whole rim of the second is a chain
+    plus a loop."""
+    nodes, connectivity = mesh
+    volume = VolumeMesh(nodes, connectivity, edges, ["interface"] * len(edges))
+    with pytest.raises(InvalidGeometryError, match=f"^interface edges {message}$"):
+        extract_interface(volume, Side.MASTER)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            partial(segment_mesh, 2, ElementKind.QUAD4),
+            "segment meshes require seg2 or seg3 elements",
+        ),
+        (partial(segment_mesh, 0), "n_elems must be positive"),
+        (partial(segment_mesh, 2, span=(1.0, -1.0)), "span must be increasing"),
+        (
+            partial(square_surface_mesh, 2, ElementKind.SEG2),
+            "surface meshes require quad4 or quad8 elements",
+        ),
+        (partial(square_surface_mesh, 0), "n_per_side must be positive"),
+        (partial(rectangle_mesh, 2, 0), "need at least one cell in each direction"),
+        (
+            partial(rectangle_mesh, 2, 2, interface_edge="left"),
+            "interface_edge must be 'bottom', 'top' or None",
+        ),
+        (
+            partial(rectangle_mesh, 2, 2, interface_offset=lambda x: 0.0 * x),
+            "interface_offset requires an interface_edge",
+        ),
+    ],
+    ids=[
+        "segment-kind", "segment-count", "segment-span", "surface-kind",
+        "surface-count", "rectangle-count", "rectangle-edge", "rectangle-offset",
+    ],
+)
+def test_mesh_generators_refuse_bad_arguments(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_interface_mesh_refuses_triangles():
+    message = "triangles are volume elements, not interface elements"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InterfaceMesh(SQUARE_NODES, SQUARE_CONNECTIVITY, ElementKind.TRI3)
+
+
+SEGMENT = partial(InterfaceMesh, connectivity=[[0, 1]], kind=ElementKind.SEG2)
+QUAD = partial(InterfaceMesh, connectivity=[[0, 1, 2, 3]], kind=ElementKind.QUAD4)
+TRIANGLE = partial(VolumeMesh, connectivity=[[0, 1, 2]])
+NOT_FINITE = "mesh nodes contain non-finite coordinates"
+
+
+@pytest.mark.parametrize(
+    "build, nodes, message",
+    [
+        (SEGMENT, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], "seg2 interface nodes must live in R^2"),
+        (QUAD, SQUARE_NODES, "quad4 interface nodes must live in R^3"),
+        (TRIANGLE, [0.0, 1.0, 0.0], "volume mesh nodes must live in R^2"),
+        (SEGMENT, [[0.0, 0.0], [np.nan, 0.0]], NOT_FINITE),
+        (TRIANGLE, [[0.0, 0.0], [1.0, 0.0], [0.0, np.inf]], NOT_FINITE),
+    ],
+    ids=["seg2-in-3d", "quad4-in-2d", "volume-flat", "interface-nan", "volume-inf"],
+)
+def test_meshes_refuse_nodes_of_the_wrong_dimension_or_not_finite(build, nodes, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(nodes=np.array(nodes))

@@ -24,7 +24,6 @@ from mortar_rbf.meshes import (
     split_unit_square,
     square_surface_mesh,
     surface_pair,
-    translate,
 )
 from mortar_rbf.mortar import (
     InterfacePair,
@@ -39,6 +38,8 @@ from mortar_rbf.mortar import (
     interface_transfer,
 )
 from mortar_rbf.rbf import KernelFamily, PointLayout, fit_master_interpolant
+
+from reference_assembly import translate
 
 ALL_SCHEMES = list(Scheme)
 
@@ -554,6 +555,31 @@ def test_pair_and_config_validation():
     for values in (np.float64(1.0), np.ones((transfer.n_master_nodes, 2, 3))):
         with pytest.raises(ValueError, match="master_values must be 1-d or 2-d"):
             interface_transfer(transfer, values)
+    for values in (np.ones(transfer.n_master_nodes + 1), np.ones((2, 4))):
+        message = f"^expected {transfer.n_master_nodes} master nodal values, got "
+        with pytest.raises(ValueError, match=f"{message}{values.shape[0]}$"):
+            interface_transfer(transfer, values)
+
+
+def test_pair_sides_must_share_a_dimension():
+    curve, surface = segment_mesh(2), square_surface_mesh(2, side=Side.SLAVE)
+    message = (
+        "^master and slave interfaces must both be curves or both be surfaces, "
+        "got seg2 and quad4$"
+    )
+    with pytest.raises(InvalidGeometryError, match=message):
+        InterfacePair(curve, surface)
+
+
+def test_exact_intersection_refuses_surfaces():
+    pair = InterfacePair(*surface_pair(2, 2))
+    message = "^exact intersection assembly handles 1D interfaces only$"
+    with pytest.raises(InvalidGeometryError, match=message):
+        mortar.assemble_sb_1d(pair, MortarConfig(scheme=Scheme.SB1D))
+
+
+def test_dropped_fraction_of_no_points_is_zero():
+    assert mortar.AssemblyStats().dropped_fraction == 0.0
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from mortar_rbf.meshes import (
     segment_pair,
     sine_bump,
     surface_pair,
-    translate,
 )
 from mortar_rbf.mortar import InterfacePair, MortarConfig, assemble
 from mortar_rbf.rbf import (
@@ -38,6 +37,8 @@ from mortar_rbf.rbf import (
     halton_reference_points,
     interpolation_points,
 )
+
+from reference_assembly import translate
 
 ALL_FAMILIES = list(KernelFamily)
 TRIANGLE = VolumeMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
@@ -204,6 +205,19 @@ def test_diagnostics_flag_instability_without_raising():
     )
     assert diag.unstable
     assert diag.condition_estimate > 1e10
+
+
+@pytest.mark.parametrize("epsilon", [-0.5, 0.0, np.inf, np.nan])
+def test_shape_parameter_must_be_finite_and_positive(epsilon):
+    # a negative epsilon turns Wendland kernel values negative, which the
+    # breakdown mask assumes never happen: every query would be flagged
+    mesh, layout = segment_mesh(2), PointLayout()
+    message = f"epsilon override must be finite and positive, got {epsilon}"
+    for fit in (fit_interpolants, basis_diagnostics):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(mesh, 0, layout, KernelFamily.WENDLAND_C2, epsilon=epsilon)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MortarConfig(epsilon=epsilon)
 
 
 def far_apart_segments():
